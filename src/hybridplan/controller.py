@@ -94,17 +94,20 @@ def sliding_window_decompose(problem, gold_plan, x, selector=None):
     return _decompose_states(states, x, hardness_fn(selector, problem))
 
 
+def _edge_window_states(states, x, hfn):
+    """Window optimizer restricted to the placements at either end."""
+    n = len(states) - 1
+    w = window_length(x, n)
+    placements = [(0, w)] + ([(n - w, n)] if n - w != 0 else [])
+    return _decompose_states(states, x, hfn, placements)
+
+
 def edge_window_decompose(problem, gold_plan, x, selector=None):
     """Ablation: the search window sits at the beginning or the end of the
     plan, never the middle, so at most two sub-goals result."""
     selector = selector or default_selector(problem.domain)
     states = plan_states(problem, gold_plan)
-    n = len(states) - 1
-    w = window_length(x, n)
-    placements = [(0, w)]
-    if n - w != 0:
-        placements.append((n - w, n))
-    return _decompose_states(states, x, hardness_fn(selector, problem), placements)
+    return _edge_window_states(states, x, hardness_fn(selector, problem))
 
 
 def build_controller_dataset(problems, config):
@@ -199,9 +202,6 @@ class HybridController:
         self.config = config
         self._sorted_hardness = None
 
-    def get_params(self):
-        return {"config": self.config}
-
     def with_bias(self, bias):
         clone = HybridController(replace(self.config, bias=bias))
         clone._sorted_hardness = self._sorted_hardness
@@ -263,8 +263,5 @@ class HybridController:
         x = max(self.config.effective_x, 1e-9)
         hfn = hardness_fn(self._selector(problem), problem)
         if self.config.variant == "edge-window":
-            n = len(skeleton) - 1
-            w = window_length(x, n)
-            placements = [(0, w)] + ([(n - w, n)] if n - w != 0 else [])
-            return _decompose_states(skeleton, x, hfn, placements)
+            return _edge_window_states(skeleton, x, hfn)
         return _decompose_states(skeleton, x, hfn)

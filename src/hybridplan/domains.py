@@ -20,8 +20,6 @@ _MAZE_DELTAS = {
     "right": (0, 1),
 }
 
-_OPPOSITE = {"up": "down", "down": "up", "left": "right", "right": "left"}
-
 TABLE = "table"
 
 
@@ -79,10 +77,6 @@ class PlanningProblem:
                 labels = sorted(b for stack in s for b in stack)
                 if labels != sorted(self.blocks):
                     raise ValueError(f"{name} does not use the block universe exactly once each")
-
-
-def opposite_action(action):
-    return _OPPOSITE[action]
 
 
 def canonical_blocks(stacks):

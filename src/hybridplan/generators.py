@@ -192,13 +192,7 @@ def blocks_optimal_plan(problem, max_expansions=None):
             g_score[nxt] = tentative
             came_from[nxt] = (current, action)
             if nxt == goal:
-                actions = []
-                cur = goal
-                while cur != start:
-                    cur, act = came_from[cur]
-                    actions.append(act)
-                actions.reverse()
-                return tuple(actions)
+                return _extract_plan(came_from, start, goal)
             counter += 1
             heapq.heappush(frontier, (tentative + blocks_mismatch(nxt, goal), counter, nxt))
     return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .controller import SYS1, SYS2, SubGoal
-from .domains import step, valid_actions, validate_plan
+from .domains import step, valid_actions
 from .search import TraceConfig, heuristic_for, run_engine, truncate_run
 
 
@@ -117,14 +117,3 @@ def solve_hybrid(problem, meta_plan, engines=EnginesConfig()):
     return HybridRun(problem=problem, meta_plan=tuple(meta_plan),
                      outcomes=tuple(outcomes), plan=plan, states_explored=total)
 
-
-def states_explored(run):
-    """Uniform states-explored accessor for any run-like value."""
-    return run.states_explored
-
-
-def run_is_valid(run):
-    if run.plan is None:
-        return False
-    ok, _ = validate_plan(run.problem, run.plan)
-    return ok

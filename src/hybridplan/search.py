@@ -1,17 +1,23 @@
 """Deliberate search planners (A*, BFS, DFS) with full exploration traces.
 
+One search loop serves all three engines; they differ only in their
+frontier (a heap on (f, t, insertion order), a FIFO queue, a LIFO stack).
 Every probe made while expanding a state is logged as an ExplorationEvent,
 including invalid ones (out-of-bounds, obstacle, precondition failure,
 already-visited), so that a run's states-explored count covers both valid
-and invalid explorations. Runs can be truncated afterwards to a state
-budget: a truncated run keeps its plan only if the goal was discovered
-within the budget.
+and invalid explorations. The recording caps of TraceConfig apply to every
+engine: the valid cap keeps the lowest-t probes of an expansion (probe
+order for BFS and DFS, which have no t), the invalid cap a seeded random
+sample. Runs can be truncated afterwards to a state budget: a truncated
+run keeps its plan only if the goal was discovered within the budget.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .domains import candidate_actions, step
@@ -98,177 +104,120 @@ def _reconstruct(came_from, state, start):
     return tuple(actions)
 
 
-class _Recorder:
-    """Buffers one expansion's probes and applies the recording caps."""
+def _frontier(algorithm, start, t):
+    """(items, pop, push) for an engine's frontier. push takes one
+    expansion's children as (state, g, t) tuples in probe order.
 
-    def __init__(self, config):
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self.events = []
-        self.state_event = {}  # state -> event index that introduced it
+    A* pops the lowest (f, t, insertion order); BFS is a FIFO queue; DFS is
+    a LIFO stack that gets each expansion's children in reverse, so the
+    first canonical action is explored first."""
+    if algorithm == "astar":
+        items = [(t, t, 0, start)]
+        tie = itertools.count(1)
 
-    def flush(self, probes):
-        """probes: list of dicts with keys matching ExplorationEvent fields."""
-        valid = [p for p in probes if p["validity"] == VALID]
-        invalid = [p for p in probes if p["validity"] == INVALID]
-        if self.config.valid_cap is not None and len(valid) > self.config.valid_cap:
-            valid = sorted(valid, key=lambda p: (p["t"] if p["t"] is not None else 0))
-            valid = valid[: self.config.valid_cap]
-        if self.config.invalid_cap is not None and len(invalid) > self.config.invalid_cap:
-            invalid = self.rng.sample(invalid, self.config.invalid_cap)
-        keep = set(map(id, valid)) | set(map(id, invalid))
-        for p in probes:
-            if id(p) not in keep:
-                continue
-            idx = len(self.events)
-            event = ExplorationEvent(index=idx, **p)
-            self.events.append(event)
-            if event.validity == VALID and event.state not in self.state_event:
-                self.state_event[event.state] = idx
+        def push(children):
+            for state, g, t in children:
+                heapq.heappush(items, (g + t, t, next(tie), state))
+
+        return items, lambda: heapq.heappop(items)[3], push
+    items = deque([start])
+    if algorithm == "bfs":
+        return items, items.popleft, lambda children: items.extend(c[0] for c in children)
+    return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
 
 
-def astar(problem, config=TraceConfig()):
-    """A* with unit edge costs; frontier ordered by f, ties by lower
-    heuristic then insertion order. Terminates once the goal is generated
-    (optimal under the admissible, consistent domain heuristics)."""
-    h = heuristic_for(problem)
+def _record(events, state_event, probes, parent, parent_state, config, rng):
+    """Append one expansion's probes, given as (state, action, validity,
+    reason, g, t, f) tuples, to events under the recording caps.
+
+    The valid cap keeps the lowest-t probes (a stable sort, so probe order
+    for engines without t); the invalid cap keeps a seeded random sample.
+    Kept probes stay in probe order."""
+    valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
+    if valid_cap is not None or invalid_cap is not None:
+        valid = [i for i, p in enumerate(probes) if p[2] == VALID]
+        invalid = [i for i, p in enumerate(probes) if p[2] == INVALID]
+        if valid_cap is not None and len(valid) > valid_cap:
+            valid = sorted(valid, key=lambda i: probes[i][5] or 0)[:valid_cap]
+        if invalid_cap is not None and len(invalid) > invalid_cap:
+            invalid = rng.sample(invalid, invalid_cap)
+        keep = set(valid) | set(invalid)
+        probes = [p for i, p in enumerate(probes) if i in keep]
+    for state, action, validity, reason, g, t, f in probes:
+        index = len(events)
+        events.append(ExplorationEvent(index, state, parent, parent_state,
+                                       action, validity, reason, g, t, f))
+        if validity == VALID and state not in state_event:
+            state_event[state] = index
+
+
+def _search(problem, algorithm, config):
+    """The search loop shared by every engine; only the frontier differs.
+
+    A state counts as visited once generated. A* alone re-opens a generated,
+    unclosed state that is reached more cheaply. The search stops after the
+    expansion that generates the goal."""
     start, goal = problem.start, problem.goal
     if start == goal:
-        return SearchRun(problem, "astar", (), (), 0)
-    rec = _Recorder(config)
+        return SearchRun(problem, algorithm, (), (), 0)
+    h = heuristic_for(problem) if algorithm == "astar" else None
+    frontier, pop, push = _frontier(algorithm, start, h(start, goal) if h else None)
+    rng = random.Random(config.seed)
+    events, state_event = [], {}  # state -> event index that introduced it
     g_score = {start: 0}
     came_from = {}
-    counter = 0
-    frontier = [(h(start, goal), h(start, goal), counter, start)]
     closed = set()
     while frontier:
-        _, _, _, current = heapq.heappop(frontier)
+        current = pop()
         if current in closed:
             continue
         closed.add(current)
-        parent_idx = rec.state_event.get(current)
-        probes = []
+        g = g_score[current] + 1
+        probes, children = [], []
         goal_found = False
         for action in candidate_actions(problem, current):
             nxt, reason = step(problem, current, action)
             if nxt is None:
-                probes.append(dict(state=None, parent=parent_idx, parent_state=current,
-                                   action=action, validity=INVALID, reason=reason))
+                probes.append((None, action, INVALID, reason, None, None, None))
                 continue
-            tentative = g_score[current] + 1
             if nxt in g_score:
-                probes.append(dict(state=nxt, parent=parent_idx, parent_state=current,
-                                   action=action, validity=INVALID, reason="already-visited"))
-                if tentative < g_score[nxt] and nxt not in closed:
-                    g_score[nxt] = tentative
+                probes.append((nxt, action, INVALID, "already-visited", None, None, None))
+                if h and g < g_score[nxt] and nxt not in closed:
+                    g_score[nxt] = g
                     came_from[nxt] = (current, action)
-                    counter += 1
-                    t = h(nxt, goal)
-                    heapq.heappush(frontier, (tentative + t, t, counter, nxt))
+                    children.append((nxt, g, h(nxt, goal)))
                 continue
-            g_score[nxt] = tentative
+            g_score[nxt] = g
             came_from[nxt] = (current, action)
-            t = h(nxt, goal)
-            probes.append(dict(state=nxt, parent=parent_idx, parent_state=current,
-                               action=action, validity=VALID, reason=None,
-                               g=tentative, t=t, f=tentative + t))
+            t = h(nxt, goal) if h else None
+            probes.append((nxt, action, VALID, None, g, t, g + t if h else None))
             if nxt == goal:
                 goal_found = True
             else:
-                counter += 1
-                heapq.heappush(frontier, (tentative + t, t, counter, nxt))
-        rec.flush(probes)
+                children.append((nxt, g, t))
+        _record(events, state_event, probes, state_event.get(current), current, config, rng)
         if goal_found:
             plan = _reconstruct(came_from, goal, start)
-            return SearchRun(problem, "astar", tuple(rec.events), plan, len(rec.events))
-    return SearchRun(problem, "astar", tuple(rec.events), None, None)
+            return SearchRun(problem, algorithm, tuple(events), plan, len(events))
+        push(children)
+    return SearchRun(problem, algorithm, tuple(events), None, None)
+
+
+def astar(problem, config=TraceConfig()):
+    """A* with unit edge costs; optimal under the admissible, consistent
+    domain heuristics."""
+    return _search(problem, "astar", config)
 
 
 def bfs(problem, config=TraceConfig()):
-    """Breadth-first search with a FIFO frontier; optimal in these
-    unit-cost domains."""
-    start, goal = problem.start, problem.goal
-    if start == goal:
-        return SearchRun(problem, "bfs", (), (), 0)
-    rec = _Recorder(config)
-    depth = {start: 0}
-    came_from = {}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        current = queue[head]
-        head += 1
-        parent_idx = rec.state_event.get(current)
-        probes = []
-        goal_found = False
-        for action in candidate_actions(problem, current):
-            nxt, reason = step(problem, current, action)
-            if nxt is None:
-                probes.append(dict(state=None, parent=parent_idx, parent_state=current,
-                                   action=action, validity=INVALID, reason=reason))
-                continue
-            if nxt in depth:
-                probes.append(dict(state=nxt, parent=parent_idx, parent_state=current,
-                                   action=action, validity=INVALID, reason="already-visited"))
-                continue
-            depth[nxt] = depth[current] + 1
-            came_from[nxt] = (current, action)
-            probes.append(dict(state=nxt, parent=parent_idx, parent_state=current,
-                               action=action, validity=VALID, reason=None, g=depth[nxt]))
-            if nxt == goal:
-                goal_found = True
-            else:
-                queue.append(nxt)
-        rec.flush(probes)
-        if goal_found:
-            plan = _reconstruct(came_from, goal, start)
-            return SearchRun(problem, "bfs", tuple(rec.events), plan, len(rec.events))
-    return SearchRun(problem, "bfs", tuple(rec.events), None, None)
+    """Breadth-first search; optimal in these unit-cost domains."""
+    return _search(problem, "bfs", config)
 
 
 def dfs(problem, config=TraceConfig()):
-    """Depth-first search with an explicit stack; successors are pushed in
-    reverse canonical order so the first canonical action is explored
-    first. Returns the first plan found, not necessarily optimal."""
-    start, goal = problem.start, problem.goal
-    if start == goal:
-        return SearchRun(problem, "dfs", (), (), 0)
-    rec = _Recorder(config)
-    seen = {start}
-    came_from = {}
-    depth = {start: 0}
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        parent_idx = rec.state_event.get(current)
-        probes = []
-        children = []
-        goal_found = False
-        for action in candidate_actions(problem, current):
-            nxt, reason = step(problem, current, action)
-            if nxt is None:
-                probes.append(dict(state=None, parent=parent_idx, parent_state=current,
-                                   action=action, validity=INVALID, reason=reason))
-                continue
-            if nxt in seen:
-                probes.append(dict(state=nxt, parent=parent_idx, parent_state=current,
-                                   action=action, validity=INVALID, reason="already-visited"))
-                continue
-            seen.add(nxt)
-            depth[nxt] = depth[current] + 1
-            came_from[nxt] = (current, action)
-            probes.append(dict(state=nxt, parent=parent_idx, parent_state=current,
-                               action=action, validity=VALID, reason=None, g=depth[nxt]))
-            if nxt == goal:
-                goal_found = True
-            else:
-                children.append(nxt)
-        rec.flush(probes)
-        if goal_found:
-            plan = _reconstruct(came_from, goal, start)
-            return SearchRun(problem, "dfs", tuple(rec.events), plan, len(rec.events))
-        stack.extend(reversed(children))
-    return SearchRun(problem, "dfs", tuple(rec.events), None, None)
+    """Depth-first search; returns the first plan found, not necessarily
+    optimal."""
+    return _search(problem, "dfs", config)
 
 
 ENGINES = {"astar": astar, "bfs": bfs, "dfs": dfs}
@@ -297,17 +246,3 @@ def truncate_run(run, cap):
         events_at_goal=run.events_at_goal if reached else None,
     )
 
-
-def render_trace(run):
-    """Compact one-event-per-line debugging view."""
-    lines = []
-    for e in run.events:
-        scores = ""
-        if e.g is not None:
-            scores = f" g={e.g}"
-            if e.t is not None:
-                scores += f" t={e.t} f={e.f}"
-        tag = VALID if e.validity == VALID else f"invalid:{e.reason}"
-        lines.append(f"{e.index}: {e.parent_state} --{e.action}--> {e.state} [{tag}]{scores}")
-    lines.append(f"plan: {list(run.plan) if run.plan is not None else 'failure'}")
-    return "\n".join(lines)

@@ -13,6 +13,15 @@ def problems_file(tmp_path_factory, small_maze_dataset):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def blocks_file(tmp_path_factory, small_blocks_dataset):
+    # at most 5 blocks keeps uninformed search fast
+    path = tmp_path_factory.mktemp("data") / "blocks.jsonl"
+    save_problems(str(path), {split: [p for p in problems if len(p.blocks) <= 5]
+                              for split, problems in small_blocks_dataset.items()})
+    return str(path)
+
+
 class TestGenMaze:
     def test_writes_full_dataset(self, tmp_path):
         out = tmp_path / "maze.jsonl"
@@ -80,6 +89,13 @@ class TestPlanEvalSweep:
               "--budgets", "5", "--out", str(out), "--plot-data", str(plot)])
         data = json.loads(plot.read_text())
         assert data["series"]
+
+    @pytest.mark.parametrize("planner,engine", [("system2", "bfs"), ("system1x", "dfs")])
+    def test_blocks_caps_with_uninformed_engine(self, blocks_file, planner, engine, capsys):
+        code = main(["eval", "--problems", blocks_file, "--planner", planner,
+                     "--sys2", engine, "--blocks-caps"])
+        assert code == 0
+        assert "validity=" in capsys.readouterr().out
 
 
 class TestControllerData:

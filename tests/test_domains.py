@@ -9,7 +9,6 @@ from hybridplan.domains import (
     blocks_step,
     canonical_blocks,
     maze_step,
-    opposite_action,
     plan_states,
     render_maze,
     validate_plan,
@@ -46,6 +45,7 @@ class TestMazeStep:
         assert maze_step(GRID5, (2, 2), "right") == ((2, 3), None)
 
     def test_reversibility(self):
+        inverse = {"up": "down", "down": "up", "left": "right", "right": "left"}
         rng = random.Random(7)
         for _ in range(200):
             obstacles = frozenset(
@@ -58,7 +58,7 @@ class TestMazeStep:
             a = rng.choice(MAZE_ACTIONS)
             nxt, _ = maze_step(grid, s, a)
             if nxt is not None:
-                back, _ = maze_step(grid, nxt, opposite_action(a))
+                back, _ = maze_step(grid, nxt, inverse[a])
                 assert back == s
 
 

@@ -3,9 +3,7 @@ from hybridplan.domains import MazeGrid, PlanningProblem, validate_plan
 from hybridplan.hybrid import (
     EnginesConfig,
     greedy_plan,
-    run_is_valid,
     solve_hybrid,
-    states_explored,
 )
 from hybridplan.search import astar
 
@@ -68,7 +66,7 @@ class TestSolveHybrid:
                 SubGoal((1, 1), (3, 3), SYS2),
                 SubGoal((3, 3), (4, 4), SYS1))
         full = solve_hybrid(p, meta)
-        assert run_is_valid(full)
+        assert validate_plan(p, full.plan)[0]
         sys2_se = full.outcomes[1].states_explored
         budget = full.outcomes[0].states_explored + sys2_se - 1
         cut = solve_hybrid(p, meta, EnginesConfig(budget=budget))
@@ -81,7 +79,7 @@ class TestSolveHybrid:
         run = solve_hybrid(p, meta, EnginesConfig(budget=2))
         assert run.plan == ("right", "right")
         assert run.states_explored == 2
-        assert not run_is_valid(run)
+        assert not validate_plan(p, run.plan)[0]
 
     def test_pure_sys1_equivalence(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:40]:
@@ -113,7 +111,7 @@ class TestSolveHybrid:
         ctl = HybridController(ControllerConfig(x=0.75)).fit(small_maze_dataset["train"])
         for p in small_maze_dataset["test"][:40]:
             run = solve_hybrid(p, ctl.decompose(p))
-            assert states_explored(run) == sum(o.states_explored for o in run.outcomes)
+            assert run.states_explored == sum(o.states_explored for o in run.outcomes)
 
     def test_determinism(self, small_maze_dataset):
         ctl = HybridController(ControllerConfig(x=0.5)).fit(small_maze_dataset["train"])
@@ -125,5 +123,5 @@ class TestSolveHybrid:
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for engine in ("astar", "bfs", "dfs"):
             run = solve_hybrid(p, meta, EnginesConfig(sys2=engine))
-            assert run_is_valid(run)
+            assert validate_plan(p, run.plan)[0]
             assert run.outcomes[0].run.algorithm == engine

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,10 +12,10 @@ from hybridplan.search import (
     blocks_mismatch,
     dfs,
     manhattan,
-    render_trace,
     run_engine,
     truncate_run,
 )
+from hybridplan.textio import verbalize_trace
 
 
 def maze_problem(rows, cols, obstacles, start, goal):
@@ -160,20 +161,34 @@ class TestBlocksTraceCaps:
                 groups.append([e])
         return groups
 
-    def test_caps_respected(self, small_blocks_dataset):
+    def _problems(self, engine, domain, small_maze_dataset, small_blocks_dataset):
+        if domain == "maze":
+            return small_maze_dataset["test"]
+        problems = small_blocks_dataset["train"][:20]
+        if engine != "astar":
+            # uninformed search takes seconds per problem beyond 5 blocks
+            problems = [p for p in problems if len(p.blocks) <= 5]
+        return problems
+
+    @pytest.mark.parametrize("domain", ["maze", "blocks"])
+    @pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+    def test_caps_respected(self, engine, domain, small_maze_dataset, small_blocks_dataset):
         config = TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
-        for p in small_blocks_dataset["train"][:20]:
-            run = astar(p, config)
+        for p in self._problems(engine, domain, small_maze_dataset, small_blocks_dataset):
+            run = run_engine(engine, p, config)
             for group in self._expansion_groups(run):
                 assert sum(1 for e in group if e.validity == "valid") <= 3
                 assert sum(1 for e in group if e.validity != "valid") <= 2
 
-    def test_caps_do_not_change_plan(self, small_blocks_dataset):
-        for p in small_blocks_dataset["train"][:20]:
-            capped = astar(p, TraceConfig(valid_cap=3, invalid_cap=2))
-            free = astar(p)
+    @pytest.mark.parametrize("domain", ["maze", "blocks"])
+    @pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+    def test_caps_do_not_change_plan(self, engine, domain, small_maze_dataset,
+                                     small_blocks_dataset):
+        for p in self._problems(engine, domain, small_maze_dataset, small_blocks_dataset):
+            capped = run_engine(engine, p, TraceConfig(valid_cap=3, invalid_cap=2))
+            free = run_engine(engine, p)
             assert capped.plan is not None
-            assert len(capped.plan) == len(free.plan)
+            assert capped.plan == free.plan
 
     def test_capped_se_is_smaller(self, small_blocks_dataset):
         p = small_blocks_dataset["test"][0]
@@ -223,7 +238,34 @@ def test_run_engine_dispatch():
         run_engine("ids", p)
 
 
-def test_render_trace_smoke():
-    run = astar(maze_problem(3, 3, (), (0, 0), (1, 1)))
-    text = render_trace(run)
-    assert "plan:" in text and text.count("\n") == len(run.events)
+# sha256 over the verbalized traces of a fixed problem set, per engine,
+# domain and recording config. Any change to event order, content, caps or
+# plans changes a digest.
+GOLDEN_TRACE_DIGESTS = {
+    ("astar", "maze", "nocaps"): "5f3124b311573636eebeebded4294e64f5e28a9aff21f7e5c61bad45d64981e8",
+    ("astar", "maze", "caps"): "12ab71bcaeb2568ddf4d70ab527bc8b140c2b56d39f95baa7d8f05bedb3b8409",
+    ("astar", "blocks", "nocaps"): "b8e1bcf14a8a92b639a32b75531987d2ce866853a97c08f20bb88e046c99256b",
+    ("astar", "blocks", "caps"): "76194bf0764cf7f557e3e2c336a2ad3617c7d4fa260ed84524c026d68d17136a",
+    ("bfs", "maze", "nocaps"): "22fdac47c3a0b081828d475b0952d3fd3a52592e8084537436fe8853fcd982eb",
+    ("bfs", "maze", "caps"): "399fb4426d0165fc492339f2174f01d47b37e43efa3cc0984138468188bcd96f",
+    ("bfs", "blocks", "nocaps"): "e800314920445d5123d5ce3947c00dacf1d1c200e24ac58cd96f2b10928743c5",
+    ("bfs", "blocks", "caps"): "729b502b5218fdc1d0ef56f13ef902b556966a1690a5e3e582123f0be2528e5a",
+    ("dfs", "maze", "nocaps"): "521e5323cf3c0364038390629c36f835d384f33f927852c71449621e8e0db52b",
+    ("dfs", "maze", "caps"): "9d710f7eee7fac6a24ed270bba6210363d522c4544527e42d642d79248ae19ce",
+    ("dfs", "blocks", "nocaps"): "e5e90f7ebbe89e378532e7681377c673483e61c8897ebde104cec718cdab0727",
+    ("dfs", "blocks", "caps"): "7d82086a480076350b43f0c6e4123feab8f58b78ad13c7605e944341272a12f4",
+}
+
+
+@pytest.mark.parametrize("engine,domain,caps", sorted(GOLDEN_TRACE_DIGESTS))
+def test_golden_trace_digests(engine, domain, caps, small_maze_dataset, small_blocks_dataset):
+    if domain == "maze":
+        problems = small_maze_dataset["test"]
+    else:
+        problems = [p for p in small_blocks_dataset["train"] if len(p.blocks) <= 5]
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+    digest = hashlib.sha256()
+    for p in problems:
+        digest.update(verbalize_trace(run_engine(engine, p, config)).encode())
+        digest.update(b"\n\n")
+    assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[(engine, domain, caps)]
