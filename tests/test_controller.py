@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hybridplan.controller import (
@@ -13,6 +15,7 @@ from hybridplan.controller import (
 )
 from hybridplan.domains import plan_states
 from hybridplan.hardness import hardness_fn
+from hybridplan.textio import verbalize_metaplan
 
 
 def brute_force_window(problem, gold_plan, x, selector):
@@ -229,3 +232,26 @@ class TestMazeSkeleton:
             ControllerConfig(bias=2.0)
         with pytest.raises(ValueError):
             ControllerConfig(variant="oracle")
+
+
+# sha256 over the verbalized runtime meta-plans of the small test splits,
+# per domain and variant, for x in 0.25, 0.5 and 0.75. Any change to the
+# gate, the skeletons or the window optimizer changes a digest.
+GOLDEN_METAPLAN_DIGESTS = {
+    ("maze", "sliding-window"): "ff92e41d38d544b6123aed26aff6a24049289211cd031e7c2df100e984baff29",
+    ("maze", "edge-window"): "9dfd8bd79ffa6117fbb50da34df8842a012108a64750b5cee471934e616f2b41",
+    ("blocks", "sliding-window"): "0278c3ebe7dfe788db5959850e9e789c494682819bcc092ee3858d805ec27eac",
+    ("blocks", "edge-window"): "8f53a2d3aa2f140adb8201269c55992a91c3831f0949fdef294485be13c1bc99",
+}
+
+
+@pytest.mark.parametrize("domain,variant", sorted(GOLDEN_METAPLAN_DIGESTS))
+def test_golden_metaplan_digests(domain, variant, small_maze_dataset, small_blocks_dataset):
+    dataset = small_maze_dataset if domain == "maze" else small_blocks_dataset
+    digest = hashlib.sha256()
+    for x in (0.25, 0.5, 0.75):
+        ctl = HybridController(ControllerConfig(x=x, variant=variant)).fit(dataset["train"])
+        for p in dataset["test"]:
+            digest.update(verbalize_metaplan(ctl.decompose(p)).encode())
+            digest.update(b"\n\n")
+    assert digest.hexdigest() == GOLDEN_METAPLAN_DIGESTS[(domain, variant)]

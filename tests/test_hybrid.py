@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, validate_plan
 from hybridplan.hybrid import (
@@ -6,6 +10,7 @@ from hybridplan.hybrid import (
     solve_hybrid,
 )
 from hybridplan.search import astar
+from hybridplan.textio import verbalize_plan
 
 
 def maze_problem(rows, cols, obstacles, start, goal):
@@ -125,3 +130,20 @@ class TestSolveHybrid:
             run = solve_hybrid(p, meta, EnginesConfig(sys2=engine))
             assert validate_plan(p, run.plan)[0]
             assert run.outcomes[0].run.algorithm == engine
+
+
+# sha256 over the greedy Sys1 plans of the small test splits, per domain.
+GOLDEN_GREEDY_DIGESTS = {
+    "maze": "acda8134402cc9318a25c8770d348b5c5dbe02a20c121aaf6ae15f9325195389",
+    "blocks": "824fb09fbe0c119cf67215ba5d3f3d75ad3f53695686ad3ce09243021e0ec510",
+}
+
+
+@pytest.mark.parametrize("domain", sorted(GOLDEN_GREEDY_DIGESTS))
+def test_golden_greedy_digests(domain, small_maze_dataset, small_blocks_dataset):
+    dataset = small_maze_dataset if domain == "maze" else small_blocks_dataset
+    digest = hashlib.sha256()
+    for p in dataset["test"]:
+        digest.update(verbalize_plan(greedy_plan(p).plan).encode())
+        digest.update(b"\n\n")
+    assert digest.hexdigest() == GOLDEN_GREEDY_DIGESTS[domain]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -158,6 +159,23 @@ class TestProblemSerialization:
         p = small_maze_dataset["test"][0]
         text = problem_input_text(p)
         assert "S" in text and "G" in text and "start" in text
+
+    # sha256 over the JSON records of every split of the small datasets;
+    # pins the generators' output and its serialization.
+    GOLDEN_PROBLEM_DIGESTS = {
+        "maze": "a17894a8e73f8eb671139eabbe1ed766637cdd84b7fe3478f1581a95b7704fcb",
+        "blocks": "57f865520f3bf5e69cedab33aa6984e8dcd3a349e1e0361c6580cf6d098b8ac6",
+    }
+
+    @pytest.mark.parametrize("domain", sorted(GOLDEN_PROBLEM_DIGESTS))
+    def test_golden_problem_digests(self, domain, small_maze_dataset, small_blocks_dataset):
+        dataset = small_maze_dataset if domain == "maze" else small_blocks_dataset
+        digest = hashlib.sha256()
+        for split in ("train", "val", "test"):
+            for p in dataset[split]:
+                digest.update(json.dumps(problem_to_json(p), sort_keys=True).encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == self.GOLDEN_PROBLEM_DIGESTS[domain]
 
 
 class TestEmitDatasets:
