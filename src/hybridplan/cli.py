@@ -34,6 +34,7 @@ from .generators import (
     generate_blocks_dataset,
     generate_maze_dataset,
 )
+from .hardness import SELECTORS
 from .hybrid import EnginesConfig
 from .search import TraceConfig
 from .textio import ParseError, load_problems, save_problems, write_jsonl_atomic, emit_datasets
@@ -44,9 +45,18 @@ EXIT_EXHAUSTED = 4
 
 DEFAULT_OUT_DIR_ENV = "HYBRIDPLAN_OUT_DIR"
 
+SELECTOR_NAMES = tuple(name for names in SELECTORS.values() for name in names)
+
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach main() as UsageError."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _out_path(args, default_name):
@@ -55,9 +65,27 @@ def _out_path(args, default_name):
     return os.path.join(os.environ.get(DEFAULT_OUT_DIR_ENV, "."), default_name)
 
 
-def _check_unit_interval(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"--{name} must lie in [0, 1], got {value}")
+def _budget(text):
+    """argparse type of a states-explored budget: a positive integer."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"budget must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _budget_list(text):
+    """argparse type of comma-separated budgets."""
+    return [_budget(b) for b in text.split(",") if b]
+
+
+def _controller_config(args, problems):
+    """ControllerConfig from the flags; the selector must apply to the
+    problems' domain."""
+    if args.selector is not None and problems and \
+            args.selector not in SELECTORS[problems[0].domain]:
+        raise UsageError(f"--selector {args.selector} does not apply to "
+                         f"{problems[0].domain} problems")
+    return ControllerConfig(x=args.x, bias=getattr(args, "bias", 0.0), variant=args.variant,
+                            selector=args.selector, seed=args.seed)
 
 
 def _trace_config(args):
@@ -72,11 +100,7 @@ def _planner_config(args, train_problems):
         return PlannerConfig(kind="sys1")
     if args.planner == "system2":
         return PlannerConfig(kind="sys2", engine=args.sys2, trace=_trace_config(args))
-    _check_unit_interval("x", args.x)
-    controller = HybridController(ControllerConfig(
-        x=args.x, bias=args.bias, variant=args.variant,
-        selector=args.selector, seed=args.seed,
-    )).fit(train_problems)
+    controller = HybridController(_controller_config(args, train_problems)).fit(train_problems)
     return PlannerConfig(kind="hybrid", engine=args.sys2,
                          trace=_trace_config(args), controller=controller)
 
@@ -117,10 +141,8 @@ def _load_split(args, split):
 
 
 def cmd_build_controller_data(args):
-    _check_unit_interval("x", args.x)
     splits = _load_split(args, "train")
-    config = ControllerConfig(x=args.x, variant=args.variant,
-                              selector=args.selector, seed=args.seed)
+    config = _controller_config(args, splits["train"])
     records = build_controller_dataset(splits["train"], config)
     from .textio import metaplan_mirror, verbalize_metaplan
 
@@ -139,12 +161,9 @@ def cmd_build_controller_data(args):
 
 
 def cmd_emit_datasets(args):
-    _check_unit_interval("x", args.x)
     splits = _load_split(args, "train")
     train = splits["train"]
-    config = ControllerConfig(x=args.x, variant=args.variant,
-                              selector=args.selector, seed=args.seed)
-    records = build_controller_dataset(train, config)
+    records = build_controller_dataset(train, _controller_config(args, train))
     engines = EnginesConfig(sys2=args.sys2, trace=_trace_config(args))
     out_dir = args.out or os.path.join(os.environ.get(DEFAULT_OUT_DIR_ENV, "."), "datasets")
     manifest = emit_datasets(train, records, engines, out_dir, seed=args.seed)
@@ -192,11 +211,7 @@ def cmd_sweep(args):
     splits = _load_split(args, args.split)
     problems = splits[args.split]
     config = _planner_config(args, splits.get("train", problems))
-    try:
-        budgets = [int(b) for b in args.budgets.split(",") if b]
-    except ValueError as exc:
-        raise UsageError(f"--budgets must be comma-separated integers: {exc}") from None
-    report = budget_sweep(problems, config, budgets, workers=args.workers)
+    report = budget_sweep(problems, config, args.budgets, workers=args.workers)
     path = _out_path(args, "sweep.csv")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -227,18 +242,16 @@ def _add_planner_flags(parser):
     parser.add_argument("--bias", type=float, default=0.0)
     parser.add_argument("--variant", choices=("sliding-window", "edge-window", "no-subgoal", "random"),
                         default="sliding-window")
-    parser.add_argument("--selector", choices=("maze-obstacles", "maze-manhattan", "blocks-distance"),
-                        default=None)
+    parser.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
     parser.add_argument("--split", default="test")
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=_budget, default=None)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--blocks-caps", action="store_true",
                         help="record at most 3 valid / 2 invalid probes per expansion")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="hybridplan",
-                                     description="hybrid fast/deliberate planning pipeline")
+    parser = _Parser(prog="hybridplan", description="hybrid fast/deliberate planning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-maze", help="generate the balanced maze problem set")
@@ -252,14 +265,14 @@ def build_parser():
     p.add_argument("--x", type=float, default=0.5)
     p.add_argument("--variant", choices=("sliding-window", "edge-window", "no-subgoal"),
                    default="sliding-window")
-    p.add_argument("--selector", default=None)
+    p.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
 
     p = sub.add_parser("emit-datasets", help="emit the three training corpora")
     _add_common(p)
     p.add_argument("--x", type=float, default=0.5)
     p.add_argument("--variant", choices=("sliding-window", "edge-window", "no-subgoal"),
                    default="sliding-window")
-    p.add_argument("--selector", default=None)
+    p.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
     p.add_argument("--sys2", choices=("astar", "bfs", "dfs"), default="astar")
     p.add_argument("--blocks-caps", action="store_true")
 
@@ -274,7 +287,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="budget sweep producing a CSV report")
     _add_common(p)
     _add_planner_flags(p)
-    p.add_argument("--budgets", default="5,10,15,20")
+    p.add_argument("--budgets", type=_budget_list, default="5,10,15,20")
     p.add_argument("--markdown", action="store_true")
     p.add_argument("--plot-data", default=None)
 
@@ -292,37 +305,43 @@ COMMANDS = {
 }
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"bad config file {args.config}: {exc}")
-        for key, value in values.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise UsageError(f"unknown config key {key!r}")
-            # flags given on the command line win; argparse defaults lose
-            if getattr(args, attr) == _DEFAULTS.get(attr, None):
-                setattr(args, attr, value)
-
-
-_DEFAULTS = {}
+def _config_argv(args):
+    """The flags that the JSON config file args.config stands for, so that
+    its values pass through the flags' types and choices."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"bad config file {args.config}: {exc}")
+    if not isinstance(values, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    argv = []
+    for key, value in values.items():
+        attr = key.replace("-", "_")
+        if attr == "config" or not hasattr(args, attr):
+            raise UsageError(f"unknown config key {key!r}")
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool):  # an on/off switch
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+            argv += [flag] if value else []
+        elif isinstance(value, (str, int, float)):
+            argv.append(f"{flag}={value}")
+        else:
+            raise UsageError(f"config key {key!r} must be a string or a number, got {value!r}")
+    return argv
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    global _DEFAULTS
-    _DEFAULTS = {
-        action.dest: action.default
-        for action in parser._subparsers._group_actions[0].choices[args.command]._actions
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config_file(args)
-        if hasattr(args, "x"):
-            _check_unit_interval("x", args.x)
+        args = parser.parse_args(argv)
+        if args.config:
+            # the command line comes last, so its flags win over the file's
+            args = parser.parse_args([args.command, *_config_argv(args), *argv[1:]])
+        if hasattr(args, "x") and not 0.0 <= args.x <= 1.0:
+            raise UsageError(f"--x must lie in [0, 1], got {args.x}")
         if hasattr(args, "bias") and not -1.0 <= args.bias <= 1.0:
             raise UsageError(f"--bias must lie in [-1, 1], got {args.bias}")
         return COMMANDS[args.command](args)

@@ -17,9 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .domains import plan_states, step, valid_actions
+from .domains import plan_states, skeleton
 from .hardness import default_selector, hardness_fn
-from .search import blocks_mismatch, manhattan
 
 SYS1 = "sys1"
 SYS2 = "sys2"
@@ -136,59 +135,6 @@ def build_controller_dataset(problems, config):
     return records
 
 
-def maze_skeleton(problem):
-    """Greedy Manhattan-descent path from start to goal ignoring
-    obstacles; cells landing on obstacles are snapped to the nearest free
-    cell (ties: smallest row, then column)."""
-    grid = problem.grid
-    free = grid.free_cells()
-    path = [problem.start]
-    cur = problem.start
-    while cur != problem.goal:
-        candidates = []
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nxt = (cur[0] + dr, cur[1] + dc)
-            if grid.in_bounds(nxt) and manhattan(nxt, problem.goal) < manhattan(cur, problem.goal):
-                candidates.append(nxt)
-        cur = candidates[0]
-        path.append(cur)
-    snapped = []
-    for cell in path:
-        if cell in grid.obstacles:
-            cell = min(free, key=lambda f: (manhattan(f, cell), f[0], f[1]))
-        if not snapped or snapped[-1] != cell:
-            snapped.append(cell)
-    return snapped
-
-
-def blocks_skeleton(problem):
-    """Greedy mismatch-reduction move sequence; returns None when it
-    stalls (cycle guard, dead end, or step cap) before the goal."""
-    cap = 2 * len(problem.blocks)
-    states = [problem.start]
-    seen = {problem.start}
-    cur = problem.start
-    for _ in range(cap):
-        if cur == problem.goal:
-            break
-        best = None
-        for action in valid_actions(problem, cur):
-            nxt, _ = step(problem, cur, action)
-            if nxt in seen:
-                continue
-            score = blocks_mismatch(nxt, problem.goal)
-            if best is None or score < best[0]:
-                best = (score, nxt)
-        if best is None:
-            return None
-        cur = best[1]
-        seen.add(cur)
-        states.append(cur)
-    if cur != problem.goal:
-        return None
-    return states
-
-
 class HybridController:
     """Runtime gate + decomposer, calibrated once on a training set.
 
@@ -254,14 +200,11 @@ class HybridController:
             return (SubGoal(problem.start, problem.goal, SYS1),)
         if self.config.variant in ("no-subgoal", "random"):
             return (SubGoal(problem.start, problem.goal, SYS2),)
-        if problem.domain == "maze":
-            skeleton = maze_skeleton(problem)
-        else:
-            skeleton = blocks_skeleton(problem)
-        if skeleton is None or len(skeleton) < 2:
+        states = skeleton(problem)
+        if states is None or len(states) < 2:
             return (SubGoal(problem.start, problem.goal, SYS2),)
         x = max(self.config.effective_x, 1e-9)
         hfn = hardness_fn(self._selector(problem), problem)
         if self.config.variant == "edge-window":
-            return _edge_window_states(skeleton, x, hfn)
-        return _decompose_states(skeleton, x, hfn)
+            return _edge_window_states(states, x, hfn)
+        return _decompose_states(states, x, hfn)

@@ -4,6 +4,10 @@ States are plain hashable values: a maze state is a ``(row, col)`` tuple,
 a blocks state is a tuple of stacks, each stack a bottom-to-top tuple of
 block labels, with stacks sorted by their bottom block so equal
 configurations compare equal.
+
+Every per-domain decision of the planners lives here: the step semantics,
+the search heuristic, the greedy walk behind the fast planner, and the
+skeleton over which the controller places its search window.
 """
 
 from __future__ import annotations
@@ -148,13 +152,112 @@ def candidate_actions(problem, state):
 
 
 def valid_actions(problem, state):
-    """Actions whose step result is valid, in canonical order."""
+    """(action, next_state) for every action whose step result is valid,
+    in canonical order."""
     out = []
     for a in candidate_actions(problem, state):
         nxt, _ = step(problem, state, a)
         if nxt is not None:
-            out.append(a)
+            out.append((a, nxt))
     return out
+
+
+def _manhattan(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def _neighbor_maps(state):
+    """(below, above) of a blocks state: each block's neighbor under and
+    over it, None for the table and for a clear top."""
+    below, above = {}, {}
+    for stack in state:
+        prev = None
+        for block in stack:
+            below[block] = prev
+            if prev is not None:
+                above[prev] = block
+            prev = block
+        above[prev] = None
+    return below, above
+
+
+def _blocks_mismatch(a, b):
+    """Number of blocks whose supporting block (or table) differs."""
+    below_a, below_b = _neighbor_maps(a)[0], _neighbor_maps(b)[0]
+    return sum(1 for block in below_a if below_a[block] != below_b.get(block))
+
+
+def heuristic_for(problem):
+    """The domain's admissible, consistent distance estimate h(state, goal):
+    Manhattan distance for mazes, misplaced supports for blocks."""
+    return _manhattan if problem.domain == "maze" else _blocks_mismatch
+
+
+def greedy_walk(problem, start, goal, step_cap=None):
+    """Search-free walk: repeatedly take the valid action whose successor
+    minimizes the domain heuristic to the goal, never revisiting a state;
+    ties break in canonical action order. Stops at the goal, at a dead end,
+    or after step_cap moves (default 4 moves per maze cell, 8 per block).
+
+    Returns (actions, states), states running from start to where the walk
+    stopped."""
+    if step_cap is None:
+        if problem.domain == "maze":
+            step_cap = 4 * problem.grid.rows * problem.grid.cols
+        else:
+            step_cap = 4 * 2 * len(problem.blocks)
+    h = heuristic_for(problem)
+    cur = start
+    states = [start]
+    seen = {start}
+    actions = []
+    while cur != goal and len(actions) < step_cap:
+        best = None
+        for action, nxt in valid_actions(problem, cur):
+            if nxt in seen:
+                continue
+            score = h(nxt, goal)
+            if best is None or score < best[0]:
+                best = (score, action, nxt)
+        if best is None:
+            break
+        _, action, cur = best
+        seen.add(cur)
+        actions.append(action)
+        states.append(cur)
+    return tuple(actions), states
+
+
+def skeleton(problem):
+    """Search-free state sequence from start to goal over which the
+    controller places its search window, or None when there is none.
+
+    Maze: greedy Manhattan descent ignoring obstacles; cells landing on
+    obstacles are snapped to the nearest free cell (ties: smallest row,
+    then column). Blocks: the greedy walk capped at 2 moves per block,
+    None unless it reaches the goal."""
+    if problem.domain == "blocks":
+        _, states = greedy_walk(problem, problem.start, problem.goal, 2 * len(problem.blocks))
+        return states if states[-1] == problem.goal else None
+    grid, goal = problem.grid, problem.goal
+    path = [problem.start]
+    cur = problem.start
+    while cur != goal:
+        # the first move, in action order, that gets closer; one always does
+        for dr, dc in _MAZE_DELTAS.values():
+            nxt = (cur[0] + dr, cur[1] + dc)
+            if grid.in_bounds(nxt) and _manhattan(nxt, goal) < _manhattan(cur, goal):
+                break
+        cur = nxt
+        path.append(cur)
+    free = grid.free_cells()
+    snapped = []
+    for cell in path:
+        if cell in grid.obstacles:
+            cell = min(free, key=lambda f: (_manhattan(f, cell), f[0], f[1]))
+        if not snapped or snapped[-1] != cell:
+            snapped.append(cell)
+    return snapped
 
 
 def validate_plan(problem, plan):

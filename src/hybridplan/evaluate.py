@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .controller import HybridController
+from .controller import SYS1, SYS2, HybridController, SubGoal
 from .domains import validate_plan
-from .hybrid import EnginesConfig, greedy_plan, solve_hybrid
-from .search import TraceConfig, run_engine, truncate_run
+from .hybrid import EnginesConfig, solve_hybrid
+from .search import TraceConfig
 
 
 @dataclass(frozen=True)
@@ -111,20 +111,12 @@ def match_budget_cap(sizes, target):
 
 
 def solve_one(problem, config, budget=None):
-    """Run the configured planner on one problem; returns a ScoredRun."""
-    if config.kind == "sys1":
-        outcome = greedy_plan(problem)
-        plan, se = outcome.plan, outcome.states_explored
-        if budget is not None and se > budget:
-            plan = plan[:budget]
-            se = len(plan)
-        return ScoredRun(problem, plan, se)
-    if config.kind == "sys2":
-        run = run_engine(config.engine, problem, config.trace)
-        if budget is not None:
-            run = truncate_run(run, budget)
-        return ScoredRun(problem, run.plan, run.states_explored)
-    meta = config.controller.decompose(problem)
+    """Run the configured planner on one problem; returns a ScoredRun.
+    The pure planners run as a hybrid episode with a single sub-goal."""
+    if config.kind == "hybrid":
+        meta = config.controller.decompose(problem)
+    else:
+        meta = (SubGoal(problem.start, problem.goal, SYS1 if config.kind == "sys1" else SYS2),)
     engines = EnginesConfig(sys2=config.engine, trace=config.trace, budget=budget)
     run = solve_hybrid(problem, meta, engines)
     return ScoredRun(problem, run.plan, run.states_explored)

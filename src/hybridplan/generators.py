@@ -22,12 +22,11 @@ from .domains import (
     MAZE_ACTIONS,
     MazeGrid,
     PlanningProblem,
-    blocks_step,
     canonical_blocks,
+    heuristic_for,
     maze_step,
     valid_actions,
 )
-from .search import blocks_mismatch
 
 
 class GenerationExhausted(Exception):
@@ -170,10 +169,11 @@ def blocks_optimal_plan(problem, max_expansions=None):
     start, goal = problem.start, problem.goal
     if start == goal:
         return ()
+    h = heuristic_for(problem)
     g_score = {start: 0}
     came_from = {}
     counter = 0
-    frontier = [(blocks_mismatch(start, goal), counter, start)]
+    frontier = [(h(start, goal), counter, start)]
     closed = set()
     expansions = 0
     while frontier:
@@ -184,8 +184,7 @@ def blocks_optimal_plan(problem, max_expansions=None):
         expansions += 1
         if max_expansions is not None and expansions > max_expansions:
             return None
-        for action in valid_actions(problem, current):
-            nxt, _ = blocks_step(current, action)
+        for action, nxt in valid_actions(problem, current):
             tentative = g_score[current] + 1
             if nxt in g_score and tentative >= g_score[nxt]:
                 continue
@@ -194,7 +193,7 @@ def blocks_optimal_plan(problem, max_expansions=None):
             if nxt == goal:
                 return _extract_plan(came_from, start, goal)
             counter += 1
-            heapq.heappush(frontier, (tentative + blocks_mismatch(nxt, goal), counter, nxt))
+            heapq.heappush(frontier, (tentative + h(nxt, goal), counter, nxt))
     return None
 
 
@@ -259,8 +258,7 @@ def blocks_bfs_length(problem):
     queue = deque([problem.start])
     while queue:
         cur = queue.popleft()
-        for action in valid_actions(problem, cur):
-            nxt, _ = blocks_step(cur, action)
+        for _, nxt in valid_actions(problem, cur):
             if nxt in dist:
                 continue
             dist[nxt] = dist[cur] + 1

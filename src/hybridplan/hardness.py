@@ -8,26 +8,17 @@ misplaced block is buried in a stack.
 
 from __future__ import annotations
 
-from .search import manhattan
+from .domains import _manhattan, _neighbor_maps
 
-SELECTORS = ("maze-obstacles", "maze-manhattan", "blocks-distance")
+# The selectors that apply to each domain; the first is its default.
+SELECTORS = {
+    "maze": ("maze-obstacles", "maze-manhattan"),
+    "blocks": ("blocks-distance",),
+}
 
 
 def default_selector(domain):
-    return "maze-obstacles" if domain == "maze" else "blocks-distance"
-
-
-def _neighbor_maps(state):
-    below, above = {}, {}
-    for stack in state:
-        prev = None
-        for block in stack:
-            below[block] = prev
-            if prev is not None:
-                above[prev] = block
-            prev = block
-        above[prev] = None
-    return below, above
+    return SELECTORS[domain][0]
 
 
 def blocks_distance(a, b):
@@ -57,7 +48,7 @@ def hardness(selector, problem, a, b):
     if selector == "maze-obstacles":
         return obstacle_count(problem.grid, a, b)
     if selector == "maze-manhattan":
-        return manhattan(a, b)
+        return _manhattan(a, b)
     if selector == "blocks-distance":
         return blocks_distance(a, b)
     raise ValueError(f"unknown hardness selector {selector!r}")

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .controller import SYS1, SYS2, SubGoal
-from .domains import step, valid_actions
-from .search import TraceConfig, heuristic_for, run_engine, truncate_run
+from .domains import greedy_walk
+from .search import TraceConfig, run_engine, truncate_run
 
 
 @dataclass(frozen=True)
@@ -41,37 +41,11 @@ class EnginesConfig:
     budget: int | None = None
 
 
-def greedy_plan(problem, start=None, goal=None, step_cap=None):
-    """Search-free planner: repeatedly take the valid action whose
-    successor minimizes the domain heuristic to the goal, never revisiting
-    a state; ties break in canonical action order. Stops at the goal, at a
-    dead end, or at the step cap, and emits the walked actions either way."""
-    start = problem.start if start is None else start
-    goal = problem.goal if goal is None else goal
-    if step_cap is None:
-        if problem.domain == "maze":
-            step_cap = 4 * problem.grid.rows * problem.grid.cols
-        else:
-            step_cap = 4 * 2 * len(problem.blocks)
-    h = heuristic_for(problem)
-    cur = start
-    seen = {start}
-    actions = []
-    while cur != goal and len(actions) < step_cap:
-        best = None
-        for action in valid_actions(problem, cur):
-            nxt, _ = step(problem, cur, action)
-            if nxt in seen:
-                continue
-            score = h(nxt, goal)
-            if best is None or score < best[0]:
-                best = (score, action, nxt)
-        if best is None:
-            break
-        _, action, cur = best
-        seen.add(cur)
-        actions.append(action)
-    plan = tuple(actions)
+def greedy_plan(problem, step_cap=None):
+    """The fast Sys1 planner: domains.greedy_walk from the problem's start
+    to its goal. It emits the walked actions whether or not they reach the
+    goal; its states-explored is the plan length."""
+    plan, _ = greedy_walk(problem, problem.start, problem.goal, step_cap)
     return PlannerOutcome(plan=plan, states_explored=len(plan), mode=SYS1)
 
 

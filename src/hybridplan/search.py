@@ -20,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .domains import candidate_actions, step
+from .domains import candidate_actions, heuristic_for, step
 
 VALID = "valid"
 INVALID = "invalid"
@@ -45,7 +45,6 @@ class TraceConfig:
 class ExplorationEvent:
     index: int
     state: object  # probed successor; None when the probe has no legal result
-    parent: int | None  # event index that introduced the parent state; None for start
     parent_state: object
     action: object
     validity: str  # "valid" | "invalid"
@@ -66,32 +65,6 @@ class SearchRun:
     @property
     def states_explored(self):
         return len(self.events)
-
-
-def manhattan(a, b):
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def _below_map(state):
-    below = {}
-    for stack in state:
-        prev = None
-        for block in stack:
-            below[block] = prev  # None means table
-            prev = block
-    return below
-
-
-def blocks_mismatch(a, b):
-    """Number of blocks whose supporting block (or table) differs."""
-    ba, bb = _below_map(a), _below_map(b)
-    return sum(1 for block in ba if ba[block] != bb.get(block, None))
-
-
-def heuristic_for(problem):
-    if problem.domain == "maze":
-        return manhattan
-    return blocks_mismatch
 
 
 def _reconstruct(came_from, state, start):
@@ -126,7 +99,7 @@ def _frontier(algorithm, start, t):
     return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
 
 
-def _record(events, state_event, probes, parent, parent_state, config, rng):
+def _record(events, probes, parent_state, config, rng):
     """Append one expansion's probes, given as (state, action, validity,
     reason, g, t, f) tuples, to events under the recording caps.
 
@@ -144,11 +117,8 @@ def _record(events, state_event, probes, parent, parent_state, config, rng):
         keep = set(valid) | set(invalid)
         probes = [p for i, p in enumerate(probes) if i in keep]
     for state, action, validity, reason, g, t, f in probes:
-        index = len(events)
-        events.append(ExplorationEvent(index, state, parent, parent_state,
+        events.append(ExplorationEvent(len(events), state, parent_state,
                                        action, validity, reason, g, t, f))
-        if validity == VALID and state not in state_event:
-            state_event[state] = index
 
 
 def _search(problem, algorithm, config):
@@ -163,7 +133,7 @@ def _search(problem, algorithm, config):
     h = heuristic_for(problem) if algorithm == "astar" else None
     frontier, pop, push = _frontier(algorithm, start, h(start, goal) if h else None)
     rng = random.Random(config.seed)
-    events, state_event = [], {}  # state -> event index that introduced it
+    events = []
     g_score = {start: 0}
     came_from = {}
     closed = set()
@@ -195,7 +165,7 @@ def _search(problem, algorithm, config):
                 goal_found = True
             else:
                 children.append((nxt, g, t))
-        _record(events, state_event, probes, state_event.get(current), current, config, rng)
+        _record(events, probes, current, config, rng)
         if goal_found:
             plan = _reconstruct(came_from, goal, start)
             return SearchRun(problem, algorithm, tuple(events), plan, len(events))

@@ -54,6 +54,27 @@ class TestValidation:
         bad.write_text("{not json\n")
         assert main(["eval", "--problems", str(bad)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--planner", "system2", "--budget", "0"],
+        ["eval", "--planner", "system1x", "--budget", "-3"],
+        ["sweep", "--planner", "system2", "--budgets", "0,5"],
+    ])
+    def test_bad_budget_exits_2(self, problems_file, argv, capsys):
+        assert main(argv + ["--problems", problems_file]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("command,data,selector", [
+        ("eval", "blocks", "maze-manhattan"),
+        ("eval", "blocks", "maze-obstacles"),
+        ("eval", "maze", "blocks-distance"),
+        ("build-controller-data", "maze", "nonsense"),
+    ])
+    def test_bad_selector_exits_2(self, problems_file, blocks_file, command, data, selector,
+                                  capsys):
+        path = blocks_file if data == "blocks" else problems_file
+        assert main([command, "--problems", path, "--selector", selector]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestPlanEvalSweep:
     def test_plan_writes_runs(self, problems_file, tmp_path, capsys):
@@ -139,6 +160,32 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frobnicate": 1}))
         assert main(["eval", "--problems", problems_file, "--config", str(cfg)]) == 2
+
+    def test_explicit_flag_equal_to_default_beats_config(self, problems_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x": 0.3}))
+        assert main(["eval", "--problems", problems_file, "--config", str(cfg),
+                     "--x", "0.5"]) == 0
+        assert "hybrid-x0.5-" in capsys.readouterr().out
+
+    def test_config_values_go_through_flag_types(self, problems_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x": "0.25"}))
+        assert main(["eval", "--problems", problems_file, "--config", str(cfg)]) == 0
+        assert "hybrid-x0.25-" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,values", [
+        ("sweep", {"budgets": [5, 10]}),
+        ("eval", [1, 2]),
+        ("eval", {"x": "abc"}),
+        ("eval", {"planner": "bogus"}),
+        ("eval", {"blocks_caps": "yes"}),
+    ])
+    def test_bad_config_value_exits_2(self, problems_file, tmp_path, command, values, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([command, "--problems", problems_file, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_default_out_dir_env(tmp_path, monkeypatch, small_maze_dataset):

@@ -9,11 +9,10 @@ from hybridplan.controller import (
     HybridController,
     build_controller_dataset,
     edge_window_decompose,
-    maze_skeleton,
     sliding_window_decompose,
     window_length,
 )
-from hybridplan.domains import plan_states
+from hybridplan.domains import plan_states, skeleton
 from hybridplan.hardness import hardness_fn
 from hybridplan.textio import verbalize_metaplan
 
@@ -221,7 +220,7 @@ def assert_chained_or_single(problem, meta):
 class TestMazeSkeleton:
     def test_endpoints_and_free_cells(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:40]:
-            skel = maze_skeleton(p)
+            skel = skeleton(p)
             assert skel[0] == p.start and skel[-1] == p.goal
             assert all(cell not in p.grid.obstacles for cell in skel)
 

@@ -1,16 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.domains import (
     MAZE_ACTIONS,
     MazeGrid,
     PlanningProblem,
     blocks_step,
+    candidate_actions,
     canonical_blocks,
+    greedy_walk,
     maze_step,
     plan_states,
     render_maze,
+    skeleton,
+    step,
     validate_plan,
     valid_actions,
 )
@@ -94,8 +100,7 @@ class TestBlocksStep:
         state = canonical_blocks([["A", "B"], ["C", "D"], ["E"]])
         problem = blocks_problem(state, state, ("A", "B", "C", "D", "E"))
         for _ in range(100):
-            actions = valid_actions(problem, state)
-            action = rng.choice(actions)
+            action, _ = rng.choice(valid_actions(problem, state))
             nxt, reason = blocks_step(state, action)
             assert reason is None
             assert sorted(b for s in nxt for b in s) == ["A", "B", "C", "D", "E"]
@@ -108,22 +113,22 @@ class TestBlocksStep:
 class TestValidActions:
     def test_interior_cell(self):
         p = maze_problem()
-        assert valid_actions(p, (2, 2)) == ["up", "down", "left", "right"]
+        assert [a for a, _ in valid_actions(p, (2, 2))] == ["up", "down", "left", "right"]
 
     def test_corner(self):
         p = maze_problem()
-        assert valid_actions(p, (0, 0)) == ["down", "right"]
+        assert [a for a, _ in valid_actions(p, (0, 0))] == ["down", "right"]
 
     def test_blocks_canonical_order(self):
         # both on table: table moves are no-ops and excluded
         state = canonical_blocks([["A"], ["B"]])
         p = blocks_problem(state, state, ("A", "B"))
-        assert valid_actions(p, state) == [("A", "B"), ("B", "A")]
+        assert [a for a, _ in valid_actions(p, state)] == [("A", "B"), ("B", "A")]
 
     def test_blocks_with_stack(self):
         state = canonical_blocks([["A", "B"], ["C"]])
         p = blocks_problem(state, state, ("A", "B", "C"))
-        assert valid_actions(p, state) == [("B", "C"), ("B", "table"), ("C", "B")]
+        assert [a for a, _ in valid_actions(p, state)] == [("B", "C"), ("B", "table"), ("C", "B")]
 
 
 class TestValidatePlan:
@@ -163,3 +168,83 @@ def test_problem_validation_rejects_bad_states():
         maze_problem(obstacles={(0, 0)})
     with pytest.raises(ValueError):
         blocks_problem((("A",),), (("A",), ("A",)), ("A",))
+
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def maze_problems(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    start, goal = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+    obstacles = draw(st.frozensets(st.sampled_from(cells))) - {start, goal}
+    return PlanningProblem(domain="maze", start=start, goal=goal,
+                           grid=MazeGrid(rows, cols, obstacles))
+
+
+@st.composite
+def blocks_states(draw, blocks):
+    order = draw(st.permutations(blocks))
+    stacks = [[order[0]]]
+    for block in order[1:]:
+        if draw(st.booleans()):
+            stacks.append([block])
+        else:
+            stacks[-1].append(block)
+    return canonical_blocks(stacks)
+
+
+@st.composite
+def blocks_problems(draw):
+    blocks = tuple("ABCDEF"[:draw(st.integers(1, 6))])
+    return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
+                           goal=draw(blocks_states(blocks)), blocks=blocks)
+
+
+problems = st.one_of(maze_problems(), blocks_problems())
+
+
+def legal_state(problem, state):
+    if problem.domain == "maze":
+        return problem.grid.in_bounds(state) and state not in problem.grid.obstacles
+    return sorted(b for stack in state for b in stack) == sorted(problem.blocks)
+
+
+@PROPERTY
+@given(problems, st.data())
+def test_valid_actions_are_the_legal_steps(problem, data):
+    if problem.domain == "maze":
+        state = data.draw(st.sampled_from(problem.grid.free_cells()))
+    else:
+        state = data.draw(blocks_states(problem.blocks))
+    legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem, state)]
+    assert valid_actions(problem, state) == [(a, nxt) for a, nxt in legal if nxt is not None]
+
+
+@PROPERTY
+@given(problems)
+def test_skeleton_is_none_or_a_legal_chain(problem):
+    states = skeleton(problem)
+    if states is None:
+        assert problem.domain == "blocks"
+        return
+    assert states[0] == problem.start and states[-1] == problem.goal
+    assert all(legal_state(problem, s) for s in states)
+    assert all(a != b for a, b in zip(states, states[1:]))
+    if problem.domain == "blocks":
+        for a, b in zip(states, states[1:]):
+            assert b in [nxt for _, nxt in valid_actions(problem, a)]
+
+
+@PROPERTY
+@given(problems, st.one_of(st.none(), st.integers(0, 12)))
+def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
+    actions, states = greedy_walk(problem, problem.start, problem.goal, step_cap)
+    assert len(states) == len(actions) + 1 and states[0] == problem.start
+    assert len(set(states)) == len(states)
+    if step_cap is not None:
+        assert len(actions) <= step_cap
+    assert plan_states(problem, actions) == states

@@ -4,17 +4,10 @@ import random
 import pytest
 
 from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks, validate_plan
+from hybridplan.domains import _blocks_mismatch as blocks_mismatch
+from hybridplan.domains import _manhattan as manhattan
 from hybridplan.generators import maze_distances
-from hybridplan.search import (
-    TraceConfig,
-    astar,
-    bfs,
-    blocks_mismatch,
-    dfs,
-    manhattan,
-    run_engine,
-    truncate_run,
-)
+from hybridplan.search import TraceConfig, astar, bfs, dfs, run_engine, truncate_run
 from hybridplan.textio import verbalize_trace
 
 
