@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hybridplan.evaluate import (
     run_planner,
     solve_one,
 )
+from hybridplan.search import TraceConfig
 
 
 def make_run(valid=True, length=2, optimal=2):
@@ -167,3 +169,40 @@ def test_solve_one_budget_none_vs_cap(small_maze_dataset):
     capped = solve_one(p, config, budget=1)
     assert capped.states_explored == 1
     assert free.states_explored >= capped.states_explored
+
+
+# sha256 over report_to_csv of budget sweeps on the small datasets: the maze
+# test split (targets 5,10,20,25; the hybrid's rows take both truncation and
+# the bias scan) and the blocks train problems with at most 5 blocks (targets
+# 5,10,20,25,100), with and without the 3/2 recording caps.
+GOLDEN_SWEEP_DIGESTS = {
+    ("maze", "hybrid", "nocaps"):
+        "8a90a666cdeab2e5bd65bc0b94c76e997bc725366955c15ea969bfa9b0813283",
+    ("maze", "sys2", "nocaps"):
+        "3a092a2aa75696247e681aa5531bcbf76b55055f1dca56eed2e2f7be4d0ffb28",
+    ("maze", "sys1", "nocaps"):
+        "d3ee8b3d9abcf6eec49aa937c4181cf811f1d9973117ad89549f139b82385114",
+    ("blocks", "hybrid", "nocaps"):
+        "f89d9684f4df91180a446a85c377642a845cc5b6e6cb3e92ea435e81447f57cd",
+    ("blocks", "hybrid", "caps"):
+        "3748d9ead826dfc4bf21dc762f1bcf8abc3c2ebd9832d38eaa9cf354f6614547",
+}
+
+
+def _golden_sweep(domain, kind, caps, small_maze_dataset, small_blocks_dataset):
+    if domain == "maze":
+        train = small_maze_dataset["train"]
+        problems, budgets = small_maze_dataset["test"], [5, 10, 20, 25]
+    else:
+        train = small_blocks_dataset["train"]
+        problems, budgets = [p for p in train if len(p.blocks) <= 5], [5, 10, 20, 25, 100]
+    trace = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+    controller = HybridController(ControllerConfig(x=0.5)).fit(train) if kind == "hybrid" else None
+    config = PlannerConfig(kind=kind, engine="astar", trace=trace, controller=controller)
+    return report_to_csv(budget_sweep(problems, config, budgets))
+
+
+@pytest.mark.parametrize("domain,kind,caps", sorted(GOLDEN_SWEEP_DIGESTS))
+def test_golden_sweep_digests(domain, kind, caps, small_maze_dataset, small_blocks_dataset):
+    csv_text = _golden_sweep(domain, kind, caps, small_maze_dataset, small_blocks_dataset)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == GOLDEN_SWEEP_DIGESTS[(domain, kind, caps)]
