@@ -232,7 +232,8 @@ def _add_common(parser, problems=True):
     parser.add_argument("--out", default=None, help="output path (default under $%s)" % DEFAULT_OUT_DIR_ENV)
     parser.add_argument("--config", default=None, help="JSON config file mirroring the flags")
     if problems:
-        parser.add_argument("--problems", required=True, help="problem-set JSONL file")
+        # required, from the flag or the config file (checked in main)
+        parser.add_argument("--problems", default=None, help="problem-set JSONL file")
 
 
 def _add_planner_flags(parser):
@@ -340,6 +341,8 @@ def main(argv=None):
         if args.config:
             # the command line comes last, so its flags win over the file's
             args = parser.parse_args([args.command, *_config_argv(args), *argv[1:]])
+        if hasattr(args, "problems") and args.problems is None:
+            raise UsageError("--problems is required, as a flag or in the config file")
         if hasattr(args, "x") and not 0.0 <= args.x <= 1.0:
             raise UsageError(f"--x must lie in [0, 1], got {args.x}")
         if hasattr(args, "bias") and not -1.0 <= args.bias <= 1.0:

@@ -195,12 +195,14 @@ class HybridController:
         hfn = hardness_fn(self._selector(problem), problem)
         return hfn(problem.start, problem.goal) >= self.threshold()
 
-    def decompose(self, problem):
+    def decompose(self, problem, skeleton_of=None):
+        """The problem's meta-plan. skeleton_of(problem) gives the skeleton
+        when the caller keeps one per problem; default domains.skeleton."""
         if not self._is_hard(problem):
             return (SubGoal(problem.start, problem.goal, SYS1),)
         if self.config.variant in ("no-subgoal", "random"):
             return (SubGoal(problem.start, problem.goal, SYS2),)
-        states = skeleton(problem)
+        states = (skeleton_of or skeleton)(problem)
         if states is None or len(states) < 2:
             return (SubGoal(problem.start, problem.goal, SYS2),)
         x = max(self.config.effective_x, 1e-9)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .controller import SYS1, SYS2, HybridController, SubGoal
 from .domains import validate_plan
-from .hybrid import EnginesConfig, solve_hybrid
+from .hybrid import EnginesConfig, SweepMemo, solve_hybrid
 from .search import TraceConfig
 
 
@@ -64,6 +64,8 @@ class PlannerConfig:
     engine: str = "astar"
     trace: TraceConfig = TraceConfig()
     controller: HybridController | None = None  # fitted; hybrid only
+    # shared by the passes of one budget_sweep; no part of the config's value
+    memo: SweepMemo | None = field(default=None, compare=False, hash=False, repr=False)
 
     def label(self):
         if self.kind == "sys1":
@@ -94,31 +96,37 @@ def average_se(runs):
 
 def match_budget_cap(sizes, target):
     """Largest integer cap c with mean(min(size, c)) <= target; 1 when
-    even the smallest cap overshoots."""
+    even the smallest cap overshoots.
+
+    Between two neighbouring sizes in ascending order the capped total is
+    linear in c, so the first stretch in which it passes the target holds
+    the answer; no cap above the largest size is considered."""
     if target < 1:
         raise ValueError("target budget must be >= 1")
-    sizes = list(sizes)
+    sizes = sorted(sizes)
     if not sizes:
         raise ValueError("no trace sizes to match against")
     total_target = target * len(sizes)
-    best = 1
-    for cap in range(1, max(sizes) + 1):
-        if sum(min(s, cap) for s in sizes) <= total_target:
-            best = cap
-        else:
-            break
-    return best
+    below = 0  # total of the sizes under the current stretch
+    for k, size in enumerate(sizes):
+        # for c from sizes[k - 1] up to size: capped total = below + c * (n - k)
+        cap = (total_target - below) // (len(sizes) - k)
+        if cap < size:
+            return max(1, int(cap))
+        below += size
+    return max(1, sizes[-1])
 
 
 def solve_one(problem, config, budget=None):
     """Run the configured planner on one problem; returns a ScoredRun.
     The pure planners run as a hybrid episode with a single sub-goal."""
+    memo = config.memo
     if config.kind == "hybrid":
-        meta = config.controller.decompose(problem)
+        meta = config.controller.decompose(problem, None if memo is None else memo.skeleton)
     else:
         meta = (SubGoal(problem.start, problem.goal, SYS1 if config.kind == "sys1" else SYS2),)
     engines = EnginesConfig(sys2=config.engine, trace=config.trace, budget=budget)
-    run = solve_hybrid(problem, meta, engines)
+    run = solve_hybrid(problem, meta, engines, memo)
     return ScoredRun(problem, run.plan, run.states_explored)
 
 
@@ -150,8 +158,19 @@ def budget_sweep(problems, config, budgets, workers=1):
     match_budget_cap; for hybrid planners, targets above the default are
     reached by sweeping the controller bias upward in steps of 0.05 and
     keeping the largest bias whose average stays within the target.
+
+    Every pass solves its problems from one SweepMemo, so each skeleton
+    and each distinct sub-goal is solved once per sweep; the memo is
+    emptied when the sweep returns.
     """
-    budgets = sorted(budgets)
+    memo = SweepMemo()
+    try:
+        return _sweep(problems, replace(config, memo=memo), sorted(budgets), workers)
+    finally:
+        memo.clear()
+
+
+def _sweep(problems, config, budgets, workers):
     default_runs = run_planner(problems, config, workers=workers)
     default_avg = average_se(default_runs)
     rows = []
@@ -169,9 +188,7 @@ def budget_sweep(problems, config, budgets, workers=1):
             base_bias = config.controller.config.bias
             for i in range(1, steps + 1):
                 bias = min(1.0, base_bias + i * BIAS_STEP)
-                biased = PlannerConfig(kind="hybrid", engine=config.engine,
-                                       trace=config.trace,
-                                       controller=config.controller.with_bias(bias))
+                biased = replace(config, controller=config.controller.with_bias(bias))
                 runs = run_planner(problems, biased, workers=workers)
                 if average_se(runs) <= target:
                     best = (runs, bias)

@@ -5,15 +5,18 @@ states-explored accounting.
 The fast planner emits whatever path it walked even when it never reached
 the goal; validity is judged downstream by the plan validator, and its
 states-explored equals the emitted plan length.
+
+A SweepMemo lets the passes of a budget sweep solve each skeleton and each
+distinct sub-goal once, then cut the cached outcome to each pass's budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .controller import SYS1, SYS2, SubGoal
-from .domains import greedy_walk
-from .search import TraceConfig, run_engine, truncate_run
+from .controller import SYS1, SubGoal
+from .domains import greedy_walk, skeleton
+from .search import TraceConfig, reached_within, run_engine, truncate_run
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,50 @@ def greedy_plan(problem, step_cap=None):
     return PlannerOutcome(plan=plan, states_explored=len(plan), mode=SYS1)
 
 
-def solve_hybrid(problem, meta_plan, engines=EnginesConfig()):
+class SweepMemo(dict):
+    """What the passes of one budget sweep share: each problem's skeleton,
+    and the unbudgeted outcome of each (sub-goal, engine, trace config) in
+    compact form, (plan, states explored, recorded events at the goal).
+    It keeps no trace events, so a pass cuts a cached outcome to its
+    budget by the rules solve_hybrid applies to a fresh one."""
+
+    def skeleton(self, problem):
+        key = (problem.domain, problem.grid, problem.blocks, problem.start, problem.goal)
+        if key not in self:
+            self[key] = skeleton(problem)
+        return self[key]
+
+    def outcome(self, problem, subgoal, engines):
+        # eight fields, so never equal to a five-field skeleton key
+        key = (problem.domain, problem.grid, problem.blocks, subgoal.start, subgoal.goal,
+               subgoal.mode, engines.sys2, engines.trace)
+        if key not in self:
+            self[key] = _unbudgeted(problem, subgoal, engines)[:3]
+        return self[key]
+
+
+def _unbudgeted(problem, subgoal, engines):
+    """One sub-goal solved without a budget: (plan, states explored,
+    recorded events at the goal, search run); the last two are None for
+    the greedy planner."""
+    sub_problem = replace(problem, start=subgoal.start, goal=subgoal.goal,
+                          gold_plan=None, optimal_length=None)
+    if subgoal.mode == SYS1:
+        plan = greedy_plan(sub_problem).plan
+        return plan, len(plan), None, None
+    run = run_engine(engines.sys2, sub_problem, engines.trace)
+    return run.plan, run.states_explored, run.events_at_goal, run
+
+
+def solve_hybrid(problem, meta_plan, engines=EnginesConfig(), memo=None):
     """Solve the meta-plan's sub-goals in order and concatenate.
 
     With a global state budget, each sub-goal only gets the remaining
     budget: search runs are truncated to it and the greedy planner's
     emitted walk is cut at it. A failed search sub-goal (no plan within
     budget) stops the run with a failure outcome; its explored states
-    still count.
+    still count. With a SweepMemo, each sub-goal's unbudgeted outcome is
+    taken from it and no outcome carries its search run.
     """
     outcomes = []
     parts = []
@@ -67,27 +106,26 @@ def solve_hybrid(problem, meta_plan, engines=EnginesConfig()):
         if remaining is not None and remaining <= 0:
             failed = True
             break
-        sub_problem = replace(problem, start=subgoal.start, goal=subgoal.goal,
-                              gold_plan=None, optimal_length=None)
-        if subgoal.mode == SYS1:
-            outcome = greedy_plan(sub_problem)
-            if remaining is not None and outcome.states_explored > remaining:
-                cut = outcome.plan[:remaining]
-                outcome = replace(outcome, plan=cut, states_explored=len(cut))
-            outcome = replace(outcome, subgoal=subgoal)
+        if memo is None:
+            plan, se, at_goal, run = _unbudgeted(problem, subgoal, engines)
         else:
-            run = run_engine(engines.sys2, sub_problem, engines.trace)
-            if remaining is not None:
-                run = truncate_run(run, remaining)
-            outcome = PlannerOutcome(plan=run.plan, states_explored=run.states_explored,
-                                     mode=SYS2, subgoal=subgoal, run=run)
-        outcomes.append(outcome)
-        total += outcome.states_explored
-        if outcome.plan is None:
+            plan, se, at_goal = memo.outcome(problem, subgoal, engines)
+            run = None
+        if remaining is not None and se > remaining:
+            if subgoal.mode == SYS1:
+                plan = plan[:remaining]
+            else:
+                plan = plan if reached_within(at_goal, remaining) else None
+                if run is not None:
+                    run = truncate_run(run, remaining)
+            se = remaining
+        outcomes.append(PlannerOutcome(plan=plan, states_explored=se, mode=subgoal.mode,
+                                       subgoal=subgoal, run=run))
+        total += se
+        if plan is None:
             failed = True
             break
-        parts.append(outcome.plan)
+        parts.append(plan)
     plan = None if failed else tuple(a for part in parts for a in part)
     return HybridRun(problem=problem, meta_plan=tuple(meta_plan),
                      outcomes=tuple(outcomes), plan=plan, states_explored=total)
-

@@ -201,6 +201,12 @@ def run_engine(name, problem, config=TraceConfig()):
     return engine(problem, config)
 
 
+def reached_within(events_at_goal, cap):
+    """Whether a run that found its goal after `events_at_goal` recorded
+    events (None: never) keeps its plan when cut after `cap` events."""
+    return events_at_goal is not None and events_at_goal <= cap
+
+
 def truncate_run(run, cap):
     """Cut a run after `cap` recorded events. The plan survives only if the
     goal had been discovered within the first `cap` events."""
@@ -208,7 +214,7 @@ def truncate_run(run, cap):
         raise ValueError("cap must be >= 1")
     if cap >= len(run.events):
         return run
-    reached = run.events_at_goal is not None and run.events_at_goal <= cap
+    reached = reached_within(run.events_at_goal, cap)
     return replace(
         run,
         events=run.events[:cap],

@@ -1,0 +1,42 @@
+"""Hypothesis strategies for random maze and blocks problems, shared by
+the property tests."""
+
+from hypothesis import strategies as st
+
+from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks
+
+
+@st.composite
+def maze_problems(draw, max_side=6):
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    start, goal = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+    obstacles = draw(st.frozensets(st.sampled_from(cells))) - {start, goal}
+    return PlanningProblem(domain="maze", start=start, goal=goal,
+                           grid=MazeGrid(rows, cols, obstacles))
+
+
+@st.composite
+def blocks_states(draw, blocks):
+    order = draw(st.permutations(blocks))
+    stacks = [[order[0]]]
+    for block in order[1:]:
+        if draw(st.booleans()):
+            stacks.append([block])
+        else:
+            stacks[-1].append(block)
+    return canonical_blocks(stacks)
+
+
+@st.composite
+def blocks_problems(draw, max_blocks=6):
+    blocks = tuple("ABCDEF"[:draw(st.integers(1, max_blocks))])
+    return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
+                           goal=draw(blocks_states(blocks)), blocks=blocks)
+
+
+def states_of(problem):
+    """Strategy for a legal state of the problem's maze or blocks universe."""
+    if problem.domain == "maze":
+        return st.sampled_from(problem.grid.free_cells())
+    return blocks_states(problem.blocks)

@@ -156,6 +156,23 @@ class TestConfigFile:
                      "--planner", "system2", "--sys2", "bfs"]) == 0
         assert "bfs" in capsys.readouterr().out
 
+    def test_config_file_supplies_problems(self, problems_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problems": problems_file, "planner": "system1"}))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert "sys1-greedy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_missing_problems_exits_2(self, tmp_path, with_config, capsys):
+        argv = ["eval", "--planner", "system1"]
+        if with_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"planner": "system1"}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--problems" in err
+
     def test_unknown_config_key_exits_2(self, problems_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frobnicate": 1}))

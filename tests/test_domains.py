@@ -20,6 +20,7 @@ from hybridplan.domains import (
     validate_plan,
     valid_actions,
 )
+from strategies import blocks_problems, maze_problems, states_of
 
 
 def maze_problem(rows=5, cols=5, obstacles=(), start=(0, 0), goal=(4, 4)):
@@ -175,35 +176,6 @@ def test_problem_validation_rejects_bad_states():
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-@st.composite
-def maze_problems(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    cells = [(r, c) for r in range(rows) for c in range(cols)]
-    start, goal = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
-    obstacles = draw(st.frozensets(st.sampled_from(cells))) - {start, goal}
-    return PlanningProblem(domain="maze", start=start, goal=goal,
-                           grid=MazeGrid(rows, cols, obstacles))
-
-
-@st.composite
-def blocks_states(draw, blocks):
-    order = draw(st.permutations(blocks))
-    stacks = [[order[0]]]
-    for block in order[1:]:
-        if draw(st.booleans()):
-            stacks.append([block])
-        else:
-            stacks[-1].append(block)
-    return canonical_blocks(stacks)
-
-
-@st.composite
-def blocks_problems(draw):
-    blocks = tuple("ABCDEF"[:draw(st.integers(1, 6))])
-    return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
-                           goal=draw(blocks_states(blocks)), blocks=blocks)
-
-
 problems = st.one_of(maze_problems(), blocks_problems())
 
 
@@ -216,10 +188,7 @@ def legal_state(problem, state):
 @PROPERTY
 @given(problems, st.data())
 def test_valid_actions_are_the_legal_steps(problem, data):
-    if problem.domain == "maze":
-        state = data.draw(st.sampled_from(problem.grid.free_cells()))
-    else:
-        state = data.draw(blocks_states(problem.blocks))
+    state = data.draw(states_of(problem))
     legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem, state)]
     assert valid_actions(problem, state) == [(a, nxt) for a, nxt in legal if nxt is not None]
 

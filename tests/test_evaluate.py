@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hybridplan import evaluate
 from hybridplan.controller import ControllerConfig, HybridController
 from hybridplan.domains import MazeGrid, PlanningProblem
 from hybridplan.evaluate import (
@@ -83,6 +84,14 @@ class TestMatchBudgetCap:
     def test_floor_at_one(self):
         assert match_budget_cap([50, 60], 1) == 1
 
+    def test_one_huge_size(self):
+        # no scan up to the largest size: this took 15 s as a linear scan
+        assert match_budget_cap([1] * 399 + [200000], 400) == 159601
+
+    def test_zero_sizes(self):
+        assert match_budget_cap([0, 0], 3) == 1
+        assert match_budget_cap([0, 4, 9], 3) == 5
+
     def test_agrees_with_exhaustive_scan(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -160,6 +169,43 @@ def test_workers_match_serial(small_maze_dataset):
     config = PlannerConfig(kind="sys2", engine="astar")
     problems = small_maze_dataset["test"][:20]
     assert run_planner(problems, config, workers=2) == run_planner(problems, config)
+
+
+def _hybrid_config(dataset):
+    ctl = HybridController(ControllerConfig(x=0.5)).fit(dataset["train"])
+    return PlannerConfig(kind="hybrid", controller=ctl)
+
+
+def test_sweep_workers_match_serial(small_maze_dataset):
+    # the memo pickled to the workers must not change a row
+    config = _hybrid_config(small_maze_dataset)
+    problems = small_maze_dataset["test"][:20]
+    serial = budget_sweep(problems, config, [5, 20])
+    assert serial.rows[0].bias is None and serial.rows[1].bias is not None  # cut, bias scan
+    assert budget_sweep(problems, config, [5, 20], workers=2) == serial
+
+
+def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
+    memos, filled = [], []
+    original = evaluate.run_planner
+
+    def run_planner(problems, config, budget=None, workers=1):
+        runs = original(problems, config, budget=budget, workers=workers)
+        memos.append(config.memo)
+        filled.append(len(config.memo))
+        # skeletons (lists of states) and (plan, SE, events at goal): no runs or events
+        assert all(x is None or type(x) in (tuple, int)
+                   for value in config.memo.values() if value is not None for x in value)
+        return runs
+
+    monkeypatch.setattr(evaluate, "run_planner", run_planner)
+    config = _hybrid_config(small_maze_dataset)
+    budget_sweep(small_maze_dataset["test"], config, [5, 20])
+    assert len(memos) > 2 and all(m is memos[0] for m in memos) and min(filled) > 0
+    assert len(memos[0]) == 0
+    assert config.memo is None
+    budget_sweep(small_maze_dataset["test"], config, [5])
+    assert memos[-1] is not memos[0]
 
 
 def test_solve_one_budget_none_vs_cap(small_maze_dataset):

@@ -1,16 +1,20 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, validate_plan
 from hybridplan.hybrid import (
     EnginesConfig,
+    SweepMemo,
     greedy_plan,
     solve_hybrid,
 )
-from hybridplan.search import astar
+from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
+from strategies import blocks_problems, maze_problems, states_of
 
 
 def maze_problem(rows, cols, obstacles, start, goal):
@@ -147,3 +151,78 @@ def test_golden_greedy_digests(domain, small_maze_dataset, small_blocks_dataset)
         digest.update(verbalize_plan(greedy_plan(p).plan).encode())
         digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_GREEDY_DIGESTS[domain]
+
+
+class TestSweepMemo:
+    def test_outcome_is_the_compact_unbudgeted_run(self, small_maze_dataset):
+        memo = SweepMemo()
+        engines = EnginesConfig(sys2="bfs")
+        for p in small_maze_dataset["test"][:10]:
+            run = run_engine("bfs", p)
+            sub = SubGoal(p.start, p.goal, SYS2)
+            assert memo.outcome(p, sub, engines) == \
+                (run.plan, run.states_explored, run.events_at_goal)
+            walk = greedy_plan(p).plan
+            assert memo.outcome(p, SubGoal(p.start, p.goal, SYS1), engines) == \
+                (walk, len(walk), None)
+
+    def test_keys_on_the_maze_not_only_the_subgoal(self):
+        open_maze = maze_problem(3, 3, (), (0, 0), (0, 2))
+        walled = maze_problem(3, 3, {(0, 1), (1, 1)}, (0, 0), (0, 2))
+        meta = (SubGoal((0, 0), (0, 2), SYS2),)
+        memo = SweepMemo()
+        for p in (open_maze, walled):
+            assert solve_hybrid(p, meta, memo=memo).plan == solve_hybrid(p, meta).plan
+        assert solve_hybrid(open_maze, meta, memo=memo).plan != \
+            solve_hybrid(walled, meta, memo=memo).plan
+
+    def test_clear_empties(self, small_maze_dataset):
+        memo = SweepMemo()
+        p = small_maze_dataset["test"][0]
+        memo.skeleton(p)
+        memo.outcome(p, SubGoal(p.start, p.goal, SYS2), EnginesConfig())
+        assert len(memo) == 2
+        memo.clear()
+        assert len(memo) == 0
+
+
+# ---------------------------------------------------------------- properties
+
+CAPS = {"nocaps": TraceConfig(), "caps": TraceConfig(valid_cap=3, invalid_cap=2, seed=0)}
+
+# at most 4 blocks keeps uninformed search on random sub-goals fast
+small_problems = st.one_of(maze_problems(), blocks_problems(max_blocks=4))
+
+
+@st.composite
+def meta_plans(draw, problem):
+    """1-3 sub-goals chained from the start to the goal through random
+    states, each with a random mode."""
+    chain = [problem.start, *draw(st.lists(states_of(problem), max_size=2)), problem.goal]
+    return tuple(SubGoal(a, b, draw(st.sampled_from((SYS1, SYS2))))
+                 for a, b in zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("caps", sorted(CAPS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_memo_gives_the_fresh_outcomes(engine, caps, data):
+    """Over budgets drawn at random, solve_hybrid with one shared memo gives
+    the plans and the total and per-outcome states explored of fresh solves,
+    and a fresh Sys2 outcome is its truncated run's."""
+    problem = data.draw(small_problems)
+    meta = data.draw(meta_plans(problem))
+    budgets = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 80)), min_size=1, max_size=4))
+    memo = SweepMemo()
+    for budget in budgets:
+        engines = EnginesConfig(sys2=engine, trace=CAPS[caps], budget=budget)
+        fresh = solve_hybrid(problem, meta, engines)
+        cached = solve_hybrid(problem, meta, engines, memo)
+        assert cached.plan == fresh.plan
+        assert cached.states_explored == fresh.states_explored
+        assert [(o.mode, o.plan, o.states_explored) for o in cached.outcomes] == \
+            [(o.mode, o.plan, o.states_explored) for o in fresh.outcomes]
+        for o in fresh.outcomes:
+            if o.mode == SYS2:
+                assert (o.plan, o.states_explored) == (o.run.plan, o.run.states_explored)

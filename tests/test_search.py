@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks, validate_plan
 from hybridplan.domains import _blocks_mismatch as blocks_mismatch
@@ -9,6 +11,7 @@ from hybridplan.domains import _manhattan as manhattan
 from hybridplan.generators import maze_distances
 from hybridplan.search import TraceConfig, astar, bfs, dfs, run_engine, truncate_run
 from hybridplan.textio import verbalize_trace
+from strategies import blocks_problems, maze_problems
 
 
 def maze_problem(rows, cols, obstacles, start, goal):
@@ -262,3 +265,18 @@ def test_golden_trace_digests(engine, domain, caps, small_maze_dataset, small_bl
         digest.update(verbalize_trace(run_engine(engine, p, config)).encode())
         digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[(engine, domain, caps)]
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("caps", ["nocaps", "caps"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=st.one_of(maze_problems(), blocks_problems(max_blocks=4)),
+       cap=st.integers(1, 120))
+def test_truncation_gives_a_prefix(engine, caps, problem, cap):
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+    run = run_engine(engine, problem, config)
+    cut = truncate_run(run, cap)
+    assert cut.events == run.events[:cap]
+    kept = run.events_at_goal is not None and run.events_at_goal <= cap
+    assert cut.plan == (run.plan if kept else None)
+    assert cut.events_at_goal == (run.events_at_goal if kept else None)
