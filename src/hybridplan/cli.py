@@ -65,16 +65,16 @@ def _out_path(args, default_name):
     return os.path.join(os.environ.get(DEFAULT_OUT_DIR_ENV, "."), default_name)
 
 
-def _budget(text):
-    """argparse type of a states-explored budget: a positive integer."""
+def _positive_int(text):
+    """argparse type of a states-explored budget or a worker count."""
     if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"budget must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _budget_list(text):
     """argparse type of comma-separated budgets."""
-    return [_budget(b) for b in text.split(",") if b]
+    return [_positive_int(b) for b in text.split(",") if b]
 
 
 def _controller_config(args, problems):
@@ -140,6 +140,17 @@ def _load_split(args, split):
     return splits
 
 
+def _load_scored_split(args):
+    """The problems of the split that eval and sweep score; each needs the
+    oracle length its optimality is judged by."""
+    splits = _load_split(args, args.split)
+    for problem in splits[args.split]:
+        if problem.optimal_length is None:
+            raise ParseError(f"problem {problem.problem_id!r} in {args.problems} "
+                             "has no optimal_length to score optimality against")
+    return splits
+
+
 def cmd_build_controller_data(args):
     splits = _load_split(args, "train")
     config = _controller_config(args, splits["train"])
@@ -194,7 +205,7 @@ def cmd_plan(args):
 
 
 def cmd_eval(args):
-    splits = _load_split(args, args.split)
+    splits = _load_scored_split(args)
     problems = splits[args.split]
     config = _planner_config(args, splits.get("train", problems))
     runs = run_planner(problems, config, budget=args.budget, workers=args.workers)
@@ -208,7 +219,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    splits = _load_split(args, args.split)
+    splits = _load_scored_split(args)
     problems = splits[args.split]
     config = _planner_config(args, splits.get("train", problems))
     report = budget_sweep(problems, config, args.budgets, workers=args.workers)
@@ -245,8 +256,8 @@ def _add_planner_flags(parser):
                         default="sliding-window")
     parser.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
     parser.add_argument("--split", default="test")
-    parser.add_argument("--budget", type=_budget, default=None)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--budget", type=_positive_int, default=None)
+    parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument("--blocks-caps", action="store_true",
                         help="record at most 3 valid / 2 invalid probes per expansion")
 

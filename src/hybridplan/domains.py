@@ -6,12 +6,14 @@ block labels, with stacks sorted by their bottom block so equal
 configurations compare equal.
 
 Every per-domain decision of the planners lives here: the step semantics,
+the one-pass expansion of a state that search engines and oracles probe,
 the search heuristic, the greedy walk behind the fast planner, and the
 skeleton over which the controller places its search window.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 MAZE_ACTIONS = ("up", "down", "left", "right")
@@ -151,15 +153,82 @@ def candidate_actions(problem, state):
     return [(b, d) for b in sorted(problem.blocks) for d in dests if d != b]
 
 
+# per block universe: the canonical moves grouped by moving block
+_BLOCKS_MOVES = {}
+
+
+def _blocks_moves(problem):
+    """Per block of the problem's universe, in canonical order: the block,
+    its moves onto other blocks as (action, dest) pairs, its move to the
+    table (canonically the last), and the block-not-clear probes of all
+    its moves."""
+    moves = _BLOCKS_MOVES.get(problem.blocks)
+    if moves is None:
+        if len(_BLOCKS_MOVES) >= 64:  # problem files may bring any number of universes
+            _BLOCKS_MOVES.clear()
+        by_block = {}
+        for action in candidate_actions(problem, None):
+            by_block.setdefault(action[0], []).append(action)
+        moves = _BLOCKS_MOVES[problem.blocks] = tuple(
+            (block, tuple((a, a[1]) for a in actions[:-1]), actions[-1],
+             tuple((a, None, "block-not-clear") for a in actions))
+            for block, actions in by_block.items())
+    return moves
+
+
+def _expand(problem, state):
+    """(action, next_state, reason) for every candidate action of a state,
+    in canonical order: what step gives for each of candidate_actions.
+
+    A blocks state is read once into a map from each stack's top block to
+    the stack's index; each move's reason or successor follows from it.
+    Successors keep the stacks sorted by bottom block without re-sorting:
+    a move onto a stack leaves every bottom in place, a move to the table
+    inserts the new one-block stack at its bisected position."""
+    if problem.domain == "maze":
+        out = []
+        for action in MAZE_ACTIONS:
+            nxt, reason = maze_step(problem.grid, state, action)
+            out.append((action, nxt, reason))
+        return out
+    bottoms = [s[0] for s in state]
+    if bottoms != sorted(bottoms):  # a start state read from a file, say
+        state = canonical_blocks(state)
+        bottoms.sort()
+    tops = {s[-1]: i for i, s in enumerate(state)}
+    out = []
+    for block, onto, to_table, not_clear in _blocks_moves(problem):
+        src = tops.get(block)
+        if src is None:
+            out.extend(not_clear)
+            continue
+        rest = state[src][:-1]
+        for action, dest in onto:
+            dst = tops.get(dest)
+            if dst is None:
+                out.append((action, None, "destination-not-clear"))
+                continue
+            new = list(state)
+            new[dst] = state[dst] + (block,)
+            if rest:
+                new[src] = rest
+            else:
+                del new[src]
+            out.append((action, tuple(new), None))
+        if rest:
+            new = list(state)
+            new[src] = rest
+            new.insert(bisect.bisect(bottoms, block), (block,))
+            out.append((to_table, tuple(new), None))
+        else:
+            out.append((to_table, None, "self-move"))
+    return out
+
+
 def valid_actions(problem, state):
     """(action, next_state) for every action whose step result is valid,
     in canonical order."""
-    out = []
-    for a in candidate_actions(problem, state):
-        nxt, _ = step(problem, state, a)
-        if nxt is not None:
-            out.append((a, nxt))
-    return out
+    return [(a, nxt) for a, nxt, _ in _expand(problem, state) if nxt is not None]
 
 
 def _manhattan(a, b):
@@ -181,16 +250,26 @@ def _neighbor_maps(state):
     return below, above
 
 
-def _blocks_mismatch(a, b):
-    """Number of blocks whose supporting block (or table) differs."""
-    below_a, below_b = _neighbor_maps(a)[0], _neighbor_maps(b)[0]
-    return sum(1 for block in below_a if below_a[block] != below_b.get(block))
+def heuristic_for(problem, goal):
+    """The domain's admissible, consistent distance estimate to `goal`, as
+    a function h(state): Manhattan distance for mazes, for blocks the
+    number of blocks whose supporting block (or table) differs from the
+    goal's. The goal's supports are read once, here."""
+    if problem.domain == "maze":
+        return lambda state: _manhattan(state, goal)
+    goal_below = _neighbor_maps(goal)[0]
 
+    def mismatch(state):
+        count = 0
+        for stack in state:
+            prev = None
+            for block in stack:
+                if goal_below.get(block) != prev:
+                    count += 1
+                prev = block
+        return count
 
-def heuristic_for(problem):
-    """The domain's admissible, consistent distance estimate h(state, goal):
-    Manhattan distance for mazes, misplaced supports for blocks."""
-    return _manhattan if problem.domain == "maze" else _blocks_mismatch
+    return mismatch
 
 
 def greedy_walk(problem, start, goal, step_cap=None):
@@ -206,7 +285,7 @@ def greedy_walk(problem, start, goal, step_cap=None):
             step_cap = 4 * problem.grid.rows * problem.grid.cols
         else:
             step_cap = 4 * 2 * len(problem.blocks)
-    h = heuristic_for(problem)
+    h = heuristic_for(problem, goal)
     cur = start
     states = [start]
     seen = {start}
@@ -216,7 +295,7 @@ def greedy_walk(problem, start, goal, step_cap=None):
         for action, nxt in valid_actions(problem, cur):
             if nxt in seen:
                 continue
-            score = h(nxt, goal)
+            score = h(nxt)
             if best is None or score < best[0]:
                 best = (score, action, nxt)
         if best is None:

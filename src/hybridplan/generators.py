@@ -5,9 +5,12 @@ plan length bucket holds an equal share per split. Blocks: random stack
 configurations of 4-7 blocks, split by optimal plan length so the test
 split is strictly longer-horizon than train/val.
 
-The oracles used here (plain BFS for mazes, a lean A* for blocks) are
-kept separate from the trace-recording engines in search.py so generated
-optimal lengths can serve as an independent check on those engines.
+The oracles used here (plain BFS for mazes, a lean A* and an exhaustive
+BFS for blocks) run their own searches, apart from the trace-recording
+engines in search.py, so generated optimal lengths check those engines'
+search. They share the engines' step semantics: the blocks oracles
+expand states through domains.valid_actions, the same successors the
+engines probe.
 """
 
 from __future__ import annotations
@@ -169,11 +172,11 @@ def blocks_optimal_plan(problem, max_expansions=None):
     start, goal = problem.start, problem.goal
     if start == goal:
         return ()
-    h = heuristic_for(problem)
+    h = heuristic_for(problem, goal)
     g_score = {start: 0}
     came_from = {}
     counter = 0
-    frontier = [(h(start, goal), counter, start)]
+    frontier = [(h(start), counter, start)]
     closed = set()
     expansions = 0
     while frontier:
@@ -193,7 +196,7 @@ def blocks_optimal_plan(problem, max_expansions=None):
             if nxt == goal:
                 return _extract_plan(came_from, start, goal)
             counter += 1
-            heapq.heappush(frontier, (tentative + h(nxt, goal), counter, nxt))
+            heapq.heappush(frontier, (tentative + h(nxt), counter, nxt))
     return None
 
 

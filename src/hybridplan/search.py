@@ -20,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .domains import candidate_actions, heuristic_for, step
+from .domains import _expand, heuristic_for
 
 VALID = "valid"
 INVALID = "invalid"
@@ -130,8 +130,8 @@ def _search(problem, algorithm, config):
     start, goal = problem.start, problem.goal
     if start == goal:
         return SearchRun(problem, algorithm, (), (), 0)
-    h = heuristic_for(problem) if algorithm == "astar" else None
-    frontier, pop, push = _frontier(algorithm, start, h(start, goal) if h else None)
+    h = heuristic_for(problem, goal) if algorithm == "astar" else None
+    frontier, pop, push = _frontier(algorithm, start, h(start) if h else None)
     rng = random.Random(config.seed)
     events = []
     g_score = {start: 0}
@@ -145,8 +145,7 @@ def _search(problem, algorithm, config):
         g = g_score[current] + 1
         probes, children = [], []
         goal_found = False
-        for action in candidate_actions(problem, current):
-            nxt, reason = step(problem, current, action)
+        for action, nxt, reason in _expand(problem, current):
             if nxt is None:
                 probes.append((None, action, INVALID, reason, None, None, None))
                 continue
@@ -155,11 +154,11 @@ def _search(problem, algorithm, config):
                 if h and g < g_score[nxt] and nxt not in closed:
                     g_score[nxt] = g
                     came_from[nxt] = (current, action)
-                    children.append((nxt, g, h(nxt, goal)))
+                    children.append((nxt, g, h(nxt)))
                 continue
             g_score[nxt] = g
             came_from[nxt] = (current, action)
-            t = h(nxt, goal) if h else None
+            t = h(nxt) if h else None
             probes.append((nxt, action, VALID, None, g, t, g + t if h else None))
             if nxt == goal:
                 goal_found = True

@@ -30,7 +30,7 @@ def blocks_states(draw, blocks):
 
 @st.composite
 def blocks_problems(draw, max_blocks=6):
-    blocks = tuple("ABCDEF"[:draw(st.integers(1, max_blocks))])
+    blocks = tuple("ABCDEFG"[:draw(st.integers(1, max_blocks))])
     return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
                            goal=draw(blocks_states(blocks)), blocks=blocks)
 

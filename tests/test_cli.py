@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +63,26 @@ class TestValidation:
     def test_bad_budget_exits_2(self, problems_file, argv, capsys):
         assert main(argv + ["--problems", problems_file]) == 2
         assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--workers", "0"],
+        ["eval", "--workers", "-3"],
+        ["sweep", "--workers", "0"],
+    ])
+    def test_bad_workers_exits_2(self, problems_file, argv, capsys):
+        assert main(argv + ["--problems", problems_file]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_problem_without_oracle_length_exits_3(self, small_maze_dataset, tmp_path,
+                                                    command, capsys):
+        problem = replace(small_maze_dataset["test"][0], optimal_length=None)
+        path = tmp_path / "maze.jsonl"
+        save_problems(str(path), {"test": [problem]})
+        assert main([command, "--problems", str(path), "--planner", "system1",
+                     "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and problem.problem_id in err
 
     @pytest.mark.parametrize("command,data,selector", [
         ("eval", "blocks", "maze-manhattan"),

@@ -8,10 +8,14 @@ from hybridplan.domains import (
     MAZE_ACTIONS,
     MazeGrid,
     PlanningProblem,
+    _expand,
+    _manhattan,
+    _neighbor_maps,
     blocks_step,
     candidate_actions,
     canonical_blocks,
     greedy_walk,
+    heuristic_for,
     maze_step,
     plan_states,
     render_maze,
@@ -191,6 +195,30 @@ def test_valid_actions_are_the_legal_steps(problem, data):
     state = data.draw(states_of(problem))
     legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem, state)]
     assert valid_actions(problem, state) == [(a, nxt) for a, nxt in legal if nxt is not None]
+
+
+@PROPERTY
+@given(st.one_of(maze_problems(), blocks_problems(max_blocks=7)), st.data())
+def test_expansion_is_the_step_of_every_candidate(problem, data):
+    state = data.draw(states_of(problem))
+    if problem.domain == "blocks":  # a start state read from a file need not be sorted
+        state = tuple(data.draw(st.permutations(state)))
+    assert _expand(problem, state) == [(a, *step(problem, state, a))
+                                       for a in candidate_actions(problem, state)]
+
+
+def pairwise_mismatch(a, b):
+    """Blocks of state a whose supporting block (or table) differs in b."""
+    below_a, below_b = _neighbor_maps(a)[0], _neighbor_maps(b)[0]
+    return sum(1 for block in below_a if below_a[block] != below_b.get(block))
+
+
+@PROPERTY
+@given(st.one_of(maze_problems(), blocks_problems(max_blocks=7)), st.data())
+def test_goal_bound_heuristic_is_the_pairwise_distance(problem, data):
+    state, goal = data.draw(states_of(problem)), data.draw(states_of(problem))
+    pairwise = _manhattan if problem.domain == "maze" else pairwise_mismatch
+    assert heuristic_for(problem, goal)(state) == pairwise(state, goal)
 
 
 @PROPERTY

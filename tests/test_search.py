@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks, validate_plan
-from hybridplan.domains import _blocks_mismatch as blocks_mismatch
-from hybridplan.domains import _manhattan as manhattan
-from hybridplan.generators import maze_distances
+from hybridplan.domains import (
+    MazeGrid,
+    PlanningProblem,
+    canonical_blocks,
+    heuristic_for,
+    validate_plan,
+)
+from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
 from hybridplan.search import TraceConfig, astar, bfs, dfs, run_engine, truncate_run
 from hybridplan.textio import verbalize_trace
 from strategies import blocks_problems, maze_problems
@@ -27,6 +31,15 @@ def random_maze(rng):
         free = grid.free_cells()
         start, goal = rng.sample(free, 2)
         return PlanningProblem(domain="maze", start=start, goal=goal, grid=grid)
+
+
+def manhattan(a, b):
+    return heuristic_for(maze_problem(9, 9, (), a, b), b)(a)
+
+
+def blocks_mismatch(a, b):
+    blocks = tuple(sorted(x for stack in a for x in stack))
+    return heuristic_for(PlanningProblem(domain="blocks", start=a, goal=b, blocks=blocks), b)(a)
 
 
 class TestHeuristics:
@@ -280,3 +293,20 @@ def test_truncation_gives_a_prefix(engine, caps, problem, cap):
     kept = run.events_at_goal is not None and run.events_at_goal <= cap
     assert cut.plan == (run.plan if kept else None)
     assert cut.events_at_goal == (run.events_at_goal if kept else None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(maze_problems(max_side=5), blocks_problems(max_blocks=4)))
+def test_astar_and_bfs_lengths_agree_with_the_oracles(problem):
+    """The generators' oracles share the engines' successors but not their
+    search, so agreeing lengths check both."""
+    a, b = astar(problem), bfs(problem)
+    if problem.domain == "maze":
+        oracle = maze_distances(problem.grid, problem.start)[0].get(problem.goal)
+    else:
+        oracle = len(blocks_optimal_plan(problem))
+        assert blocks_bfs_length(problem) == oracle
+    if oracle is None:
+        assert a.plan is None and b.plan is None
+    else:
+        assert len(a.plan) == len(b.plan) == oracle
