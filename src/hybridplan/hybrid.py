@@ -4,7 +4,10 @@ states-explored accounting.
 
 The fast planner emits whatever path it walked even when it never reached
 the goal; validity is judged downstream by the plan validator, and its
-states-explored equals the emitted plan length.
+states-explored equals the emitted plan length. Search sub-goals are
+scored by search.explore, which counts the states explored and builds no
+trace, so no outcome carries a search run: an outcome is its plan and
+states explored, cut to the budget by the greedy cut or reached_within.
 
 A SweepMemo lets the passes of a budget sweep solve each skeleton and each
 distinct sub-goal once, then cut the cached outcome to each pass's budget.
@@ -12,11 +15,11 @@ distinct sub-goal once, then cut the cached outcome to each pass's budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .controller import SYS1, SubGoal
 from .domains import greedy_walk, skeleton
-from .search import TraceConfig, reached_within, run_engine, truncate_run
+from .search import TraceConfig, explore, reached_within
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,6 @@ class PlannerOutcome:
     states_explored: int
     mode: str  # "sys1" | "sys2"
     subgoal: SubGoal | None = None
-    run: object | None = None  # SearchRun for sys2 outcomes
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,9 @@ def greedy_plan(problem, step_cap=None):
 class SweepMemo(dict):
     """What the passes of one budget sweep share: each problem's skeleton,
     and the unbudgeted outcome of each (sub-goal, engine, trace config) in
-    compact form, (plan, states explored, recorded events at the goal).
-    It keeps no trace events, so a pass cuts a cached outcome to its
-    budget by the rules solve_hybrid applies to a fresh one."""
+    compact form, (plan, states explored, states explored when the goal
+    was found). A pass cuts a cached outcome to its budget by the rules
+    solve_hybrid applies to a fresh one."""
 
     def skeleton(self, problem):
         key = (problem.domain, problem.grid, problem.blocks, problem.start, problem.goal)
@@ -70,32 +72,29 @@ class SweepMemo(dict):
         key = (problem.domain, problem.grid, problem.blocks, subgoal.start, subgoal.goal,
                subgoal.mode, engines.sys2, engines.trace)
         if key not in self:
-            self[key] = _unbudgeted(problem, subgoal, engines)[:3]
+            self[key] = _unbudgeted(problem, subgoal, engines)
         return self[key]
 
 
 def _unbudgeted(problem, subgoal, engines):
     """One sub-goal solved without a budget: (plan, states explored,
-    recorded events at the goal, search run); the last two are None for
-    the greedy planner."""
-    sub_problem = replace(problem, start=subgoal.start, goal=subgoal.goal,
-                          gold_plan=None, optimal_length=None)
+    states explored when the goal was found); the last is None for the
+    greedy planner."""
     if subgoal.mode == SYS1:
-        plan = greedy_plan(sub_problem).plan
-        return plan, len(plan), None, None
-    run = run_engine(engines.sys2, sub_problem, engines.trace)
-    return run.plan, run.states_explored, run.events_at_goal, run
+        plan, _ = greedy_walk(problem, subgoal.start, subgoal.goal)
+        return plan, len(plan), None
+    return explore(engines.sys2, problem, subgoal.start, subgoal.goal, engines.trace)
 
 
 def solve_hybrid(problem, meta_plan, engines=EnginesConfig(), memo=None):
     """Solve the meta-plan's sub-goals in order and concatenate.
 
     With a global state budget, each sub-goal only gets the remaining
-    budget: search runs are truncated to it and the greedy planner's
-    emitted walk is cut at it. A failed search sub-goal (no plan within
-    budget) stops the run with a failure outcome; its explored states
-    still count. With a SweepMemo, each sub-goal's unbudgeted outcome is
-    taken from it and no outcome carries its search run.
+    budget: a search sub-goal keeps its plan only if the goal was found
+    within it, and the greedy planner's emitted walk is cut at it. A
+    failed search sub-goal (no plan within budget) stops the run with a
+    failure outcome; its explored states still count. With a SweepMemo,
+    each sub-goal's unbudgeted outcome is taken from it.
     """
     outcomes = []
     parts = []
@@ -107,20 +106,17 @@ def solve_hybrid(problem, meta_plan, engines=EnginesConfig(), memo=None):
             failed = True
             break
         if memo is None:
-            plan, se, at_goal, run = _unbudgeted(problem, subgoal, engines)
+            plan, se, at_goal = _unbudgeted(problem, subgoal, engines)
         else:
             plan, se, at_goal = memo.outcome(problem, subgoal, engines)
-            run = None
         if remaining is not None and se > remaining:
             if subgoal.mode == SYS1:
                 plan = plan[:remaining]
             else:
                 plan = plan if reached_within(at_goal, remaining) else None
-                if run is not None:
-                    run = truncate_run(run, remaining)
             se = remaining
         outcomes.append(PlannerOutcome(plan=plan, states_explored=se, mode=subgoal.mode,
-                                       subgoal=subgoal, run=run))
+                                       subgoal=subgoal))
         total += se
         if plan is None:
             failed = True

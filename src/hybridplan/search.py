@@ -2,14 +2,26 @@
 
 One search loop serves all three engines; they differ only in their
 frontier (a heap on (f, t, insertion order), a FIFO queue, a LIFO stack).
-Every probe made while expanding a state is logged as an ExplorationEvent,
-including invalid ones (out-of-bounds, obstacle, precondition failure,
+Every probe made while expanding a state counts as explored, including
+invalid ones (out-of-bounds, obstacle, precondition failure,
 already-visited), so that a run's states-explored count covers both valid
 and invalid explorations. The recording caps of TraceConfig apply to every
-engine: the valid cap keeps the lowest-t probes of an expansion (probe
+engine: per expansion, the valid cap keeps the lowest-t valid probes (probe
 order for BFS and DFS, which have no t), the invalid cap a seeded random
-sample. Runs can be truncated afterwards to a state budget: a truncated
-run keeps its plan only if the goal was discovered within the budget.
+sample of the invalid ones.
+
+The loop hands each expansion to one of two accounts:
+
+- the event recorder (astar, bfs, dfs, run_engine) logs the kept probes as
+  ExplorationEvents, the trace the corpora are written from;
+- the counter (explore, the scoring entry) adds min(valid, valid cap) +
+  min(invalid, invalid cap) and builds no probe, event or random sample.
+  The caps only choose which probes are recorded, never how many, so the
+  count equals the recorder's len(events), and the count when the goal is
+  generated equals its events_at_goal.
+
+A run cut to a state budget keeps its plan only if the goal was found
+within the budget (reached_within).
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .domains import _expand, heuristic_for
 
@@ -99,41 +111,75 @@ def _frontier(algorithm, start, t):
     return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
 
 
-def _record(events, probes, parent_state, config, rng):
-    """Append one expansion's probes, given as (state, action, validity,
-    reason, g, t, f) tuples, to events under the recording caps.
+def _recorder(config, events):
+    """The event account: appends each expansion's probes to events as
+    ExplorationEvents under the recording caps, and returns how many.
 
-    The valid cap keeps the lowest-t probes (a stable sort, so probe order
-    for engines without t); the invalid cap keeps a seeded random sample.
-    Kept probes stay in probe order."""
+    The valid cap keeps the lowest-t valid probes (a stable sort, so probe
+    order for engines without t); the invalid cap keeps a seeded random
+    sample. Kept probes stay in probe order."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
-    if valid_cap is not None or invalid_cap is not None:
-        valid = [i for i, p in enumerate(probes) if p[2] == VALID]
-        invalid = [i for i, p in enumerate(probes) if p[2] == INVALID]
-        if valid_cap is not None and len(valid) > valid_cap:
-            valid = sorted(valid, key=lambda i: probes[i][5] or 0)[:valid_cap]
-        if invalid_cap is not None and len(invalid) > invalid_cap:
-            invalid = rng.sample(invalid, invalid_cap)
-        keep = set(valid) | set(invalid)
-        probes = [p for i, p in enumerate(probes) if i in keep]
-    for state, action, validity, reason, g, t, f in probes:
-        events.append(ExplorationEvent(len(events), state, parent_state,
-                                       action, validity, reason, g, t, f))
+    capped = valid_cap is not None or invalid_cap is not None
+    rng = random.Random(config.seed)
+
+    def record(parent, g, expansion, fresh):
+        if capped:
+            valid = [i for i, p in enumerate(expansion) if p[1] in fresh]
+            invalid = [i for i, p in enumerate(expansion) if p[1] not in fresh]
+            if valid_cap is not None and len(valid) > valid_cap:
+                valid = sorted(valid, key=lambda i: fresh[expansion[i][1]] or 0)[:valid_cap]
+            if invalid_cap is not None and len(invalid) > invalid_cap:
+                invalid = rng.sample(invalid, invalid_cap)
+            keep = set(valid) | set(invalid)
+            expansion = [p for i, p in enumerate(expansion) if i in keep]
+        before = len(events)
+        for action, state, reason in expansion:
+            if state in fresh:
+                t = fresh[state]
+                event = ExplorationEvent(len(events), state, parent, action, VALID, None,
+                                         g, t, None if t is None else g + t)
+            else:
+                event = ExplorationEvent(len(events), state, parent, action, INVALID,
+                                         reason or "already-visited")
+            events.append(event)
+        return len(events) - before
+
+    return record
 
 
-def _search(problem, algorithm, config):
+def _counter(config):
+    """The counting account: how many events the recorder would keep of
+    an expansion, from its probe and fresh-state counts alone."""
+    valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
+
+    def count(parent, g, expansion, fresh):
+        valid = len(fresh)
+        invalid = len(expansion) - valid
+        if valid_cap is not None and valid > valid_cap:
+            valid = valid_cap
+        if invalid_cap is not None and invalid > invalid_cap:
+            invalid = invalid_cap
+        return valid + invalid
+
+    return count
+
+
+def _search(problem, start, goal, algorithm, account):
     """The search loop shared by every engine; only the frontier differs.
 
     A state counts as visited once generated. A* alone re-opens a generated,
-    unclosed state that is reached more cheaply. The search stops after the
-    expansion that generates the goal."""
-    start, goal = problem.start, problem.goal
+    unclosed state that is reached more cheaply. Each expansion is passed to
+    account(parent, g, expansion, fresh), fresh mapping each newly generated
+    state to its t, which returns how many states it counts as explored.
+    The search stops after the expansion that generates the goal.
+
+    Returns (plan, states explored, states explored when the goal was
+    found); the plan and the last are None when the goal is never found."""
     if start == goal:
-        return SearchRun(problem, algorithm, (), (), 0)
+        return (), 0, 0
     h = heuristic_for(problem, goal) if algorithm == "astar" else None
     frontier, pop, push = _frontier(algorithm, start, h(start) if h else None)
-    rng = random.Random(config.seed)
-    events = []
+    explored = 0
     g_score = {start: 0}
     came_from = {}
     closed = set()
@@ -143,14 +189,12 @@ def _search(problem, algorithm, config):
             continue
         closed.add(current)
         g = g_score[current] + 1
-        probes, children = [], []
-        goal_found = False
-        for action, nxt, reason in _expand(problem, current):
+        expansion = _expand(problem, current)
+        fresh, children = {}, []
+        for action, nxt, _ in expansion:
             if nxt is None:
-                probes.append((None, action, INVALID, reason, None, None, None))
                 continue
             if nxt in g_score:
-                probes.append((nxt, action, INVALID, "already-visited", None, None, None))
                 if h and g < g_score[nxt] and nxt not in closed:
                     g_score[nxt] = g
                     came_from[nxt] = (current, action)
@@ -158,35 +202,37 @@ def _search(problem, algorithm, config):
                 continue
             g_score[nxt] = g
             came_from[nxt] = (current, action)
-            t = h(nxt) if h else None
-            probes.append((nxt, action, VALID, None, g, t, g + t if h else None))
-            if nxt == goal:
-                goal_found = True
-            else:
-                children.append((nxt, g, t))
-        _record(events, probes, current, config, rng)
-        if goal_found:
-            plan = _reconstruct(came_from, goal, start)
-            return SearchRun(problem, algorithm, tuple(events), plan, len(events))
+            t = fresh[nxt] = h(nxt) if h else None
+            children.append((nxt, g, t))
+        explored += account(current, g, expansion, fresh)
+        if goal in fresh:
+            return _reconstruct(came_from, goal, start), explored, explored
         push(children)
-    return SearchRun(problem, algorithm, tuple(events), None, None)
+    return None, explored, None
+
+
+def _traced(problem, algorithm, config):
+    events = []
+    plan, _, at_goal = _search(problem, problem.start, problem.goal, algorithm,
+                               _recorder(config, events))
+    return SearchRun(problem, algorithm, tuple(events), plan, at_goal)
 
 
 def astar(problem, config=TraceConfig()):
     """A* with unit edge costs; optimal under the admissible, consistent
     domain heuristics."""
-    return _search(problem, "astar", config)
+    return _traced(problem, "astar", config)
 
 
 def bfs(problem, config=TraceConfig()):
     """Breadth-first search; optimal in these unit-cost domains."""
-    return _search(problem, "bfs", config)
+    return _traced(problem, "bfs", config)
 
 
 def dfs(problem, config=TraceConfig()):
     """Depth-first search; returns the first plan found, not necessarily
     optimal."""
-    return _search(problem, "dfs", config)
+    return _traced(problem, "dfs", config)
 
 
 ENGINES = {"astar": astar, "bfs": bfs, "dfs": dfs}
@@ -200,24 +246,17 @@ def run_engine(name, problem, config=TraceConfig()):
     return engine(problem, config)
 
 
+def explore(name, problem, start, goal, config=TraceConfig()):
+    """Score engine `name` from `start` to `goal` in the problem's maze or
+    block universe without building a trace: (plan, states explored,
+    states explored when the goal was found), equal to the plan,
+    len(events) and events_at_goal of the engine's run."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}")
+    return _search(problem, start, goal, name, _counter(config))
+
+
 def reached_within(events_at_goal, cap):
     """Whether a run that found its goal after `events_at_goal` recorded
     events (None: never) keeps its plan when cut after `cap` events."""
     return events_at_goal is not None and events_at_goal <= cap
-
-
-def truncate_run(run, cap):
-    """Cut a run after `cap` recorded events. The plan survives only if the
-    goal had been discovered within the first `cap` events."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if cap >= len(run.events):
-        return run
-    reached = reached_within(run.events_at_goal, cap)
-    return replace(
-        run,
-        events=run.events[:cap],
-        plan=run.plan if reached else None,
-        events_at_goal=run.events_at_goal if reached else None,
-    )
-

@@ -14,7 +14,7 @@ import json
 import os
 import re
 
-from .domains import MazeGrid, PlanningProblem, render_maze
+from .domains import MazeGrid, PlanningProblem, canonical_blocks, render_maze
 from .search import VALID
 
 TEMPLATE_VERSION = "grammar-v1"
@@ -242,11 +242,16 @@ def problem_to_json(problem):
 
 
 def problem_from_json(rec):
+    """A problem from its record. Blocks states are canonicalized, so a
+    goal written with its stacks out of bottom order is still reachable."""
     domain = rec["domain"]
+    start, goal = parse_state(rec["start"]), parse_state(rec["goal"])
+    if domain == "blocks":
+        start, goal = canonical_blocks(start), canonical_blocks(goal)
     kwargs = dict(
         domain=domain,
-        start=parse_state(rec["start"]),
-        goal=parse_state(rec["goal"]),
+        start=start,
+        goal=goal,
         gold_plan=tuple(parse_action(a) for a in rec["gold_plan"]) if rec.get("gold_plan") is not None else None,
         optimal_length=rec.get("optimal_length"),
         problem_id=rec.get("id", ""),

@@ -4,6 +4,7 @@ the property tests."""
 from hypothesis import strategies as st
 
 from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks
+from hybridplan.generators import maze_distances
 
 
 @st.composite
@@ -39,4 +40,12 @@ def states_of(problem):
     """Strategy for a legal state of the problem's maze or blocks universe."""
     if problem.domain == "maze":
         return st.sampled_from(problem.grid.free_cells())
+    return blocks_states(problem.blocks)
+
+
+def reachable_states(problem):
+    """Strategy for a state reachable from the problem's start: a cell of
+    the start's maze component, or any state of the block universe."""
+    if problem.domain == "maze":
+        return st.sampled_from(sorted(maze_distances(problem.grid, problem.start)[0]))
     return blocks_states(problem.blocks)

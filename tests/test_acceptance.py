@@ -31,6 +31,7 @@ from hybridplan.textio import (
     verbalize_trace,
 )
 
+from reference import capped_totals
 from test_controller import brute_force_window
 
 
@@ -216,11 +217,12 @@ def test_criterion_8_budget_matcher_oracle():
     ok = True
     for _ in range(50):
         sizes = [rng.randint(1, 10_000) for _ in range(rng.randint(1, 40))]
+        totals = capped_totals(sizes)
         for _ in range(5):
             target = rng.randint(1, 11_000)
             best = 1
             for cap in range(1, max(sizes) + 1):
-                if sum(min(s, cap) for s in sizes) <= target * len(sizes):
+                if totals[cap] <= target * len(sizes):
                     best = cap
             if match_budget_cap(sizes, target) != best:
                 ok = False

@@ -139,6 +139,16 @@ class TestPlanEvalSweep:
         assert code == 0
         assert "validity=" in capsys.readouterr().out
 
+    def test_blocks_goal_with_stacks_out_of_bottom_order(self, tmp_path, capsys):
+        path = tmp_path / "blocks.jsonl"
+        path.write_text(json.dumps({
+            "id": "unsorted-goal", "domain": "blocks", "blocks": ["A", "B", "C"],
+            "start": "A,B|C", "goal": "C|B,A", "gold_plan": None,
+            "optimal_length": 2, "split": "test"}) + "\n")
+        assert main(["eval", "--problems", str(path), "--planner", "system2"]) == 0
+        out = capsys.readouterr().out
+        assert "validity=1.000" in out and "optimality=1.000" in out
+
 
 class TestControllerData:
     def test_build_controller_data(self, problems_file, tmp_path, capsys):

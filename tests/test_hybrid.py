@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hybridplan.hybrid import (
 )
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
+from reference import truncate_run
 from strategies import blocks_problems, maze_problems, states_of
 
 
@@ -133,7 +135,7 @@ class TestSolveHybrid:
         for engine in ("astar", "bfs", "dfs"):
             run = solve_hybrid(p, meta, EnginesConfig(sys2=engine))
             assert validate_plan(p, run.plan)[0]
-            assert run.outcomes[0].run.algorithm == engine
+            assert run.plan == run_engine(engine, p).plan
 
 
 # sha256 over the greedy Sys1 plans of the small test splits, per domain.
@@ -210,7 +212,8 @@ def meta_plans(draw, problem):
 def test_memo_gives_the_fresh_outcomes(engine, caps, data):
     """Over budgets drawn at random, solve_hybrid with one shared memo gives
     the plans and the total and per-outcome states explored of fresh solves,
-    and a fresh Sys2 outcome is its truncated run's."""
+    and a fresh Sys2 outcome is its recorded run cut to the remaining
+    budget by the reference truncation."""
     problem = data.draw(small_problems)
     meta = data.draw(meta_plans(problem))
     budgets = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 80)), min_size=1, max_size=4))
@@ -223,6 +226,12 @@ def test_memo_gives_the_fresh_outcomes(engine, caps, data):
         assert cached.states_explored == fresh.states_explored
         assert [(o.mode, o.plan, o.states_explored) for o in cached.outcomes] == \
             [(o.mode, o.plan, o.states_explored) for o in fresh.outcomes]
+        spent = 0
         for o in fresh.outcomes:
             if o.mode == SYS2:
-                assert (o.plan, o.states_explored) == (o.run.plan, o.run.states_explored)
+                sub = replace(problem, start=o.subgoal.start, goal=o.subgoal.goal)
+                run = run_engine(engine, sub, CAPS[caps])
+                if budget is not None:
+                    run = truncate_run(run, budget - spent)
+                assert (o.plan, o.states_explored) == (run.plan, run.states_explored)
+            spent += o.states_explored

@@ -1,10 +1,13 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridplan import search
+from hybridplan.controller import SYS2, SubGoal
 from hybridplan.domains import (
     MazeGrid,
     PlanningProblem,
@@ -13,9 +16,11 @@ from hybridplan.domains import (
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
-from hybridplan.search import TraceConfig, astar, bfs, dfs, run_engine, truncate_run
+from hybridplan.hybrid import EnginesConfig, SweepMemo, solve_hybrid
+from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import verbalize_trace
-from strategies import blocks_problems, maze_problems
+from reference import truncate_run
+from strategies import blocks_problems, maze_problems, reachable_states
 
 
 def maze_problem(rows, cols, obstacles, start, goal):
@@ -310,3 +315,49 @@ def test_astar_and_bfs_lengths_agree_with_the_oracles(problem):
         assert a.plan is None and b.plan is None
     else:
         assert len(a.plan) == len(b.plan) == oracle
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("caps", ["nocaps", "caps"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_count_equals_the_recorded_trace(engine, caps, data):
+    """The counting account gives the plan, event count and goal count of
+    the recorded run between the same endpoints, caps or not."""
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+    problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
+    start = data.draw(reachable_states(problem))
+    goal = data.draw(st.one_of(st.just(problem.goal), reachable_states(problem)))
+    run = run_engine(engine, replace(problem, start=start, goal=goal), config)
+    assert explore(engine, problem, start, goal, config) == \
+        (run.plan, len(run.events), run.events_at_goal)
+
+
+def test_explore_rejects_unknown_engine():
+    p = maze_problem(3, 3, (), (0, 0), (2, 2))
+    with pytest.raises(ValueError):
+        explore("ids", p, p.start, p.goal)
+
+
+def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_dataset):
+    """solve_hybrid, fresh or from a sweep memo, scores by counting."""
+    problems = [*small_maze_dataset["test"][:10], *small_blocks_dataset["test"][:3]]
+    expected = {}
+    for p in problems:
+        run = astar(p)
+        expected[p.problem_id] = (run.plan, len(run.events))
+
+    def no_events(*args, **kwargs):
+        raise AssertionError("an ExplorationEvent was built")
+
+    monkeypatch.setattr(search, "ExplorationEvent", no_events)
+    with pytest.raises(AssertionError):
+        astar(problems[0])
+    memo = SweepMemo()
+    for p in problems:
+        meta = (SubGoal(p.start, p.goal, SYS2),)
+        for budget in (None, 5):
+            engines = EnginesConfig(budget=budget)
+            assert solve_hybrid(p, meta, engines) == solve_hybrid(p, meta, engines, memo)
+        run = solve_hybrid(p, meta, memo=memo)
+        assert (run.plan, run.states_explored) == expected[p.problem_id]
