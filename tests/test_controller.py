@@ -241,6 +241,10 @@ GOLDEN_METAPLAN_DIGESTS = {
     ("maze", "edge-window"): "9dfd8bd79ffa6117fbb50da34df8842a012108a64750b5cee471934e616f2b41",
     ("blocks", "sliding-window"): "0278c3ebe7dfe788db5959850e9e789c494682819bcc092ee3858d805ec27eac",
     ("blocks", "edge-window"): "8f53a2d3aa2f140adb8201269c55992a91c3831f0949fdef294485be13c1bc99",
+    ("maze", "no-subgoal"): "d0cd6d04c6daf2e8cc593c5b9a3edfba2670c644b8bb61ee9139519134e23006",
+    ("maze", "random"): "c095b778acabe2b9025040411a7c9a5437c42956065d1ebfe1350c411dd831b1",
+    ("blocks", "no-subgoal"): "369e1f8a70552316d496ff0466123cad36fb0aeef059841cb47fe6a75d473e6d",
+    ("blocks", "random"): "490a7683c8ef2ca5d45a60fbdff8c506e9bdaca02ef950e91feb75c821699ab7",
 }
 
 
@@ -254,3 +258,31 @@ def test_golden_metaplan_digests(domain, variant, small_maze_dataset, small_bloc
             digest.update(verbalize_metaplan(ctl.decompose(p)).encode())
             digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_METAPLAN_DIGESTS[(domain, variant)]
+
+
+# sha256 over the verbalized controller-dataset records (problem id, then
+# meta-plan) of the small train splits, per domain and variant, for x in
+# 0.25, 0.5 and 0.75. Any change to the ranking, the easy/hard split or
+# the window optimizer on gold plans changes a digest.
+GOLDEN_DATASET_DIGESTS = {
+    ("maze", "sliding-window"): "3a65fd229d45808dcf991425108bb315ef30da085ee37affd09e6fa8a1cacbb6",
+    ("maze", "edge-window"): "b03f6ef7883f57ccb3ec30dfe78b8a6544d3d30b5934056adf44576a4b898953",
+    ("maze", "no-subgoal"): "d1110458e0455de95839b35b21e8495336d9b3dc99bc545fa29572bf79a97c57",
+    ("maze", "random"): "3a65fd229d45808dcf991425108bb315ef30da085ee37affd09e6fa8a1cacbb6",
+    ("blocks", "sliding-window"): "acf4348287fa784f0f2f7796dfa55f4bf8526e93d5829ba4388b3c88adc6f595",
+    ("blocks", "edge-window"): "5d8b239a0a1c93e1d66910be59bfc29eba7699f34e8d7ead60ff6eae6afbca61",
+    ("blocks", "no-subgoal"): "e34fd602962db87e026c17d877701f885ef7e6752e3b4fb69f24814101a19521",
+    ("blocks", "random"): "acf4348287fa784f0f2f7796dfa55f4bf8526e93d5829ba4388b3c88adc6f595",
+}
+
+
+@pytest.mark.parametrize("domain,variant", sorted(GOLDEN_DATASET_DIGESTS))
+def test_golden_controller_dataset_digests(domain, variant, small_maze_dataset,
+                                           small_blocks_dataset):
+    dataset = small_maze_dataset if domain == "maze" else small_blocks_dataset
+    digest = hashlib.sha256()
+    for x in (0.25, 0.5, 0.75):
+        config = ControllerConfig(x=x, variant=variant)
+        for p, meta in build_controller_dataset(dataset["train"], config):
+            digest.update(f"{p.problem_id}\n{verbalize_metaplan(meta)}\n\n".encode())
+    assert digest.hexdigest() == GOLDEN_DATASET_DIGESTS[(domain, variant)]

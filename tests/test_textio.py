@@ -225,6 +225,40 @@ class TestEmitDatasets:
                     assert sum(1 for e in group if e["validity"] == "valid") <= 3
                     assert sum(1 for e in group if e["validity"] != "valid") <= 2
 
+    # sha256 of the three corpora emitted from the whole small train splits
+    # (A*, controller at x=0.5), caps off and 3/2.
+    GOLDEN_CORPUS_DIGESTS = {
+        ("maze", "nocaps"): (
+            "769e215ab47b8bb7e05393c12bf5f1bcd5c51d10c04eff3a3b063cb2d8e83438",
+            "f0dc8e47ed7e7a7276b949de93f7313f72cac840a160b5b132f77963a7a038ac",
+            "ad24c0f5753cfb48848f33e6a6be32e5650d5c914fe26af3193d275501762d31"),
+        ("maze", "caps"): (
+            "769e215ab47b8bb7e05393c12bf5f1bcd5c51d10c04eff3a3b063cb2d8e83438",
+            "e2034702f60d642b97d339fa10678b3dafe194892645bb221c3a31e959f1834a",
+            "ad24c0f5753cfb48848f33e6a6be32e5650d5c914fe26af3193d275501762d31"),
+        ("blocks", "nocaps"): (
+            "cfb4d813f144b6da66f155ed3343a44c07ebab6e8670326cc9986206f63d9eaf",
+            "617a0a72056cb5b5fc317288f0fad2a400ed024b670deb9bb14b9d48e3cd87e4",
+            "e3cf3912ea861a7873bde06420f56ab07ffcf5b4184887c14a8b427028695146"),
+        ("blocks", "caps"): (
+            "cfb4d813f144b6da66f155ed3343a44c07ebab6e8670326cc9986206f63d9eaf",
+            "deb16d9d013c5932114475275afef602eda1bccfb73e474bf6605f97173d3ff0",
+            "e3cf3912ea861a7873bde06420f56ab07ffcf5b4184887c14a8b427028695146"),
+    }
+
+    @pytest.mark.parametrize("domain,caps", sorted(GOLDEN_CORPUS_DIGESTS))
+    def test_golden_corpus_digests(self, tmp_path, domain, caps, small_maze_dataset,
+                                   small_blocks_dataset):
+        train = (small_maze_dataset if domain == "maze" else small_blocks_dataset)["train"]
+        trace = TraceConfig(seed=0)
+        if caps == "caps":
+            trace = TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+        records = build_controller_dataset(train, ControllerConfig(x=0.5))
+        emit_datasets(train, records, EnginesConfig(sys2="astar", trace=trace), str(tmp_path))
+        digests = tuple(hashlib.sha256((tmp_path / f"{kind}.jsonl").read_bytes()).hexdigest()
+                        for kind in ("sys1", "sys2", "controller"))
+        assert digests == self.GOLDEN_CORPUS_DIGESTS[(domain, caps)]
+
     def test_no_partial_files_on_error(self, tmp_path, small_maze_dataset):
         from hybridplan.textio import write_jsonl_atomic
 
