@@ -37,7 +37,14 @@ from .generators import (
 from .hardness import SELECTORS
 from .hybrid import EnginesConfig
 from .search import TraceConfig
-from .textio import ParseError, load_problems, save_problems, write_jsonl_atomic, emit_datasets
+from .textio import (
+    ParseError,
+    emit_datasets,
+    load_problems,
+    save_problems,
+    write_atomic,
+    write_jsonl_atomic,
+)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -106,12 +113,7 @@ def _planner_config(args, train_problems):
 
 
 def cmd_gen_maze(args):
-    config = MazeDatasetConfig()
-    try:
-        splits = generate_maze_dataset(args.seed, config)
-    except GenerationExhausted as exc:
-        print(f"generation exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+    splits = generate_maze_dataset(args.seed, MazeDatasetConfig())
     path = _out_path(args, "maze_problems.jsonl")
     save_problems(path, splits)
     counts = {k: len(v) for k, v in splits.items()}
@@ -120,12 +122,7 @@ def cmd_gen_maze(args):
 
 
 def cmd_gen_blocks(args):
-    config = BlocksDatasetConfig()
-    try:
-        splits = generate_blocks_dataset(args.seed, config)
-    except GenerationExhausted as exc:
-        print(f"generation exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+    splits = generate_blocks_dataset(args.seed, BlocksDatasetConfig())
     path = _out_path(args, "blocks_problems.jsonl")
     save_problems(path, splits)
     counts = {k: len(v) for k, v in splits.items()}
@@ -224,14 +221,9 @@ def cmd_sweep(args):
     config = _planner_config(args, splits.get("train", problems))
     report = budget_sweep(problems, config, args.budgets, workers=args.workers)
     path = _out_path(args, "sweep.csv")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(report_to_csv(report))
-    os.replace(tmp, path)
+    write_atomic(path, [report_to_csv(report)])
     if args.plot_data:
-        with open(args.plot_data + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write(report_to_plot_data([report]))
-        os.replace(args.plot_data + ".tmp", args.plot_data)
+        write_atomic(args.plot_data, [report_to_plot_data([report])])
     if args.markdown:
         print(report_to_markdown(report), end="")
     print(f"sweep: {config.label()} {len(report.rows)} rows -> {path}")

@@ -17,10 +17,6 @@ SELECTORS = {
 }
 
 
-def default_selector(domain):
-    return SELECTORS[domain][0]
-
-
 def blocks_distance(a, b):
     """A block is misplaced when its neighbor below or above differs
     between the two states; buried misplaced blocks cost double."""
@@ -42,22 +38,24 @@ def obstacle_count(grid, a, b):
     return sum(1 for (r, c) in grid.obstacles if r0 <= r <= r1 and c0 <= c <= c1)
 
 
-def hardness(selector, problem, a, b):
-    if a == b:
-        return 0
-    if selector == "maze-obstacles":
-        return obstacle_count(problem.grid, a, b)
-    if selector == "maze-manhattan":
-        return _manhattan(a, b)
-    if selector == "blocks-distance":
-        return blocks_distance(a, b)
-    raise ValueError(f"unknown hardness selector {selector!r}")
-
-
 def hardness_fn(selector, problem):
-    return lambda a, b: hardness(selector, problem, a, b)
+    """h(a, b) over the problem's states under the named selector, or under
+    the domain's default when selector is None; h(a, a) is 0."""
+    name = selector or SELECTORS[problem.domain][0]
+    if name == "maze-obstacles":
+        grid = problem.grid
+
+        def measure(a, b):
+            return obstacle_count(grid, a, b)
+    elif name == "maze-manhattan":
+        measure = _manhattan
+    elif name == "blocks-distance":
+        measure = blocks_distance
+    else:
+        raise ValueError(f"unknown hardness selector {name!r}")
+    return lambda a, b: 0 if a == b else measure(a, b)
 
 
 def rank_problems(problems, selector):
     """Stable ascending sort by hardness of the (start, goal) pair."""
-    return sorted(problems, key=lambda p: hardness(selector, p, p.start, p.goal))
+    return sorted(problems, key=lambda p: hardness_fn(selector, p)(p.start, p.goal))

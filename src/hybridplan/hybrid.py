@@ -46,14 +46,6 @@ class EnginesConfig:
     budget: int | None = None
 
 
-def greedy_plan(problem, step_cap=None):
-    """The fast Sys1 planner: domains.greedy_walk from the problem's start
-    to its goal. It emits the walked actions whether or not they reach the
-    goal; its states-explored is the plan length."""
-    plan, _ = greedy_walk(problem, problem.start, problem.goal, step_cap)
-    return PlannerOutcome(plan=plan, states_explored=len(plan), mode=SYS1)
-
-
 class SweepMemo(dict):
     """What the passes of one budget sweep share: each problem's skeleton,
     and the unbudgeted outcome of each (sub-goal, engine, trace config) in

@@ -297,18 +297,24 @@ def load_problems(path):
 
 # ---------------------------------------------------------------- emission
 
-def write_jsonl_atomic(path, records):
-    """Single-writer atomic emit: full temp file, then rename."""
+def write_atomic(path, chunks):
+    """Single-writer atomic emit: write the text chunks to a temp file,
+    then rename it over path. On any failure, the rename's included, the
+    temp file is removed."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_jsonl_atomic(path, records):
+    """One JSON line per record, sorted keys, written by write_atomic."""
+    write_atomic(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 def _sha256(path):
@@ -386,10 +392,6 @@ def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
                 (len(sys1_records), len(sys2_records), len(controller_out)))
         },
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, manifest_path)
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return manifest

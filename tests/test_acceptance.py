@@ -13,12 +13,13 @@ from hybridplan.controller import (
     ControllerConfig,
     HybridController,
     build_controller_dataset,
-    sliding_window_decompose,
+    decompose_states,
 )
-from hybridplan.domains import validate_plan
+from hybridplan.domains import greedy_walk, plan_states, validate_plan
 from hybridplan.evaluate import PlannerConfig, budget_sweep, match_budget_cap
 from hybridplan.generators import blocks_bfs_length
-from hybridplan.hybrid import EnginesConfig, greedy_plan, solve_hybrid
+from hybridplan.hybrid import EnginesConfig, solve_hybrid
+from hybridplan.hardness import hardness_fn
 from hybridplan.search import TraceConfig, astar, bfs, dfs
 from hybridplan.textio import (
     parse_metaplan_text,
@@ -102,7 +103,8 @@ def test_criterion_4_decomposition_fidelity(maze_dataset):
     mismatches = 0
     for p in problems:
         for x in (0.25, 0.5, 0.75):
-            meta = sliding_window_decompose(p, p.gold_plan, x)
+            meta = decompose_states(plan_states(p, p.gold_plan), x, "sliding-window",
+                                    hardness_fn("maze-obstacles", p))
             su, sv = brute_force_window(p, p.gold_plan, x, "maze-obstacles")
             sys2 = [sg for sg in meta if sg.mode == SYS2][0]
             if (sys2.start, sys2.goal) != (su, sv):
@@ -245,8 +247,8 @@ def test_criterion_9_saturation_equivalences(maze_dataset, fitted_controller):
     sys1_ok = True
     for p in test:
         hybrid = solve_hybrid(p, pure1.decompose(p))
-        bare = greedy_plan(p)
-        if hybrid.plan != bare.plan or hybrid.states_explored != bare.states_explored:
+        bare, _ = greedy_walk(p, p.start, p.goal)
+        if hybrid.plan != bare or hybrid.states_explored != len(bare):
             sys1_ok = False
     ok = sys1_ok and sys2_ok
     report("criterion 9 (saturation equivalences)", ok,

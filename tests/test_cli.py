@@ -38,6 +38,18 @@ class TestGenMaze:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command,config", [("gen-maze", "MazeDatasetConfig"),
+                                            ("gen-blocks", "BlocksDatasetConfig")])
+def test_generation_exhausted_exits_4(tmp_path, monkeypatch, capsys, command, config):
+    from hybridplan import cli, generators
+
+    monkeypatch.setattr(cli, config, lambda: getattr(generators, config)(max_attempts=1))
+    out = tmp_path / "problems.jsonl"
+    assert main([command, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("generation exhausted:")
+    assert not out.exists()
+
+
 class TestValidation:
     def test_bad_x_exits_2(self, problems_file, capsys):
         code = main(["plan", "--problems", problems_file, "--x", "1.5"])
@@ -132,6 +144,19 @@ class TestPlanEvalSweep:
         data = json.loads(plot.read_text())
         assert data["series"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot-data"])
+    def test_sweep_output_onto_a_directory_exits_3_leaving_no_temp_file(
+            self, problems_file, tmp_path, flag, capsys):
+        outputs = {"--out": tmp_path / "sweep.csv", "--plot-data": tmp_path / "plot.json"}
+        outputs[flag] = tmp_path / "taken"
+        outputs[flag].mkdir()
+        argv = ["sweep", "--problems", problems_file, "--planner", "system1", "--budgets", "5"]
+        for name, path in outputs.items():
+            argv += [name, str(path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (tmp_path / "taken.tmp").exists()
+
     @pytest.mark.parametrize("planner,engine", [("system2", "bfs"), ("system1x", "dfs")])
     def test_blocks_caps_with_uninformed_engine(self, blocks_file, planner, engine, capsys):
         code = main(["eval", "--problems", blocks_file, "--planner", planner,
@@ -171,6 +196,16 @@ class TestControllerData:
         assert manifest["files"]["sys1"]["count"] == 160
         for kind in ("sys1", "sys2", "controller"):
             assert (out / f"{kind}.jsonl").exists()
+
+
+    def test_emit_datasets_manifest_onto_a_directory_exits_3_leaving_no_temp_file(
+            self, problems_file, tmp_path, capsys):
+        out = tmp_path / "datasets"
+        (out / "manifest.json").mkdir(parents=True)
+        code = main(["emit-datasets", "--problems", problems_file, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (out / "manifest.json.tmp").exists()
 
 
 class TestConfigFile:

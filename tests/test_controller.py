@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridplan.controller import (
     SYS1,
@@ -8,13 +10,19 @@ from hybridplan.controller import (
     ControllerConfig,
     HybridController,
     build_controller_dataset,
-    edge_window_decompose,
-    sliding_window_decompose,
+    decompose_states,
     window_length,
 )
 from hybridplan.domains import plan_states, skeleton
-from hybridplan.hardness import hardness_fn
+from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.textio import verbalize_metaplan
+from strategies import blocks_problems, maze_problems, states_of
+
+
+def gold_window(problem, x, variant="sliding-window"):
+    """The window optimizer over the problem's gold plan, default selector."""
+    return decompose_states(plan_states(problem, problem.gold_plan), x, variant,
+                            hardness_fn(None, problem))
 
 
 def brute_force_window(problem, gold_plan, x, selector):
@@ -46,7 +54,7 @@ class TestSlidingWindow:
         problems = [p for p in small_maze_dataset["train"] if p.optimal_length >= 2][:100]
         for p in problems:
             for x in (0.25, 0.5, 0.75):
-                meta = sliding_window_decompose(p, p.gold_plan, x)
+                meta = gold_window(p, x)
                 su, sv = brute_force_window(p, p.gold_plan, x, "maze-obstacles")
                 sys2 = [sg for sg in meta if sg.mode == SYS2][0]
                 assert (sys2.start, sys2.goal) == (su, sv)
@@ -54,27 +62,27 @@ class TestSlidingWindow:
 
     def test_x_one_whole_plan_window(self, small_maze_dataset):
         p = next(p for p in small_maze_dataset["train"] if p.optimal_length == 8)
-        meta = sliding_window_decompose(p, p.gold_plan, 1.0)
+        meta = gold_window(p, 1.0)
         assert meta == tuple(meta) and len(meta) == 1
         assert meta[0].mode == SYS2
         assert (meta[0].start, meta[0].goal) == (p.start, p.goal)
 
     def test_length_one_plan_clamps(self, small_maze_dataset):
         p = next(p for p in small_maze_dataset["train"] if p.optimal_length == 1)
-        meta = sliding_window_decompose(p, p.gold_plan, 0.3)
+        meta = gold_window(p, 0.3)
         assert len(meta) == 1 and meta[0].mode == SYS2
 
     def test_rejects_x_zero(self, small_maze_dataset):
         p = small_maze_dataset["train"][0]
         with pytest.raises(ValueError):
-            sliding_window_decompose(p, p.gold_plan, 0.0)
+            gold_window(p, 0.0)
 
 
 class TestEdgeWindow:
     def test_only_edge_placements(self, small_maze_dataset):
         problems = [p for p in small_maze_dataset["train"] if p.optimal_length >= 4][:50]
         for p in problems:
-            meta = edge_window_decompose(p, p.gold_plan, 0.5)
+            meta = gold_window(p, 0.5, "edge-window")
             assert len(meta) <= 2
             sys2 = [sg for sg in meta if sg.mode == SYS2][0]
             assert sys2.start == p.start or sys2.goal == p.goal
@@ -91,13 +99,13 @@ class TestEdgeWindow:
                 return (hfn(p.start, sys2.start) - hfn(sys2.start, sys2.goal)
                         + hfn(sys2.goal, p.goal))
 
-            slide = objective(sliding_window_decompose(p, p.gold_plan, 0.5))
-            edge = objective(edge_window_decompose(p, p.gold_plan, 0.5))
+            slide = objective(gold_window(p, 0.5))
+            edge = objective(gold_window(p, 0.5, "edge-window"))
             assert edge >= slide
 
     def test_x_one_single_window(self, small_maze_dataset):
         p = next(p for p in small_maze_dataset["train"] if p.optimal_length >= 4)
-        meta = edge_window_decompose(p, p.gold_plan, 1.0)
+        meta = gold_window(p, 1.0, "edge-window")
         assert len(meta) == 1 and meta[0].mode == SYS2
 
 
@@ -121,11 +129,9 @@ class TestBuildControllerDataset:
             assert (m[0].start, m[0].goal) == (p.start, p.goal)
 
     def test_hard_instances_are_the_hardest(self, small_maze_dataset):
-        from hybridplan.hardness import hardness
-
         problems = small_maze_dataset["train"][:40]
         records = build_controller_dataset(problems, ControllerConfig(x=0.5))
-        scores = [hardness("maze-obstacles", p, p.start, p.goal) for p, _ in records]
+        scores = [hardness_fn("maze-obstacles", p)(p.start, p.goal) for p, _ in records]
         assert scores == sorted(scores)
 
     def test_variant_no_subgoal(self, small_maze_dataset):
@@ -144,13 +150,11 @@ class TestRuntimeController:
             ctl.decompose(small_maze_dataset["test"][0])
 
     def test_easy_below_threshold(self, small_maze_dataset):
-        from hybridplan.hardness import hardness
-
         ctl = self._fitted(small_maze_dataset, x=0.5)
         tau = ctl.threshold()
         for p in small_maze_dataset["test"]:
             meta = ctl.decompose(p)
-            score = hardness("maze-obstacles", p, p.start, p.goal)
+            score = hardness_fn("maze-obstacles", p)(p.start, p.goal)
             if score < tau:
                 assert len(meta) == 1 and meta[0].mode == SYS1
             else:
@@ -199,11 +203,6 @@ class TestRuntimeController:
             assert meta[0].mode == SYS2
             assert (meta[0].start, meta[0].goal) == (p.start, p.goal)
 
-    def test_calibration_roundtrip(self, small_maze_dataset):
-        ctl = self._fitted(small_maze_dataset, x=0.5)
-        clone = HybridController(ControllerConfig(x=0.5)).load_calibration(ctl.calibration)
-        assert clone.threshold() == ctl.threshold()
-
     def test_decompositions_chain(self, small_maze_dataset):
         ctl = self._fitted(small_maze_dataset, x=0.75)
         for p in small_maze_dataset["test"]:
@@ -215,6 +214,38 @@ def assert_chained_or_single(problem, meta):
     assert meta[-1].goal == problem.goal
     for a, b in zip(meta, meta[1:]):
         assert a.goal == b.start
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_window_optimizer_properties(data):
+    """Over random sequences of distinct states: the sub-goals chain from s0
+    to sn, the one Sys2 sub-goal spans window_length(x, n) steps (from an
+    end for edge-window), and it is the first placement of least objective
+    among the allowed ones, found by enumeration."""
+    problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
+    assume(problem.domain == "blocks" and len(problem.blocks) > 1
+           or problem.domain == "maze" and len(problem.grid.free_cells()) > 1)
+    states = data.draw(st.lists(states_of(problem), min_size=2, max_size=12, unique=True))
+    x = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    variant = data.draw(st.sampled_from(("sliding-window", "edge-window")))
+    hfn = hardness_fn(data.draw(st.sampled_from(SELECTORS[problem.domain])), problem)
+    meta = decompose_states(states, x, variant, hfn)
+
+    n = len(states) - 1
+    w = window_length(x, n)
+    assert meta[0].start == states[0] and meta[-1].goal == states[-1]
+    for a, b in zip(meta, meta[1:]):
+        assert a.goal == b.start
+    sys2 = [sg for sg in meta if sg.mode == SYS2]
+    assert len(sys2) == 1
+    u, v = states.index(sys2[0].start), states.index(sys2[0].goal)
+    assert v - u == w
+    starts = range(n - w + 1) if variant == "sliding-window" else sorted({0, n - w})
+    scored = [(hfn(states[0], states[s]) - hfn(states[s], states[s + w])
+               + hfn(states[s + w], states[n]), s) for s in starts]
+    assert min(scored) == (hfn(states[0], states[u]) - hfn(states[u], states[v])
+                           + hfn(states[v], states[n]), u)
 
 
 class TestMazeSkeleton:

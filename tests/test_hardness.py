@@ -5,11 +5,14 @@ import pytest
 from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.hardness import (
     blocks_distance,
-    default_selector,
-    hardness,
+    hardness_fn,
     obstacle_count,
     rank_problems,
 )
+
+
+def hardness(selector, problem, a, b):
+    return hardness_fn(selector, problem)(a, b)
 
 
 def maze_problem(obstacles, start=(0, 0), goal=(4, 4)):
@@ -109,9 +112,16 @@ class TestRanking:
 def test_unknown_selector_rejected():
     p = maze_problem(())
     with pytest.raises(ValueError):
-        hardness("maze-euclid", p, (0, 0), (1, 1))
+        hardness_fn("maze-euclid", p)
 
 
 def test_default_selectors():
-    assert default_selector("maze") == "maze-obstacles"
-    assert default_selector("blocks") == "blocks-distance"
+    """No selector means the domain's default: obstacles for mazes (not
+    Manhattan distance), blocks distance for blocks."""
+    p = maze_problem({(1, 1)})
+    assert hardness(None, p, (0, 0), (2, 2)) == hardness("maze-obstacles", p, (0, 0), (2, 2)) == 1
+    assert hardness("maze-manhattan", p, (0, 0), (2, 2)) == 4
+    a = canonical_blocks([["A", "B"]])
+    b = canonical_blocks([["B", "A"]])
+    blocks = PlanningProblem(domain="blocks", start=a, goal=b, blocks=("A", "B"))
+    assert hardness(None, blocks, a, b) == blocks_distance(a, b) == 3

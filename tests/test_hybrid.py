@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
-from hybridplan.domains import MazeGrid, PlanningProblem, validate_plan
-from hybridplan.hybrid import (
-    EnginesConfig,
-    SweepMemo,
-    greedy_plan,
-    solve_hybrid,
-)
+from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, validate_plan
+from hybridplan.hybrid import EnginesConfig, SweepMemo, solve_hybrid
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
 from reference import truncate_run
@@ -24,22 +19,31 @@ def maze_problem(rows, cols, obstacles, start, goal):
                            grid=MazeGrid(rows, cols, frozenset(obstacles)))
 
 
+def greedy(p, step_cap=None):
+    """The fast planner's walk from the problem's start to its goal."""
+    return greedy_walk(p, p.start, p.goal, step_cap)[0]
+
+
+def sys1_se(p):
+    """States explored by the fast planner on the whole problem."""
+    return solve_hybrid(p, (SubGoal(p.start, p.goal, SYS1),)).states_explored
+
+
 class TestGreedy:
     def test_corridor(self):
         p = maze_problem(1, 4, (), (0, 0), (0, 3))
-        out = greedy_plan(p)
-        assert out.plan == ("right", "right", "right")
-        assert out.states_explored == 3
+        assert greedy(p) == ("right", "right", "right")
+        assert sys1_se(p) == 3
 
     def test_pocket_traps_greedy(self):
         # wall on column 2 with a gap at the bottom; ties send greedy up
         # into the top-left pocket where every neighbor is visited
         wall = {(0, 2), (1, 2), (2, 2), (3, 2)}
         p = maze_problem(5, 5, wall, (2, 0), (2, 4))
-        out = greedy_plan(p)
-        assert out.plan  # it still emits what it walked
-        assert validate_plan(p, out.plan)[0] is False
-        assert out.states_explored == len(out.plan)
+        plan = greedy(p)
+        assert plan  # it still emits what it walked
+        assert validate_plan(p, plan)[0] is False
+        assert sys1_se(p) == len(plan)
 
     def test_blocks_single_move(self):
         from hybridplan.domains import canonical_blocks
@@ -47,19 +51,16 @@ class TestGreedy:
         start = canonical_blocks([["A", "B"], ["C"]])
         goal = canonical_blocks([["A"], ["C", "B"]])
         p = PlanningProblem(domain="blocks", start=start, goal=goal, blocks=("A", "B", "C"))
-        out = greedy_plan(p)
-        assert out.plan == (("B", "C"),)
-        assert out.states_explored == 1
+        assert greedy(p) == (("B", "C"),)
+        assert sys1_se(p) == 1
 
     def test_already_at_goal(self):
         p = maze_problem(3, 3, (), (1, 1), (1, 1))
-        out = greedy_plan(p)
-        assert out.plan == () and out.states_explored == 0
+        assert greedy(p) == () and sys1_se(p) == 0
 
     def test_step_cap(self):
         p = maze_problem(5, 5, (), (0, 0), (4, 4))
-        out = greedy_plan(p, step_cap=2)
-        assert len(out.plan) == 2
+        assert len(greedy(p, step_cap=2)) == 2
 
 
 class TestSolveHybrid:
@@ -94,10 +95,10 @@ class TestSolveHybrid:
 
     def test_pure_sys1_equivalence(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:40]:
-            bare = greedy_plan(p)
+            bare = greedy(p)
             hybrid = solve_hybrid(p, (SubGoal(p.start, p.goal, SYS1),))
-            assert hybrid.plan == bare.plan
-            assert hybrid.states_explored == bare.states_explored
+            assert hybrid.plan == bare
+            assert hybrid.states_explored == len(bare)
 
     def test_pure_sys2_equivalence(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:40]:
@@ -150,7 +151,7 @@ def test_golden_greedy_digests(domain, small_maze_dataset, small_blocks_dataset)
     dataset = small_maze_dataset if domain == "maze" else small_blocks_dataset
     digest = hashlib.sha256()
     for p in dataset["test"]:
-        digest.update(verbalize_plan(greedy_plan(p).plan).encode())
+        digest.update(verbalize_plan(greedy(p)).encode())
         digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_GREEDY_DIGESTS[domain]
 
@@ -164,7 +165,7 @@ class TestSweepMemo:
             sub = SubGoal(p.start, p.goal, SYS2)
             assert memo.outcome(p, sub, engines) == \
                 (run.plan, run.states_explored, run.events_at_goal)
-            walk = greedy_plan(p).plan
+            walk = greedy(p)
             assert memo.outcome(p, SubGoal(p.start, p.goal, SYS1), engines) == \
                 (walk, len(walk), None)
 
