@@ -249,7 +249,9 @@ def _add_planner_flags(parser):
     parser.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
     parser.add_argument("--split", default="test")
     parser.add_argument("--budget", type=_positive_int, default=None)
-    parser.add_argument("--workers", type=_positive_int, default=1)
+    parser.add_argument("--workers", type=_positive_int, default=1,
+                        help="worker processes per planner pass (default 1); workers do not "
+                             "share a sweep's memo, so more than one makes sweeps slower")
     parser.add_argument("--blocks-caps", action="store_true",
                         help="record at most 3 valid / 2 invalid probes per expansion")
 

@@ -59,41 +59,56 @@ def window_length(x, n):
     return max(1, min(n, round(x * n)))
 
 
-def decompose_states(states, x, variant, hfn):
-    """The window optimizer over a state sequence s0..sn: a window of
-    window_length(x, n) steps placed anywhere, or only at either end for
-    the edge-window variant, at the (u, v) that minimizes
-    h(s0, su) - h(su, sv) + h(sv, sn); the first placement wins ties. The
-    window is the meta-plan's one Sys2 sub-goal; the stretches before and
-    after it, when not empty, are Sys1 sub-goals."""
-    if x <= 0:
-        raise ValueError("x must be positive for a search window; x = 0 means fast-only")
+def window_start(states, w, variant, hfn):
+    """The window optimizer over a state sequence s0..sn: the first step u
+    of the w-step window, placed anywhere, or only at either end for the
+    edge-window variant, at the (u, u + w) that minimizes
+    h(s0, su) - h(su, su+w) + h(su+w, sn); the first placement wins ties."""
     n = len(states) - 1
-    if n < 1:
-        raise ValueError("state sequence must contain at least one step")
-    w = window_length(x, n)
     if variant == "edge-window":
         starts = (0, n - w) if n > w else (0,)
     else:
         starts = range(n - w + 1)
     s0, sg = states[0], states[-1]
     # min keeps the first of equal scores
-    u = min(starts, key=lambda i: (hfn(s0, states[i]) - hfn(states[i], states[i + w])
-                                   + hfn(states[i + w], sg)))
+    return min(starts, key=lambda i: (hfn(s0, states[i]) - hfn(states[i], states[i + w])
+                                      + hfn(states[i + w], sg)))
+
+
+def window_subgoals(states, u, w):
+    """The meta-plan of a window of w steps from step u: the window is its
+    one Sys2 sub-goal; the stretches before and after it, when not empty,
+    are Sys1 sub-goals."""
+    n = len(states) - 1
     v = u + w
     subgoals = []
     if u > 0:
-        subgoals.append(SubGoal(s0, states[u], SYS1))
+        subgoals.append(SubGoal(states[0], states[u], SYS1))
     subgoals.append(SubGoal(states[u], states[v], SYS2))
     if v < n:
-        subgoals.append(SubGoal(states[v], sg, SYS1))
+        subgoals.append(SubGoal(states[v], states[n], SYS1))
     return tuple(subgoals)
+
+
+def decompose_states(states, x, variant, hfn):
+    """The meta-plan of a window of window_length(x, n) steps placed by the
+    window optimizer over the state sequence s0..sn."""
+    if x <= 0:
+        raise ValueError("x must be positive for a search window; x = 0 means fast-only")
+    n = len(states) - 1
+    if n < 1:
+        raise ValueError("state sequence must contain at least one step")
+    w = window_length(x, n)
+    return window_subgoals(states, window_start(states, w, variant, hfn), w)
 
 
 def build_controller_dataset(problems, config):
     """Label the floor((1-x)*N) easiest problems fast-only and decompose
     the gold plans of the rest. Returns [(problem, meta_plan)] in ranked
-    order."""
+    order. The random variant has no dataset: it gates by a coin flip and
+    places no window."""
+    if config.variant == "random":
+        raise ValueError("the random variant has no controller dataset")
     ranked = rank_problems(problems, config.selector)
     n_easy = int((1.0 - config.x) * len(ranked))
     records = []
@@ -114,56 +129,87 @@ def build_controller_dataset(problems, config):
 class HybridController:
     """Runtime gate + decomposer, calibrated once on a training set.
 
-    fit() records the training hardness distribution; decompose() gates
-    an instance hard when its hardness reaches the percentile threshold
-    implied by the effective hybridization factor, then decomposes hard
-    instances over a search-free skeleton.
+    fit() records the training hardness distribution. An instance is gated
+    hard when its gate input (its hardness, or for the random variant a
+    seeded coin draw) reaches the threshold implied by the effective
+    hybridization factor. The meta-plan's shape follows from the gate
+    alone: fast-only (SYS1), one Sys2 sub-goal (SYS2), or a Sys2 window of
+    window_length(x, n) steps over the n-step search-free skeleton.
     """
 
     def __init__(self, config=ControllerConfig()):
         self.config = config
+        self._x = config.effective_x
         self._sorted_hardness = None
+        self._threshold = None
 
     def with_bias(self, bias):
         clone = HybridController(replace(self.config, bias=bias))
-        clone._sorted_hardness = self._sorted_hardness
+        if self._sorted_hardness is not None:
+            clone._calibrate(self._sorted_hardness)
         return clone
 
     def fit(self, problems):
-        self._sorted_hardness = sorted(hardness_fn(self.config.selector, p)(p.start, p.goal)
-                                       for p in problems)
+        self._calibrate(sorted(hardness_fn(self.config.selector, p)(p.start, p.goal)
+                               for p in problems))
         return self
+
+    def _calibrate(self, sorted_hardness):
+        self._sorted_hardness = sorted_hardness
+        percentile = int((1.0 - self._x) * 100)
+        idx = percentile * len(sorted_hardness) // 100
+        self._threshold = float("inf") if idx >= len(sorted_hardness) else sorted_hardness[idx]
 
     def threshold(self):
         """Hardness cutoff: instances at or above it are gated hard."""
-        if self._sorted_hardness is None:
+        if self._threshold is None:
             raise RuntimeError("controller is not calibrated; call fit() first")
-        percentile = int((1.0 - self.config.effective_x) * 100)
-        idx = percentile * len(self._sorted_hardness) // 100
-        if idx >= len(self._sorted_hardness):
-            return float("inf")
-        return self._sorted_hardness[idx]
+        return self._threshold
 
-    def _is_hard(self, problem, hfn):
-        x = self.config.effective_x
+    def gate_input(self, problem):
+        """What the gate reads of a problem, whatever x is: the seeded coin
+        draw for the random variant, else the hardness of (start, goal)."""
         if self.config.variant == "random":
-            rng = random.Random(f"{self.config.seed}:{problem.problem_id}")
-            return rng.random() < x
-        if x <= 0.0:
-            return False
-        if x >= 1.0:
-            return True
-        return hfn(problem.start, problem.goal) >= self.threshold()
+            return random.Random(f"{self.config.seed}:{problem.problem_id}").random()
+        return hardness_fn(self.config.selector, problem)(problem.start, problem.goal)
 
-    def decompose(self, problem, skeleton_of=None):
-        """The problem's meta-plan. skeleton_of(problem) gives the skeleton
-        when the caller keeps one per problem; default domains.skeleton."""
-        hfn = hardness_fn(self.config.selector, problem)
-        if not self._is_hard(problem, hfn):
-            return (SubGoal(problem.start, problem.goal, SYS1),)
-        if self.config.variant in ("no-subgoal", "random"):
-            return (SubGoal(problem.start, problem.goal, SYS2),)
-        states = (skeleton_of or skeleton)(problem)
+    def shape(self, problem, memo=None):
+        """The shape of the problem's meta-plan: SYS1 (fast-only), SYS2 (one
+        Sys2 sub-goal) or the length of the Sys2 window over its skeleton.
+        With a SweepMemo, the gate input and the skeleton are computed once
+        per problem."""
+        config, x = self.config, self._x
+        if x <= 0.0:
+            return SYS1
+        if x < 1.0:
+            key = ("gate", config.variant == "random", config.selector, config.seed,
+                   problem.problem_id, problem.geometry)
+            g = _kept(memo, key, self.gate_input, problem)
+            if not (g < x if config.variant == "random" else g >= self.threshold()):
+                return SYS1
+        if config.variant in ("no-subgoal", "random"):
+            return SYS2
+        states = skeleton(problem) if memo is None else memo.skeleton(problem)
         if states is None or len(states) < 2:
-            return (SubGoal(problem.start, problem.goal, SYS2),)
-        return decompose_states(states, self.config.effective_x, self.config.variant, hfn)
+            return SYS2
+        return window_length(x, len(states) - 1)
+
+    def meta_plan(self, problem, shape, memo=None):
+        """The meta-plan of a shape that shape() gave for the problem. With a
+        SweepMemo, the window optimizer runs once per window length."""
+        if shape in (SYS1, SYS2):
+            return (SubGoal(problem.start, problem.goal, shape),)
+        states = skeleton(problem) if memo is None else memo.skeleton(problem)
+        variant, selector = self.config.variant, self.config.selector
+        u = _kept(memo, ("window", shape, variant, selector, problem.geometry),
+                  window_start, states, shape, variant, hardness_fn(selector, problem))
+        return window_subgoals(states, u, shape)
+
+    def decompose(self, problem, memo=None):
+        """The problem's meta-plan."""
+        return self.meta_plan(problem, self.shape(problem, memo), memo)
+
+
+def _kept(memo, key, compute, *args):
+    """compute(*args), kept in the memo under key when there is a memo."""
+    return compute(*args) if memo is None else memo.kept(key, compute, *args)

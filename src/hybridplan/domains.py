@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 MAZE_ACTIONS = ("up", "down", "left", "right")
 
@@ -83,6 +84,17 @@ class PlanningProblem:
                 labels = sorted(b for stack in s for b in stack)
                 if labels != sorted(self.blocks):
                     raise ValueError(f"{name} does not use the block universe exactly once each")
+
+    @cached_property
+    def geometry(self):
+        """What the problem's plans and searches depend on: its domain, grid
+        or block universe, start and goal, not its id, split or gold plan.
+        The grid enters by its fields, whose frozenset of obstacles keeps
+        its hash."""
+        grid = self.grid
+        if grid is None:
+            return self.domain, self.blocks, self.start, self.goal
+        return self.domain, grid.rows, grid.cols, grid.obstacles, self.start, self.goal
 
 
 def canonical_blocks(stacks):

@@ -37,9 +37,14 @@ class ScoredRun:
 
     @property
     def optimal(self):
+        return self.judge()[1]
+
+    def judge(self):
+        """(valid, optimal), replaying the plan once."""
         if self.problem.optimal_length is None:
             raise ValueError(f"problem {self.problem.problem_id!r} has no oracle length")
-        return self.valid and len(self.plan) == self.problem.optimal_length
+        valid = self.valid
+        return valid, valid and len(self.plan) == self.problem.optimal_length
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class BudgetRow:
     optimality: Fraction
     n: int
     bias: float | None = None  # set when reached via test-time control
+    cap: int | None = None  # set when reached by truncation
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,35 @@ def match_budget_cap(sizes, target):
 
 def solve_one(problem, config, budget=None):
     """Run the configured planner on one problem; returns a ScoredRun.
-    The pure planners run as a hybrid episode with a single sub-goal."""
+    The pure planners run as a hybrid episode with a single sub-goal.
+
+    With a SweepMemo, an unbudgeted run is solved once per meta-plan shape
+    (the controller's gate and window length), engine and trace config,
+    and every later pass gets the same plan and states explored back."""
     memo = config.memo
+    if memo is None or budget is not None:
+        plan, se = _solve(problem, config, budget)
+    else:
+        if config.kind == "hybrid":
+            controller = config.controller
+            key = ("scored", controller.shape(problem, memo), controller.config.variant,
+                   controller.config.selector)
+        else:
+            key = ("scored", SYS1 if config.kind == "sys1" else SYS2, None, None)
+        key += (config.engine, config.trace, problem.geometry)
+        plan, se = memo.kept(key, _solve, problem, config, None)
+    return ScoredRun(problem, plan, se)
+
+
+def _solve(problem, config, budget):
+    """(plan, states explored) of the configured planner on one problem."""
     if config.kind == "hybrid":
-        meta = config.controller.decompose(problem, None if memo is None else memo.skeleton)
+        meta = config.controller.decompose(problem, config.memo)
     else:
         meta = (SubGoal(problem.start, problem.goal, SYS1 if config.kind == "sys1" else SYS2),)
     engines = EnginesConfig(sys2=config.engine, trace=config.trace, budget=budget)
-    run = solve_hybrid(problem, meta, engines, memo)
-    return ScoredRun(problem, run.plan, run.states_explored)
+    run = solve_hybrid(problem, meta, engines, config.memo)
+    return run.plan, run.states_explored
 
 
 def run_planner(problems, config, budget=None, workers=1):
@@ -141,11 +167,14 @@ def run_planner(problems, config, budget=None, workers=1):
     return [solve_one(p, config, budget) for p in problems]
 
 
-def _row(runs, budget, bias=None):
-    return BudgetRow(budget=budget, avg_se=average_se(runs),
-                     validity=plan_validity_rate(runs),
-                     optimality=plan_optimality_rate(runs),
-                     n=len(runs), bias=bias)
+def _row(runs, budget, bias=None, cap=None):
+    """The report row of a run set; each plan is validated once."""
+    avg_se = average_se(runs)
+    judged = [run.judge() for run in runs]
+    return BudgetRow(budget=budget, avg_se=avg_se,
+                     validity=Fraction(sum(valid for valid, _ in judged), len(runs)),
+                     optimality=Fraction(sum(optimal for _, optimal in judged), len(runs)),
+                     n=len(runs), bias=bias, cap=cap)
 
 
 BIAS_STEP = 0.05
@@ -181,7 +210,7 @@ def _sweep(problems, config, budgets, workers):
         if target < default_avg:
             cap = match_budget_cap(sizes, target)
             runs = run_planner(problems, config, budget=cap, workers=workers)
-            rows.append(_row(runs, target))
+            rows.append(_row(runs, target, cap=cap))
         elif config.kind == "hybrid":
             best = (default_runs, None)
             steps = int(round(1.0 / BIAS_STEP))
@@ -214,14 +243,19 @@ def report_to_csv(report):
 
 
 def report_to_markdown(report):
+    """The report as a markdown table, with the bias or the truncation cap
+    by which each row reached its budget ("-" for neither)."""
     lines = [
-        f"| planner | budget | avg SE | validity | optimality | n |",
-        f"|---|---|---|---|---|---|",
+        "| planner | budget | avg SE | validity | optimality | n | bias | cap |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for row in report.rows:
+        bias = "-" if row.bias is None else f"{row.bias:g}"
+        cap = "-" if row.cap is None else row.cap
         lines.append(
             f"| {report.planner} | {row.budget} | {float(row.avg_se):.1f} "
-            f"| {100 * float(row.validity):.1f} | {100 * float(row.optimality):.1f} | {row.n} |"
+            f"| {100 * float(row.validity):.1f} | {100 * float(row.optimality):.1f} | {row.n} "
+            f"| {bias} | {cap} |"
         )
     return "\n".join(lines) + "\n"
 

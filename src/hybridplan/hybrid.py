@@ -10,7 +10,8 @@ trace, so no outcome carries a search run: an outcome is its plan and
 states explored, cut to the budget by the greedy cut or reached_within.
 
 A SweepMemo lets the passes of a budget sweep solve each skeleton and each
-distinct sub-goal once, then cut the cached outcome to each pass's budget.
+distinct sub-goal once, then cut the cached outcome to each pass's budget;
+it also keeps what the controller and the scorer compute per problem.
 """
 
 from __future__ import annotations
@@ -46,26 +47,40 @@ class EnginesConfig:
     budget: int | None = None
 
 
+_MISSING = object()
+
+
 class SweepMemo(dict):
-    """What the passes of one budget sweep share: each problem's skeleton,
-    and the unbudgeted outcome of each (sub-goal, engine, trace config) in
-    compact form, (plan, states explored, states explored when the goal
-    was found). A pass cuts a cached outcome to its budget by the rules
-    solve_hybrid applies to a fresh one."""
+    """What the passes of one budget sweep share, each value computed on
+    first use and keyed on what it depends on:
+
+    - per problem, its skeleton and the controller's gate input;
+    - per (problem, window length), where the window optimizer put it;
+    - per (problem, meta-plan shape, engine, trace config), the plan and
+      states explored of the unbudgeted run, so that an unbudgeted pass
+      hands back the same plan tuple for the same shape;
+    - per (sub-goal, engine, trace config), the unbudgeted outcome in
+      compact form, (plan, states explored, states explored when the
+      goal was found). A budgeted pass cuts it to its budget by the rules
+      solve_hybrid applies to a fresh one.
+
+    No meta-plan or run is kept. Problems are keyed on their geometry,
+    so problems with the same grid, blocks and end states share entries."""
+
+    def kept(self, key, compute, *args):
+        """The value kept under key; compute(*args) on first use."""
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            value = self[key] = compute(*args)
+        return value
 
     def skeleton(self, problem):
-        key = (problem.domain, problem.grid, problem.blocks, problem.start, problem.goal)
-        if key not in self:
-            self[key] = skeleton(problem)
-        return self[key]
+        return self.kept(("skeleton", problem.geometry), skeleton, problem)
 
     def outcome(self, problem, subgoal, engines):
-        # eight fields, so never equal to a five-field skeleton key
-        key = (problem.domain, problem.grid, problem.blocks, subgoal.start, subgoal.goal,
-               subgoal.mode, engines.sys2, engines.trace)
-        if key not in self:
-            self[key] = _unbudgeted(problem, subgoal, engines)
-        return self[key]
+        key = ("outcome", subgoal.start, subgoal.goal, subgoal.mode, engines.sys2, engines.trace,
+               problem.geometry)
+        return self.kept(key, _unbudgeted, problem, subgoal, engines)
 
 
 def _unbudgeted(problem, subgoal, engines):
@@ -114,6 +129,11 @@ def solve_hybrid(problem, meta_plan, engines=EnginesConfig(), memo=None):
             failed = True
             break
         parts.append(plan)
-    plan = None if failed else tuple(a for part in parts for a in part)
+    if failed:
+        plan = None
+    elif len(parts) == 1:
+        plan = parts[0]  # the sub-goal's own tuple, shared with the memo's outcome
+    else:
+        plan = tuple(a for part in parts for a in part)
     return HybridRun(problem=problem, meta_plan=tuple(meta_plan),
                      outcomes=tuple(outcomes), plan=plan, states_explored=total)

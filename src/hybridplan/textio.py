@@ -288,8 +288,13 @@ def load_problems(path):
             if not line.strip():
                 continue
             try:
-                problem = problem_from_json(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+                problem = problem_from_json(rec)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # AttributeError and TypeError: a field of the wrong JSON type,
+                # such as "start": 5 or "obstacles": 5
                 raise ParseError(f"corrupt problem record in {path}: {exc}", i) from exc
             out.setdefault(problem.split or "all", []).append(problem)
     return out

@@ -67,6 +67,28 @@ class TestValidation:
         bad.write_text("{not json\n")
         assert main(["eval", "--problems", str(bad)]) == 3
 
+    @pytest.mark.parametrize("field,value", [
+        (None, [1, 2]),  # the whole line is not a JSON object
+        ("obstacles", 5),
+        ("start", 5),
+    ])
+    def test_badly_typed_problem_line_exits_3(self, small_maze_dataset, tmp_path, field, value,
+                                              capsys):
+        from hybridplan.textio import problem_to_json
+
+        good = json.dumps(problem_to_json(small_maze_dataset["test"][0]))
+        rec = problem_to_json(small_maze_dataset["test"][1])
+        if field == "obstacles":
+            rec["grid"]["obstacles"] = value
+        elif field is not None:
+            rec[field] = value
+        path = tmp_path / "maze.jsonl"
+        path.write_text(good + "\n" + json.dumps(rec if field else value) + "\n")
+        assert main(["eval", "--problems", str(path), "--planner", "system2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "(line 2)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--planner", "system2", "--budget", "0"],
         ["eval", "--planner", "system1x", "--budget", "-3"],

@@ -139,6 +139,12 @@ class TestBuildControllerDataset:
         records = build_controller_dataset(problems, ControllerConfig(x=1.0, variant="no-subgoal"))
         assert all(m[0].mode == SYS2 and len(m) == 1 for _, m in records)
 
+    def test_rejects_random_variant(self, small_maze_dataset):
+        # the runtime random variant gates by a coin flip; the dataset has no such labels
+        with pytest.raises(ValueError, match="random"):
+            build_controller_dataset(small_maze_dataset["train"][:10],
+                                     ControllerConfig(variant="random"))
+
 
 class TestRuntimeController:
     def _fitted(self, ds, **kwargs):
@@ -299,11 +305,9 @@ GOLDEN_DATASET_DIGESTS = {
     ("maze", "sliding-window"): "3a65fd229d45808dcf991425108bb315ef30da085ee37affd09e6fa8a1cacbb6",
     ("maze", "edge-window"): "b03f6ef7883f57ccb3ec30dfe78b8a6544d3d30b5934056adf44576a4b898953",
     ("maze", "no-subgoal"): "d1110458e0455de95839b35b21e8495336d9b3dc99bc545fa29572bf79a97c57",
-    ("maze", "random"): "3a65fd229d45808dcf991425108bb315ef30da085ee37affd09e6fa8a1cacbb6",
     ("blocks", "sliding-window"): "acf4348287fa784f0f2f7796dfa55f4bf8526e93d5829ba4388b3c88adc6f595",
     ("blocks", "edge-window"): "5d8b239a0a1c93e1d66910be59bfc29eba7699f34e8d7ead60ff6eae6afbca61",
     ("blocks", "no-subgoal"): "e34fd602962db87e026c17d877701f885ef7e6752e3b4fb69f24814101a19521",
-    ("blocks", "random"): "acf4348287fa784f0f2f7796dfa55f4bf8526e93d5829ba4388b3c88adc6f595",
 }
 
 

@@ -1,12 +1,16 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridplan import evaluate
-from hybridplan.controller import ControllerConfig, HybridController
+from hybridplan import controller, evaluate
+from hybridplan.controller import VARIANTS, ControllerConfig, HybridController
 from hybridplan.domains import MazeGrid, PlanningProblem
+from hybridplan.hybrid import SweepMemo
 from hybridplan.evaluate import (
     PlannerConfig,
     ScoredRun,
@@ -21,8 +25,9 @@ from hybridplan.evaluate import (
     run_planner,
     solve_one,
 )
-from hybridplan.search import TraceConfig
+from hybridplan.search import ENGINES, TraceConfig
 from reference import capped_totals
+from strategies import blocks_problems, maze_problems
 
 
 def make_run(valid=True, length=2, optimal=2):
@@ -158,6 +163,18 @@ class TestRendering:
         text = report_to_markdown(self._report(small_maze_dataset))
         assert text.startswith("| planner |")
 
+    def test_markdown_shows_bias_and_cap(self, small_maze_dataset):
+        report = budget_sweep(small_maze_dataset["test"], _hybrid_config(small_maze_dataset), [5, 20])
+        cut, scanned, default = report.rows
+        assert cut.cap is not None and cut.bias is None
+        assert scanned.bias is not None and scanned.cap is None
+        assert default.bias is None and default.cap is None
+        lines = report_to_markdown(report).splitlines()
+        assert lines[0].endswith("| n | bias | cap |")
+        assert lines[2].endswith(f"| - | {cut.cap} |")
+        assert lines[3].endswith(f"| {scanned.bias:g} | - |")
+        assert lines[4].endswith("| - | - |")
+
     def test_plot_data(self, small_maze_dataset):
         import json
 
@@ -187,6 +204,12 @@ def test_sweep_workers_match_serial(small_maze_dataset):
     assert budget_sweep(problems, config, [5, 20], workers=2) == serial
 
 
+def _compact(value):
+    if value is None or type(value) in (int, float, str):
+        return True
+    return type(value) in (tuple, list) and all(_compact(x) for x in value)
+
+
 def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
     memos, filled = [], []
     original = evaluate.run_planner
@@ -195,9 +218,8 @@ def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
         runs = original(problems, config, budget=budget, workers=workers)
         memos.append(config.memo)
         filled.append(len(config.memo))
-        # skeletons (lists of states) and (plan, SE, events at goal): no runs or events
-        assert all(x is None or type(x) in (tuple, int)
-                   for value in config.memo.values() if value is not None for x in value)
+        # numbers, states, plans, skeletons and tuples of them: no runs, events or meta-plans
+        assert all(_compact(value) for value in config.memo.values())
         return runs
 
     monkeypatch.setattr(evaluate, "run_planner", run_planner)
@@ -208,6 +230,100 @@ def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
     assert config.memo is None
     budget_sweep(small_maze_dataset["test"], config, [5])
     assert memos[-1] is not memos[0]
+
+
+def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
+    """Work counts, not times: in a hybrid sweep with truncation and bias
+    passes, each problem's gate input (its hardness) is computed at most
+    once, the window optimizer runs at most once per skeleton and window
+    length, and unbudgeted passes solve each (problem, meta-plan shape)
+    at most once."""
+    gates, windows, unbudgeted, passes = [], [], [], []
+    original_gate, original_window = HybridController.gate_input, controller.window_start
+    original_solve, original_run_planner = evaluate.solve_hybrid, evaluate.run_planner
+
+    def gate_input(self, problem):
+        gates.append(problem.problem_id)
+        return original_gate(self, problem)
+
+    def window_start(states, w, variant, hfn):
+        windows.append((tuple(states), w))
+        return original_window(states, w, variant, hfn)
+
+    def solve_hybrid(problem, meta_plan, engines, memo=None):
+        if engines.budget is None:
+            unbudgeted.append(problem.problem_id)
+        return original_solve(problem, meta_plan, engines, memo)
+
+    def run_planner(problems, config, budget=None, workers=1):
+        passes.append((config.controller, budget))
+        return original_run_planner(problems, config, budget, workers)
+
+    monkeypatch.setattr(HybridController, "gate_input", gate_input)
+    monkeypatch.setattr(controller, "window_start", window_start)
+    monkeypatch.setattr(evaluate, "solve_hybrid", solve_hybrid)
+    monkeypatch.setattr(evaluate, "run_planner", run_planner)
+    problems = small_maze_dataset["test"]
+    report = budget_sweep(problems, _hybrid_config(small_maze_dataset), [5, 20])
+    assert report.rows[0].cap is not None and report.rows[1].bias is not None
+    assert len(passes) > 10 and sum(budget is not None for _, budget in passes) == 1
+    assert sorted(gates) == sorted(set(p.problem_id for p in problems))
+    assert windows and len(windows) == len(set(windows))
+    shapes = {(p.geometry, ctl.shape(p)) for ctl, budget in passes if budget is None
+              for p in problems}
+    assert len(unbudgeted) <= len(shapes) < len(passes) * len(problems) // 4
+
+
+biases = st.one_of(st.sampled_from((0.0, 0.05, 0.5)), st.floats(-0.3, 0.3))
+
+
+@st.composite
+def planner_configs(draw, train):
+    """A planner of a random kind, engine, trace config and controller
+    (variant, seed, x and bias), fitted on the train problems."""
+    ctl = HybridController(ControllerConfig(
+        x=draw(st.floats(0, 1)), bias=draw(biases),
+        variant=draw(st.sampled_from(VARIANTS)), seed=draw(st.integers(0, 2)))).fit(train)
+    return PlannerConfig(kind=draw(st.sampled_from(("hybrid", "hybrid", "hybrid", "sys1", "sys2"))),
+                         engine=draw(st.sampled_from(sorted(ENGINES))),
+                         trace=draw(st.sampled_from((TraceConfig(), TraceConfig(3, 2, 0)))),
+                         controller=ctl)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_memo_passes_give_the_fresh_runs(data):
+    """A sequence of run_planner passes that share one SweepMemo gives
+    exactly the ScoredRuns of the same passes without it. A pass either
+    rebiases the last planner, as a sweep's bias scan does, or switches to
+    another planner; it has a random budget or none. The problems have
+    distinct ids, and the last shares its geometry with the first."""
+    problems = data.draw(st.sampled_from((maze_problems(max_side=8), blocks_problems(max_blocks=4))))
+    train = data.draw(st.lists(problems, min_size=1, max_size=6))
+    test = data.draw(st.lists(problems, min_size=1, max_size=4))
+    test = [replace(p, problem_id=f"p{i}", optimal_length=0) for i, p in enumerate(test + test[:1])]
+    config = data.draw(planner_configs(train))
+    memo = SweepMemo()
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            config = replace(config, controller=config.controller.with_bias(data.draw(biases)))
+        else:
+            config = data.draw(planner_configs(train))
+        budget = data.draw(st.one_of(st.none(), st.integers(1, 60)))
+        fresh = run_planner(test, config, budget=budget)
+        assert run_planner(test, replace(config, memo=memo), budget=budget) == fresh
+
+
+def test_memo_shared_by_window_planners_gives_the_fresh_runs(small_maze_dataset):
+    """One memo shared by hybrid planners whose windows differ in placement
+    rule or length gives each planner its fresh runs."""
+    train, test = small_maze_dataset["train"], small_maze_dataset["test"]
+    memo = SweepMemo()
+    for variant in ("sliding-window", "edge-window"):
+        for x in (0.25, 0.75):
+            ctl = HybridController(ControllerConfig(x=x, variant=variant)).fit(train)
+            config = PlannerConfig(kind="hybrid", controller=ctl)
+            assert run_planner(test, replace(config, memo=memo)) == run_planner(test, config)
 
 
 def test_solve_one_budget_none_vs_cap(small_maze_dataset):

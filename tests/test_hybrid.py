@@ -212,9 +212,10 @@ def meta_plans(draw, problem):
 @given(data=st.data())
 def test_memo_gives_the_fresh_outcomes(engine, caps, data):
     """Over budgets drawn at random, solve_hybrid with one shared memo gives
-    the plans and the total and per-outcome states explored of fresh solves,
-    and a fresh Sys2 outcome is its recorded run cut to the remaining
-    budget by the reference truncation."""
+    the plans and the total and per-outcome states explored of fresh solves;
+    with the memo and without, a run's states explored is the sum of its
+    outcomes' and stays within the budget; and a fresh Sys2 outcome is its
+    recorded run cut to the remaining budget by the reference truncation."""
     problem = data.draw(small_problems)
     meta = data.draw(meta_plans(problem))
     budgets = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 80)), min_size=1, max_size=4))
@@ -227,6 +228,9 @@ def test_memo_gives_the_fresh_outcomes(engine, caps, data):
         assert cached.states_explored == fresh.states_explored
         assert [(o.mode, o.plan, o.states_explored) for o in cached.outcomes] == \
             [(o.mode, o.plan, o.states_explored) for o in fresh.outcomes]
+        for run in (fresh, cached):
+            assert run.states_explored == sum(o.states_explored for o in run.outcomes)
+            assert budget is None or run.states_explored <= budget
         spent = 0
         for o in fresh.outcomes:
             if o.mode == SYS2:
@@ -236,3 +240,4 @@ def test_memo_gives_the_fresh_outcomes(engine, caps, data):
                     run = truncate_run(run, budget - spent)
                 assert (o.plan, o.states_explored) == (run.plan, run.states_explored)
             spent += o.states_explored
+
