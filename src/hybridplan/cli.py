@@ -152,15 +152,12 @@ def cmd_build_controller_data(args):
     splits = _load_split(args, "train")
     config = _controller_config(args, splits["train"])
     records = build_controller_dataset(splits["train"], config)
-    from .textio import metaplan_mirror, verbalize_metaplan
+    from .textio import metaplan_record
 
     out = []
     for problem, meta in records:
-        out.append({
-            "id": problem.problem_id,
-            "subgoals": metaplan_mirror(meta)["subgoals"],
-            "target_text": verbalize_metaplan(meta),
-        })
+        text, mirror = metaplan_record(meta)
+        out.append({"id": problem.problem_id, "subgoals": mirror["subgoals"], "target_text": text})
     path = _out_path(args, "controller_data.jsonl")
     write_jsonl_atomic(path, out)
     n_easy = sum(1 for r in out if len(r["subgoals"]) == 1 and r["subgoals"][0]["mode"] == "sys1")

@@ -80,6 +80,8 @@ class PlanningProblem:
                 if s in self.grid.obstacles:
                     raise ValueError(f"{name} {s} is an obstacle")
         else:
+            if not self.blocks:
+                raise ValueError("blocks problem needs at least one block")
             for name, s in (("start", self.start), ("goal", self.goal)):
                 labels = sorted(b for stack in s for b in stack)
                 if labels != sorted(self.blocks):

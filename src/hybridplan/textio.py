@@ -39,11 +39,10 @@ class ParseError(ValueError):
 
 def render_state(state):
     if isinstance(state, tuple) and state and isinstance(state[0], tuple):
-        return "|".join(",".join(stack) for stack in state)
-    if isinstance(state, tuple) and len(state) == 2 and all(isinstance(v, int) for v in state):
+        return "|".join(map(",".join, state))
+    if (isinstance(state, tuple) and len(state) == 2
+            and isinstance(state[0], int) and isinstance(state[1], int)):
         return f"({state[0]},{state[1]})"
-    if state == ():  # zero-block edge case
-        return ""
     raise ValueError(f"unrenderable state {state!r}")
 
 
@@ -109,24 +108,50 @@ def parse_plan_text(text):
 
 # ---------------------------------------------------------------- traces
 
-def _event_line(e):
-    if e.validity == VALID:
-        scores = f"g={e.g}"
-        if e.t is not None:
-            scores += f" t={e.t} f={e.f}"
-        return (f"step {e.index} | from {render_state(e.parent_state)} "
-                f"| action {render_action(e.action)} | valid -> {render_state(e.state)} | {scores}")
-    return (f"step {e.index} | from {render_state(e.parent_state)} "
-            f"| action {render_action(e.action)} | invalid:{e.reason}")
+def trace_record(run):
+    """The verbalized trace and its structured mirror, {"events": [...],
+    "plan": [...] | None}, from one pass over run.events. Each distinct
+    state is rendered once per run and each action once per event, and
+    every mirror field is read off the event its line is written from, so
+    parse_trace_text(text) == mirror without parsing."""
+    names = {}
+    lines = []
+    events = []
+    for e in run.events:
+        src = names.get(e.parent_state)
+        if src is None:
+            src = names[e.parent_state] = render_state(e.parent_state)
+        action = render_action(e.action)
+        if e.validity == VALID:
+            to = names.get(e.state)
+            if to is None:
+                to = names[e.state] = render_state(e.state)
+            g, t = e.g, e.t
+            f = None if t is None else e.f
+            scores = f"g={g}" if t is None else f"g={g} t={t} f={f}"
+            lines.append(f"step {e.index} | from {src} | action {action} | valid -> {to} | {scores}")
+            events.append({"index": e.index, "from": src, "action": action, "validity": VALID,
+                           "to": to, "g": g, "t": t, "f": f})
+        else:
+            validity = f"invalid:{e.reason}"
+            lines.append(f"step {e.index} | from {src} | action {action} | {validity}")
+            events.append({"index": e.index, "from": src, "action": action,
+                           "validity": validity})
+    if run.plan is None:
+        lines.append("NO PLAN")
+        plan = None
+    else:
+        lines.append(verbalize_plan(run.plan))
+        plan = [render_action(a) for a in run.plan]
+    return "\n".join(lines), {"events": events, "plan": plan}
 
 
 def verbalize_trace(run):
-    lines = [_event_line(e) for e in run.events]
-    if run.plan is not None:
-        lines.append(verbalize_plan(run.plan))
-    else:
-        lines.append("NO PLAN")
-    return "\n".join(lines)
+    return trace_record(run)[0]
+
+
+def trace_mirror(run):
+    return trace_record(run)[1]
 
 
 _VALID_EVENT_RE = re.compile(
@@ -179,17 +204,29 @@ def parse_trace_text(text):
     return {"events": events, "plan": list(map(render_action, plan)) if plan is not None else None}
 
 
-def trace_mirror(run):
-    return parse_trace_text(verbalize_trace(run))
-
-
 # ---------------------------------------------------------------- meta-plans
 
+def metaplan_record(meta_plan):
+    """The verbalized meta-plan and its structured mirror, {"subgoals":
+    [...]}, from one pass over the sub-goals, so that
+    parse_metaplan_text(text) == mirror without parsing."""
+    lines = []
+    subgoals = []
+    for k, sg in enumerate(meta_plan, start=1):
+        src, dst = render_state(sg.start), render_state(sg.goal)
+        lines.append(f"subgoal {k} | {src} -> {dst} | {sg.mode.upper()}")
+        subgoals.append({"from": src, "to": dst, "mode": sg.mode})
+    if not subgoals:
+        raise ValueError("meta-plan has no sub-goals")
+    return "\n".join(lines), {"subgoals": subgoals}
+
+
 def verbalize_metaplan(meta_plan):
-    return "\n".join(
-        f"subgoal {k} | {render_state(sg.start)} -> {render_state(sg.goal)} | {sg.mode.upper()}"
-        for k, sg in enumerate(meta_plan, start=1)
-    )
+    return metaplan_record(meta_plan)[0]
+
+
+def metaplan_mirror(meta_plan):
+    return metaplan_record(meta_plan)[1]
 
 
 _SUBGOAL_RE = re.compile(r"^subgoal (\d+) \| (.+) -> (.+) \| (SYS1|SYS2)$")
@@ -212,10 +249,6 @@ def parse_metaplan_text(text):
     if not subgoals:
         raise ParseError("meta-plan has no subgoal lines", 1, "")
     return {"subgoals": subgoals}
-
-
-def metaplan_mirror(meta_plan):
-    return parse_metaplan_text(verbalize_metaplan(meta_plan))
 
 
 # ---------------------------------------------------------------- problems
@@ -243,17 +276,29 @@ def problem_to_json(problem):
 
 def problem_from_json(rec):
     """A problem from its record. Blocks states are canonicalized, so a
-    goal written with its stacks out of bottom order is still reachable."""
+    goal written with its stacks out of bottom order is still reachable.
+    An optimal length must be a non-negative integer that agrees with the
+    gold plan's length and is 0 only when start is the goal."""
     domain = rec["domain"]
     start, goal = parse_state(rec["start"]), parse_state(rec["goal"])
     if domain == "blocks":
         start, goal = canonical_blocks(start), canonical_blocks(goal)
+    gold_plan, length = rec.get("gold_plan"), rec.get("optimal_length")
+    if gold_plan is not None:
+        gold_plan = tuple(parse_action(a) for a in gold_plan)
+    if length is not None:
+        if type(length) is not int or length < 0:
+            raise ValueError(f"optimal_length {length!r} is not a non-negative integer")
+        if gold_plan is not None and length != len(gold_plan):
+            raise ValueError(f"optimal_length {length} but the gold plan has {len(gold_plan)} steps")
+        if length == 0 and start != goal:
+            raise ValueError("optimal_length 0 but start is not the goal")
     kwargs = dict(
         domain=domain,
         start=start,
         goal=goal,
-        gold_plan=tuple(parse_action(a) for a in rec["gold_plan"]) if rec.get("gold_plan") is not None else None,
-        optimal_length=rec.get("optimal_length"),
+        gold_plan=gold_plan,
+        optimal_length=length,
         problem_id=rec.get("id", ""),
         split=rec.get("split", ""),
     )
@@ -261,7 +306,10 @@ def problem_from_json(rec):
         g = rec["grid"]
         kwargs["grid"] = MazeGrid(g["rows"], g["cols"], frozenset(map(tuple, g["obstacles"])))
     else:
-        kwargs["blocks"] = tuple(rec["blocks"])
+        blocks = rec["blocks"]
+        if not isinstance(blocks, list):
+            raise ValueError(f"blocks must be a list of labels, not {type(blocks).__name__}")
+        kwargs["blocks"] = tuple(blocks)
     return PlanningProblem(**kwargs)
 
 
@@ -335,47 +383,56 @@ def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
     controller records) plus a manifest with counts and hashes.
 
     problems: the problem list supplying fast-planner targets and search
-    traces (typically the train split). controller_records comes from
-    build_controller_dataset.
+    traces (typically the train split); it is read twice. controller_records
+    comes from build_controller_dataset. A problem without a gold plan is
+    rejected before any file is written.
     """
     from .search import run_engine
 
     os.makedirs(out_dir, exist_ok=True)
 
+    input_texts = {}  # problem -> its input text, shared by its three records
+
     def record(problem, kind, target_text, structured):
+        input_text = input_texts.get(problem)
+        if input_text is None:
+            input_text = input_texts[problem] = problem_input_text(problem)
         return {
             "id": problem.problem_id,
             "kind": kind,
             "template_version": TEMPLATE_VERSION,
-            "input_text": problem_input_text(problem),
+            "input_text": input_text,
             "target_text": target_text,
             "structured": structured,
         }
 
+    def trace_out(problem):
+        run = run_engine(engine_config.sys2, problem, engine_config.trace)
+        return record(problem, "sys2", *trace_record(run))
+
     sys1_records = []
-    sys2_records = []
     for p in problems:
         if p.gold_plan is None:
             raise ValueError(f"problem {p.problem_id!r} has no gold plan")
         plan_text = verbalize_plan(p.gold_plan)
         sys1_records.append(record(p, "sys1", plan_text,
                                    {"actions": [render_action(a) for a in p.gold_plan]}))
-        run = run_engine(engine_config.sys2, p, engine_config.trace)
-        sys2_records.append(record(p, "sys2", verbalize_trace(run), trace_mirror(run)))
 
-    controller_out = []
-    for p, meta in controller_records:
-        controller_out.append(record(p, "controller", verbalize_metaplan(meta),
-                                     metaplan_mirror(meta)))
+    controller_out = [record(p, "controller", *metaplan_record(meta))
+                      for p, meta in controller_records]
 
     paths = {
         "sys1": os.path.join(out_dir, "sys1.jsonl"),
         "sys2": os.path.join(out_dir, "sys2.jsonl"),
         "controller": os.path.join(out_dir, "controller.jsonl"),
     }
+    counts = {"sys1": len(sys1_records), "sys2": len(sys1_records),
+              "controller": len(controller_out)}
     write_jsonl_atomic(paths["sys1"], sys1_records)
-    write_jsonl_atomic(paths["sys2"], sys2_records)
     write_jsonl_atomic(paths["controller"], controller_out)
+    # the traces are the bulk of the corpus: each is written as it is made,
+    # so that only one is held at a time
+    write_jsonl_atomic(paths["sys2"], map(trace_out, problems))
 
     config_text = json.dumps({
         "engine": engine_config.sys2,
@@ -389,12 +446,8 @@ def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
         "seed": seed,
         "config_hash": hashlib.sha256(config_text.encode()).hexdigest(),
         "files": {
-            kind: {"path": os.path.basename(path),
-                   "count": count,
-                   "sha256": _sha256(path)}
-            for (kind, path), count in zip(
-                paths.items(),
-                (len(sys1_records), len(sys2_records), len(controller_out)))
+            kind: {"path": os.path.basename(path), "count": counts[kind], "sha256": _sha256(path)}
+            for kind, path in paths.items()
         },
     }
     write_atomic(os.path.join(out_dir, "manifest.json"),

@@ -89,6 +89,27 @@ class TestValidation:
         assert err.startswith("data error:") and "(line 2)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("domain,edit", [
+        ("blocks", lambda rec: {**rec, "blocks": "".join(rec["blocks"])}),
+        ("maze", lambda rec: {**rec, "optimal_length": rec["optimal_length"] + 1}),
+        ("maze", lambda rec: {**rec, "optimal_length": 0, "gold_plan": None}),
+        ("maze", lambda rec: {**rec, "optimal_length": "3", "gold_plan": None}),
+    ], ids=["blocks-as-string", "length-not-the-gold-plans", "length-0-but-start-is-not-goal",
+            "length-not-an-integer"])
+    def test_inconsistent_problem_line_exits_3(self, small_maze_dataset, small_blocks_dataset,
+                                               tmp_path, domain, edit, capsys):
+        from hybridplan.textio import problem_to_json
+
+        test = (small_maze_dataset if domain == "maze" else small_blocks_dataset)["test"]
+        good = json.dumps(problem_to_json(test[0]))
+        rec = edit(problem_to_json(test[1]))
+        path = tmp_path / f"{domain}.jsonl"
+        path.write_text(good + "\n" + json.dumps(rec) + "\n")
+        assert main(["eval", "--problems", str(path), "--planner", "system2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "(line 2)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--planner", "system2", "--budget", "0"],
         ["eval", "--planner", "system1x", "--budget", "-3"],

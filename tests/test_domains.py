@@ -175,6 +175,13 @@ def test_problem_validation_rejects_bad_states():
         blocks_problem((("A",),), (("A",), ("A",)), ("A",))
 
 
+def test_blocks_problem_needs_a_block():
+    """A state of no blocks has no text that parse_state accepts, so such a
+    problem could be saved but not loaded."""
+    with pytest.raises(ValueError, match="at least one block"):
+        blocks_problem((), (), ())
+
+
 # ---------------------------------------------------------------- properties
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,17 +1,31 @@
 import hashlib
 import json
 import random
+import string
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from hybridplan.controller import ControllerConfig, build_controller_dataset
-from hybridplan.domains import canonical_blocks
+from hybridplan import textio
+from hybridplan.controller import (
+    SYS1,
+    SYS2,
+    ControllerConfig,
+    SubGoal,
+    build_controller_dataset,
+    decompose_states,
+)
+from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks
+from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.hybrid import EnginesConfig
-from hybridplan.search import TraceConfig, astar, bfs
+from hybridplan.search import TraceConfig, astar, bfs, run_engine
 from hybridplan.textio import (
+    MAZE_ACTION_SET,
     ParseError,
     emit_datasets,
     metaplan_mirror,
+    metaplan_record,
     parse_action,
     parse_metaplan_text,
     parse_plan_text,
@@ -25,10 +39,14 @@ from hybridplan.textio import (
     save_problems,
     load_problems,
     trace_mirror,
+    trace_record,
     verbalize_metaplan,
     verbalize_plan,
     verbalize_trace,
 )
+from strategies import blocks_problems, blocks_states, maze_problems, states_of
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestStatesAndActions:
@@ -47,9 +65,30 @@ class TestStatesAndActions:
         assert render_action(("A", "table")) == "move(A,table)"
         assert parse_action("move(A,B)") == ("A", "B")
 
+    def test_no_empty_state(self):
+        with pytest.raises(ValueError):
+            render_state(())
+        with pytest.raises(ParseError):
+            parse_state("")
+
     def test_unknown_action_token(self):
         with pytest.raises(ParseError):
             parse_action("diag", line_no=3)
+
+
+LABELS = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=3)
+MAZE_STATES = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+BLOCKS_STATES = st.lists(LABELS, min_size=1, max_size=6, unique=True).flatmap(
+    lambda labels: blocks_states(tuple(labels)))
+ACTIONS = st.one_of(st.sampled_from(sorted(MAZE_ACTION_SET)),
+                    st.tuples(LABELS, st.one_of(LABELS, st.just("table"))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(state=st.one_of(MAZE_STATES, BLOCKS_STATES), action=ACTIONS)
+def test_parse_inverts_render(state, action):
+    assert parse_state(render_state(state)) == state
+    assert parse_action(render_action(action)) == action
 
 
 class TestPlanRoundTrip:
@@ -99,8 +138,6 @@ class TestTraceRoundTrip:
         assert valid and all(e["t"] is None and e["f"] is None for e in valid)
 
     def test_failed_run(self):
-        from hybridplan.domains import MazeGrid, PlanningProblem
-
         wall = frozenset((r, 2) for r in range(5))
         p = PlanningProblem(domain="maze", start=(2, 0), goal=(2, 4),
                             grid=MazeGrid(5, 5, wall))
@@ -112,6 +149,52 @@ class TestTraceRoundTrip:
     def test_malformed_line(self):
         with pytest.raises(ParseError):
             parse_trace_text("step 0 | broken\nPLAN:")
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("caps", ["nocaps", "caps"])
+@PROPERTY
+@given(problem=st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
+@example(problem=PlanningProblem(domain="maze", start=(1, 0), goal=(1, 2),  # walled off
+                                 grid=MazeGrid(3, 3, frozenset({(0, 1), (1, 1), (2, 1)}))))
+def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
+    """The mirror is built from the events, so parsing the text checks it:
+    scores only where A* has them, and no plan for a failed run."""
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+    run = run_engine(engine, problem, config)
+    text, mirror = trace_record(run)
+    assert parse_trace_text(text) == mirror
+    assert (verbalize_trace(run), trace_mirror(run)) == (text, mirror)
+    assert len(mirror["events"]) == len(run.events)
+    for event in mirror["events"]:
+        if event["validity"] == "valid" and engine != "astar":
+            assert event["t"] is None and event["f"] is None
+        elif event["validity"] == "valid":
+            assert event["f"] == event["g"] + event["t"]
+    if run.plan is None:
+        assert text.splitlines()[-1] == "NO PLAN" and mirror["plan"] is None
+    else:
+        assert mirror["plan"] == [render_action(a) for a in run.plan]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_parsed_metaplan_equals_the_one_pass_mirror(data):
+    problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
+    assume(problem.domain == "blocks" and len(problem.blocks) > 1
+           or problem.domain == "maze" and len(problem.grid.free_cells()) > 1)
+    states = data.draw(st.lists(states_of(problem), min_size=2, max_size=12, unique=True))
+    if data.draw(st.booleans()):
+        meta = (SubGoal(states[0], states[-1], data.draw(st.sampled_from((SYS1, SYS2)))),)
+    else:
+        hfn = hardness_fn(data.draw(st.sampled_from(SELECTORS[problem.domain])), problem)
+        meta = decompose_states(states, data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+                                data.draw(st.sampled_from(("sliding-window", "edge-window"))), hfn)
+    text, mirror = metaplan_record(meta)
+    assert parse_metaplan_text(text) == mirror
+    assert (verbalize_metaplan(meta), metaplan_mirror(meta)) == (text, mirror)
+    assert [(sg["from"], sg["to"], sg["mode"]) for sg in mirror["subgoals"]] == \
+           [(render_state(sg.start), render_state(sg.goal), sg.mode) for sg in meta]
 
 
 class TestMetaplanRoundTrip:
@@ -246,18 +329,41 @@ class TestEmitDatasets:
             "e3cf3912ea861a7873bde06420f56ab07ffcf5b4184887c14a8b427028695146"),
     }
 
-    @pytest.mark.parametrize("domain,caps", sorted(GOLDEN_CORPUS_DIGESTS))
-    def test_golden_corpus_digests(self, tmp_path, domain, caps, small_maze_dataset,
-                                   small_blocks_dataset):
-        train = (small_maze_dataset if domain == "maze" else small_blocks_dataset)["train"]
+    @staticmethod
+    def _corpus_digests(out, train, caps):
         trace = TraceConfig(seed=0)
         if caps == "caps":
             trace = TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
         records = build_controller_dataset(train, ControllerConfig(x=0.5))
-        emit_datasets(train, records, EnginesConfig(sys2="astar", trace=trace), str(tmp_path))
-        digests = tuple(hashlib.sha256((tmp_path / f"{kind}.jsonl").read_bytes()).hexdigest()
-                        for kind in ("sys1", "sys2", "controller"))
-        assert digests == self.GOLDEN_CORPUS_DIGESTS[(domain, caps)]
+        emit_datasets(train, records, EnginesConfig(sys2="astar", trace=trace), str(out))
+        return tuple(hashlib.sha256((out / f"{kind}.jsonl").read_bytes()).hexdigest()
+                     for kind in ("sys1", "sys2", "controller"))
+
+    @pytest.mark.parametrize("domain,caps", sorted(GOLDEN_CORPUS_DIGESTS))
+    def test_golden_corpus_digests(self, tmp_path, domain, caps, small_maze_dataset,
+                                   small_blocks_dataset):
+        train = (small_maze_dataset if domain == "maze" else small_blocks_dataset)["train"]
+        assert self._corpus_digests(tmp_path, train, caps) == \
+               self.GOLDEN_CORPUS_DIGESTS[(domain, caps)]
+
+    def test_emit_never_parses(self, tmp_path, monkeypatch, small_maze_dataset,
+                               small_blocks_dataset):
+        """The mirrors come from the runs and meta-plans, not from parsing
+        the emitted text: with every textio parser made to raise, the
+        corpora still keep their golden digests."""
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a textio parser was called")
+
+        for name in ("parse_state", "parse_action", "parse_plan_text", "parse_trace_text",
+                     "parse_metaplan_text"):
+            monkeypatch.setattr(textio, name, no_parse)
+        with pytest.raises(AssertionError):
+            problem_from_json(problem_to_json(small_maze_dataset["train"][0]))
+        for domain, caps in sorted(self.GOLDEN_CORPUS_DIGESTS):
+            train = (small_maze_dataset if domain == "maze" else small_blocks_dataset)["train"]
+            out = tmp_path / f"{domain}-{caps}"
+            assert self._corpus_digests(out, train, caps) == \
+                   self.GOLDEN_CORPUS_DIGESTS[(domain, caps)]
 
     def test_no_partial_files_on_error(self, tmp_path, small_maze_dataset):
         from hybridplan.textio import write_jsonl_atomic
