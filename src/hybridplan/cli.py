@@ -16,6 +16,7 @@ import os
 import sys
 
 from .controller import ControllerConfig, HybridController, build_controller_dataset
+from .domains import validate_plan
 from .evaluate import (
     PlannerConfig,
     budget_sweep,
@@ -23,9 +24,7 @@ from .evaluate import (
     report_to_markdown,
     report_to_plot_data,
     run_planner,
-    average_se,
-    plan_optimality_rate,
-    plan_validity_rate,
+    score_runs,
 )
 from .generators import (
     BlocksDatasetConfig,
@@ -60,7 +59,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors reach main() as UsageError."""
+    """An argument parser whose errors reach main() as UsageError. Flags
+    must be spelled out, so that --budget is no abbreviation of --budgets."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -148,10 +151,23 @@ def _load_scored_split(args):
     return splits
 
 
+def _load_gold_train(args):
+    """The train split, whose gold plans build-controller-data and
+    emit-datasets decompose and write; each must reach its goal."""
+    train = _load_split(args, "train")["train"]
+    for problem in train:
+        if problem.gold_plan is None:
+            raise ParseError(f"problem {problem.problem_id!r} in {args.problems} has no gold plan")
+        ok, at = validate_plan(problem, problem.gold_plan)
+        if not ok:
+            raise ParseError(f"problem {problem.problem_id!r} in {args.problems}: gold plan "
+                             f"fails at step {at} of {len(problem.gold_plan)}")
+    return train
+
+
 def cmd_build_controller_data(args):
-    splits = _load_split(args, "train")
-    config = _controller_config(args, splits["train"])
-    records = build_controller_dataset(splits["train"], config)
+    train = _load_gold_train(args)
+    records = build_controller_dataset(train, _controller_config(args, train))
     from .textio import metaplan_record
 
     out = []
@@ -166,8 +182,7 @@ def cmd_build_controller_data(args):
 
 
 def cmd_emit_datasets(args):
-    splits = _load_split(args, "train")
-    train = splits["train"]
+    train = _load_gold_train(args)
     records = build_controller_dataset(train, _controller_config(args, train))
     engines = EnginesConfig(sys2=args.sys2, trace=_trace_config(args))
     out_dir = args.out or os.path.join(os.environ.get(DEFAULT_OUT_DIR_ENV, "."), "datasets")
@@ -193,8 +208,8 @@ def cmd_plan(args):
     ]
     path = _out_path(args, "runs.jsonl")
     write_jsonl_atomic(path, out)
-    validity = plan_validity_rate(runs)
-    print(f"plan: {config.label()} on {len(runs)} problems, validity {float(validity):.3f} -> {path}")
+    validity = sum(rec["valid"] for rec in out) / len(out)
+    print(f"plan: {config.label()} on {len(runs)} problems, validity {validity:.3f} -> {path}")
     return 0
 
 
@@ -202,12 +217,12 @@ def cmd_eval(args):
     splits = _load_scored_split(args)
     problems = splits[args.split]
     config = _planner_config(args, splits.get("train", problems))
-    runs = run_planner(problems, config, budget=args.budget, workers=args.workers)
+    row = score_runs(run_planner(problems, config, budget=args.budget, workers=args.workers))
     print(
-        f"eval: {config.label()} n={len(runs)} "
-        f"validity={float(plan_validity_rate(runs)):.3f} "
-        f"optimality={float(plan_optimality_rate(runs)):.3f} "
-        f"avg_se={float(average_se(runs)):.1f}"
+        f"eval: {config.label()} n={row.n} "
+        f"validity={float(row.validity):.3f} "
+        f"optimality={float(row.optimality):.3f} "
+        f"avg_se={float(row.avg_se):.1f}"
     )
     return 0
 
@@ -245,7 +260,6 @@ def _add_planner_flags(parser):
                         default="sliding-window")
     parser.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
     parser.add_argument("--split", default="test")
-    parser.add_argument("--budget", type=_positive_int, default=None)
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes per planner pass (default 1); workers do not "
                              "share a sweep's memo, so more than one makes sweeps slower")
@@ -279,13 +293,12 @@ def build_parser():
     p.add_argument("--sys2", choices=("astar", "bfs", "dfs"), default="astar")
     p.add_argument("--blocks-caps", action="store_true")
 
-    p = sub.add_parser("plan", help="run a planner over a split, write per-problem runs")
-    _add_common(p)
-    _add_planner_flags(p)
-
-    p = sub.add_parser("eval", help="score a planner on a split")
-    _add_common(p)
-    _add_planner_flags(p)
+    for name, text in (("plan", "run a planner over a split, write per-problem runs"),
+                       ("eval", "score a planner on a split")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        _add_planner_flags(p)
+        p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("sweep", help="budget sweep producing a CSV report")
     _add_common(p)

@@ -37,11 +37,13 @@ class MazeGrid:
     obstacles: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("grid dimensions must be positive")
+        if type(self.rows) is not int or type(self.cols) is not int \
+                or self.rows <= 0 or self.cols <= 0:
+            raise ValueError("grid dimensions must be positive integers")
         for (r, c) in self.obstacles:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"obstacle {(r, c)} out of bounds")
+            if type(r) is not int or type(c) is not int \
+                    or not (0 <= r < self.rows and 0 <= c < self.cols):
+                raise ValueError(f"obstacle {(r, c)} is not a cell of the grid")
 
     def in_bounds(self, state):
         r, c = state
@@ -69,6 +71,9 @@ class PlanningProblem:
     split: str = ""
 
     def __post_init__(self):
+        """Checks the problem against its grid or block universe. Blocks
+        states are canonicalized, so a state written with its stacks out of
+        bottom order equals its canonical form."""
         if self.domain not in ("maze", "blocks"):
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == "maze":
@@ -82,10 +87,16 @@ class PlanningProblem:
         else:
             if not self.blocks:
                 raise ValueError("blocks problem needs at least one block")
-            for name, s in (("start", self.start), ("goal", self.goal)):
-                labels = sorted(b for stack in s for b in stack)
-                if labels != sorted(self.blocks):
+            if len(set(self.blocks)) != len(self.blocks):
+                raise ValueError("block labels must be distinct")
+            if TABLE in self.blocks:
+                raise ValueError(f"a block may not be named {TABLE!r}")
+            universe = sorted(self.blocks)
+            for name in ("start", "goal"):
+                state = canonical_blocks(getattr(self, name))
+                if sorted(b for stack in state for b in stack) != universe:
                     raise ValueError(f"{name} does not use the block universe exactly once each")
+                object.__setattr__(self, name, state)
 
     @cached_property
     def geometry(self):
@@ -198,7 +209,9 @@ def _expand(problem, state):
     the stack's index; each move's reason or successor follows from it.
     Successors keep the stacks sorted by bottom block without re-sorting:
     a move onto a stack leaves every bottom in place, a move to the table
-    inserts the new one-block stack at its bisected position."""
+    inserts the new one-block stack at its bisected position. The state
+    must be canonical, as a problem's start and goal and every successor
+    are."""
     if problem.domain == "maze":
         out = []
         for action in MAZE_ACTIONS:
@@ -206,9 +219,6 @@ def _expand(problem, state):
             out.append((action, nxt, reason))
         return out
     bottoms = [s[0] for s in state]
-    if bottoms != sorted(bottoms):  # a start state read from a file, say
-        state = canonical_blocks(state)
-        bottoms.sort()
     tops = {s[-1]: i for i, s in enumerate(state)}
     out = []
     for block, onto, to_table, not_clear in _blocks_moves(problem):
@@ -359,11 +369,16 @@ def validate_plan(problem, plan):
     Returns (True, None) when every transition is legal and the final
     state equals the goal, else (False, failing_step_index) with steps
     counted from 1; a goal mismatch at the end reports index len(plan).
-    An empty plan is valid iff start == goal.
+    An empty plan is valid iff start == goal. A step that is no action of
+    the problem (a move in a maze, an unknown block) fails like an illegal
+    one.
     """
     state = problem.start
     for i, action in enumerate(plan):
-        nxt, _ = step(problem, state, action)
+        try:
+            nxt, _ = step(problem, state, action)
+        except (KeyError, ValueError):  # not an action of the problem's domain
+            nxt = None
         if nxt is None:
             return False, i + 1
         state = nxt

@@ -35,10 +35,6 @@ class ScoredRun:
         ok, _ = validate_plan(self.problem, self.plan)
         return ok
 
-    @property
-    def optimal(self):
-        return self.judge()[1]
-
     def judge(self):
         """(valid, optimal), replaying the plan once."""
         if self.problem.optimal_length is None:
@@ -80,18 +76,6 @@ class PlannerConfig:
             return self.engine
         cfg = self.controller.config
         return f"hybrid-x{cfg.x:g}-{self.engine}"
-
-
-def plan_validity_rate(runs):
-    if not runs:
-        raise ValueError("validity rate of an empty run set is undefined")
-    return Fraction(sum(1 for r in runs if r.valid), len(runs))
-
-
-def plan_optimality_rate(runs):
-    if not runs:
-        raise ValueError("optimality rate of an empty run set is undefined")
-    return Fraction(sum(1 for r in runs if r.optimal), len(runs))
 
 
 def average_se(runs):
@@ -167,8 +151,9 @@ def run_planner(problems, config, budget=None, workers=1):
     return [solve_one(p, config, budget) for p in problems]
 
 
-def _row(runs, budget, bias=None, cap=None):
-    """The report row of a run set; each plan is validated once."""
+def score_runs(runs, budget="default", bias=None, cap=None):
+    """The report row of a run set: its average states explored and its
+    validity and optimality rates, each plan validated once."""
     avg_se = average_se(runs)
     judged = [run.judge() for run in runs]
     return BudgetRow(budget=budget, avg_se=avg_se,
@@ -204,13 +189,13 @@ def _sweep(problems, config, budgets, workers):
     default_avg = average_se(default_runs)
     rows = []
     if config.kind == "sys1":
-        return BudgetReport(config.label(), (_row(default_runs, "default"),))
+        return BudgetReport(config.label(), (score_runs(default_runs),))
     sizes = [r.states_explored for r in default_runs]
     for target in budgets:
         if target < default_avg:
             cap = match_budget_cap(sizes, target)
             runs = run_planner(problems, config, budget=cap, workers=workers)
-            rows.append(_row(runs, target, cap=cap))
+            rows.append(score_runs(runs, target, cap=cap))
         elif config.kind == "hybrid":
             best = (default_runs, None)
             steps = int(round(1.0 / BIAS_STEP))
@@ -223,10 +208,10 @@ def _sweep(problems, config, budgets, workers):
                     best = (runs, bias)
                 if bias >= 1.0:
                     break
-            rows.append(_row(best[0], target, bias=best[1]))
+            rows.append(score_runs(best[0], target, bias=best[1]))
         else:
-            rows.append(_row(default_runs, target))
-    rows.append(_row(default_runs, "default"))
+            rows.append(score_runs(default_runs, target))
+    rows.append(score_runs(default_runs))
     return BudgetReport(config.label(), tuple(rows))
 
 

@@ -166,7 +166,7 @@ def random_blocks_state(rng, blocks):
     return canonical_blocks(stacks)
 
 
-def blocks_optimal_plan(problem, max_expansions=None):
+def blocks_optimal_plan(problem):
     """Lean A* (mismatch heuristic, admissible and consistent) returning an
     optimal plan, or None when unreachable."""
     start, goal = problem.start, problem.goal
@@ -178,15 +178,11 @@ def blocks_optimal_plan(problem, max_expansions=None):
     counter = 0
     frontier = [(h(start), counter, start)]
     closed = set()
-    expansions = 0
     while frontier:
         _, _, current = heapq.heappop(frontier)
         if current in closed:
             continue
         closed.add(current)
-        expansions += 1
-        if max_expansions is not None and expansions > max_expansions:
-            return None
         for action, nxt in valid_actions(problem, current):
             tentative = g_score[current] + 1
             if nxt in g_score and tentative >= g_score[nxt]:

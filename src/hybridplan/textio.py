@@ -14,12 +14,10 @@ import json
 import os
 import re
 
-from .domains import MazeGrid, PlanningProblem, canonical_blocks, render_maze
+from .domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
 from .search import VALID
 
 TEMPLATE_VERSION = "grammar-v1"
-
-MAZE_ACTION_SET = {"up", "down", "left", "right"}
 
 
 class ParseError(ValueError):
@@ -77,7 +75,7 @@ _MOVE_RE = re.compile(r"^move\((\w+),(\w+)\)$")
 
 def parse_action(token, line_no=None):
     token = token.strip()
-    if token in MAZE_ACTION_SET:
+    if token in MAZE_ACTIONS:
         return token
     m = _MOVE_RE.match(token)
     if m:
@@ -144,14 +142,6 @@ def trace_record(run):
         lines.append(verbalize_plan(run.plan))
         plan = [render_action(a) for a in run.plan]
     return "\n".join(lines), {"events": events, "plan": plan}
-
-
-def verbalize_trace(run):
-    return trace_record(run)[0]
-
-
-def trace_mirror(run):
-    return trace_record(run)[1]
 
 
 _VALID_EVENT_RE = re.compile(
@@ -221,14 +211,6 @@ def metaplan_record(meta_plan):
     return "\n".join(lines), {"subgoals": subgoals}
 
 
-def verbalize_metaplan(meta_plan):
-    return metaplan_record(meta_plan)[0]
-
-
-def metaplan_mirror(meta_plan):
-    return metaplan_record(meta_plan)[1]
-
-
 _SUBGOAL_RE = re.compile(r"^subgoal (\d+) \| (.+) -> (.+) \| (SYS1|SYS2)$")
 
 
@@ -275,32 +257,25 @@ def problem_to_json(problem):
 
 
 def problem_from_json(rec):
-    """A problem from its record. Blocks states are canonicalized, so a
-    goal written with its stacks out of bottom order is still reachable.
-    An optimal length must be a non-negative integer that agrees with the
+    """A problem from its record. Its id and split must be strings. An
+    optimal length must be a non-negative integer that agrees with the
     gold plan's length and is 0 only when start is the goal."""
     domain = rec["domain"]
     start, goal = parse_state(rec["start"]), parse_state(rec["goal"])
-    if domain == "blocks":
-        start, goal = canonical_blocks(start), canonical_blocks(goal)
+    problem_id, split = rec.get("id", ""), rec.get("split", "")
+    if type(problem_id) is not str or type(split) is not str:
+        raise ValueError("id and split must be strings")
     gold_plan, length = rec.get("gold_plan"), rec.get("optimal_length")
     if gold_plan is not None:
         gold_plan = tuple(parse_action(a) for a in gold_plan)
-    if length is not None:
-        if type(length) is not int or length < 0:
-            raise ValueError(f"optimal_length {length!r} is not a non-negative integer")
-        if gold_plan is not None and length != len(gold_plan):
-            raise ValueError(f"optimal_length {length} but the gold plan has {len(gold_plan)} steps")
-        if length == 0 and start != goal:
-            raise ValueError("optimal_length 0 but start is not the goal")
     kwargs = dict(
         domain=domain,
         start=start,
         goal=goal,
         gold_plan=gold_plan,
         optimal_length=length,
-        problem_id=rec.get("id", ""),
-        split=rec.get("split", ""),
+        problem_id=problem_id,
+        split=split,
     )
     if domain == "maze":
         g = rec["grid"]
@@ -310,7 +285,15 @@ def problem_from_json(rec):
         if not isinstance(blocks, list):
             raise ValueError(f"blocks must be a list of labels, not {type(blocks).__name__}")
         kwargs["blocks"] = tuple(blocks)
-    return PlanningProblem(**kwargs)
+    problem = PlanningProblem(**kwargs)
+    if length is not None:
+        if type(length) is not int or length < 0:
+            raise ValueError(f"optimal_length {length!r} is not a non-negative integer")
+        if gold_plan is not None and length != len(gold_plan):
+            raise ValueError(f"optimal_length {length} but the gold plan has {len(gold_plan)} steps")
+        if length == 0 and problem.start != problem.goal:
+            raise ValueError("optimal_length 0 but start is not the goal")
+    return problem
 
 
 def problem_input_text(problem):

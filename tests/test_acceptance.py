@@ -22,14 +22,12 @@ from hybridplan.hybrid import EnginesConfig, solve_hybrid
 from hybridplan.hardness import hardness_fn
 from hybridplan.search import TraceConfig, astar, bfs, dfs
 from hybridplan.textio import (
+    metaplan_record,
     parse_metaplan_text,
     parse_plan_text,
     parse_trace_text,
-    metaplan_mirror,
-    trace_mirror,
-    verbalize_metaplan,
+    trace_record,
     verbalize_plan,
-    verbalize_trace,
 )
 
 from reference import capped_totals
@@ -178,12 +176,12 @@ def test_criterion_7_dataset_round_trip(maze_dataset, blocks_dataset, tmp_path):
         for p in rng.sample(maze_dataset["train"], 1000))
     trace_sample = rng.sample(maze_dataset["train"], 1000)
     traces_ok = all(
-        parse_trace_text(verbalize_trace(astar(p))) == trace_mirror(astar(p))
+        parse_trace_text(trace_record(astar(p))[0]) == trace_record(astar(p))[1]
         for p in trace_sample)
     records = build_controller_dataset(maze_dataset["train"], ControllerConfig(x=0.5))
     meta_sample = rng.sample(records, 1000)
     metas_ok = all(
-        parse_metaplan_text(verbalize_metaplan(m)) == metaplan_mirror(m)
+        parse_metaplan_text(metaplan_record(m)[0]) == metaplan_record(m)[1]
         for _, m in meta_sample)
 
     caps_ok = True

@@ -1,10 +1,22 @@
+import contextlib
+import io
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.cli import main
 from hybridplan.textio import load_problems, save_problems
+
+# one small valid record per domain; the probes below edit them
+MAZE_RECORD = {"id": "m", "domain": "maze", "grid": {"rows": 3, "cols": 3, "obstacles": [[1, 1]]},
+               "start": "(0,0)", "goal": "(2,2)", "gold_plan": ["down", "down", "right", "right"],
+               "optimal_length": 4, "split": "test"}
+BLOCKS_RECORD = {"id": "b", "domain": "blocks", "blocks": ["A", "B", "C"], "start": "A,B|C",
+                 "goal": "C,B,A", "gold_plan": ["move(B,C)", "move(A,B)"], "optimal_length": 2,
+                 "split": "test"}
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +106,18 @@ class TestValidation:
         ("maze", lambda rec: {**rec, "optimal_length": rec["optimal_length"] + 1}),
         ("maze", lambda rec: {**rec, "optimal_length": 0, "gold_plan": None}),
         ("maze", lambda rec: {**rec, "optimal_length": "3", "gold_plan": None}),
+        ("blocks", lambda rec: {**rec, "blocks": ["A", "A"], "start": "A|A", "goal": "A|A",
+                                "gold_plan": [], "optimal_length": 0}),
+        ("blocks", lambda rec: {**rec, "blocks": ["A", "table"], "start": "A|table",
+                                "goal": "table,A", "gold_plan": ["move(A,table)"],
+                                "optimal_length": 1}),
+        ("maze", lambda rec: {**rec, "grid": {**rec["grid"], "rows": float(rec["grid"]["rows"])}}),
+        ("maze", lambda rec: {**rec, "grid": {**rec["grid"], "obstacles": [[1, 1.5]]}}),
+        ("maze", lambda rec: {**rec, "id": [rec["id"]]}),
+        ("maze", lambda rec: {**rec, "split": [rec["split"]]}),
     ], ids=["blocks-as-string", "length-not-the-gold-plans", "length-0-but-start-is-not-goal",
-            "length-not-an-integer"])
+            "length-not-an-integer", "repeated-blocks", "block-named-table", "float-rows",
+            "float-obstacle", "list-id", "list-split"])
     def test_inconsistent_problem_line_exits_3(self, small_maze_dataset, small_blocks_dataset,
                                                tmp_path, domain, edit, capsys):
         from hybridplan.textio import problem_to_json
@@ -117,6 +139,10 @@ class TestValidation:
     ])
     def test_bad_budget_exits_2(self, problems_file, argv, capsys):
         assert main(argv + ["--problems", problems_file]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_sweep_takes_no_budget(self, problems_file, capsys):
+        assert main(["sweep", "--problems", problems_file, "--budget", "5"]) == 2
         assert capsys.readouterr().err.startswith("usage error:")
 
     @pytest.mark.parametrize("argv", [
@@ -241,6 +267,27 @@ class TestControllerData:
             assert (out / f"{kind}.jsonl").exists()
 
 
+    @pytest.mark.parametrize("command", ["build-controller-data", "emit-datasets"])
+    @pytest.mark.parametrize("record,step", [
+        ({**BLOCKS_RECORD, "gold_plan": ["move(A,A)", "move(A,B)"]}, 1),
+        ({**BLOCKS_RECORD, "gold_plan": ["move(Z,C)", "move(A,B)"]}, 1),
+        ({**BLOCKS_RECORD, "gold_plan": ["move(B,C)", "move(B,A)"]}, 2),
+        ({**MAZE_RECORD, "gold_plan": ["up", "down", "right", "right"]}, 1),
+        ({**MAZE_RECORD, "gold_plan": ["right", "right", "down", "move(A,B)"]}, 4),
+        ({**MAZE_RECORD, "gold_plan": ["down", "up", "down", "down"]}, 4),
+    ], ids=["self-move", "unknown-block", "blocks-off-the-goal", "out-of-bounds",
+            "move-in-a-maze", "maze-off-the-goal"])
+    def test_bad_gold_plan_exits_3_writing_nothing(self, tmp_path, command, record, step,
+                                                   capsys):
+        path = tmp_path / "problems.jsonl"
+        path.write_text(json.dumps({**record, "split": "train"}) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--problems", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and repr(record["id"]) in err
+        assert f"step {step} " in err
+        assert not out.exists()
+
     def test_emit_datasets_manifest_onto_a_directory_exits_3_leaving_no_temp_file(
             self, problems_file, tmp_path, capsys):
         out = tmp_path / "datasets"
@@ -320,3 +367,35 @@ def test_default_out_dir_env(tmp_path, monkeypatch, small_maze_dataset):
     save_problems(str(path), small_maze_dataset)
     assert main(["plan", "--problems", str(path), "--planner", "system1"]) == 0
     assert (tmp_path / "runs.jsonl").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "problems.jsonl"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(record=st.sampled_from((MAZE_RECORD, BLOCKS_RECORD)), data=st.data())
+def test_any_field_value_loads_or_exits_3(fuzz_file, record, data):
+    """A problem line with any one field, the grid's included, replaced by
+    a JSON value either is scored or exits 3 with a data error line."""
+    fields = [*record, *(["grid." + k for k in record["grid"]] if "grid" in record else [])]
+    field = data.draw(st.sampled_from(fields))
+    value = data.draw(JSON_VALUES)
+    record = json.loads(json.dumps(record))
+    if field.startswith("grid."):
+        record["grid"][field[5:]] = value
+    else:
+        record[field] = value
+    fuzz_file.write_text(json.dumps(record) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--problems", str(fuzz_file), "--planner", "system1x"])
+    assert code == 0 or code == 3 and err.getvalue().startswith("data error:"), err.getvalue()

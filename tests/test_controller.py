@@ -15,7 +15,7 @@ from hybridplan.controller import (
 )
 from hybridplan.domains import plan_states, skeleton
 from hybridplan.hardness import SELECTORS, hardness_fn
-from hybridplan.textio import verbalize_metaplan
+from hybridplan.textio import metaplan_record
 from strategies import blocks_problems, maze_problems, states_of
 
 
@@ -292,7 +292,7 @@ def test_golden_metaplan_digests(domain, variant, small_maze_dataset, small_bloc
     for x in (0.25, 0.5, 0.75):
         ctl = HybridController(ControllerConfig(x=x, variant=variant)).fit(dataset["train"])
         for p in dataset["test"]:
-            digest.update(verbalize_metaplan(ctl.decompose(p)).encode())
+            digest.update(metaplan_record(ctl.decompose(p))[0].encode())
             digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_METAPLAN_DIGESTS[(domain, variant)]
 
@@ -319,5 +319,5 @@ def test_golden_controller_dataset_digests(domain, variant, small_maze_dataset,
     for x in (0.25, 0.5, 0.75):
         config = ControllerConfig(x=x, variant=variant)
         for p, meta in build_controller_dataset(dataset["train"], config):
-            digest.update(f"{p.problem_id}\n{verbalize_metaplan(meta)}\n\n".encode())
+            digest.update(f"{p.problem_id}\n{metaplan_record(meta)[0]}\n\n".encode())
     assert digest.hexdigest() == GOLDEN_DATASET_DIGESTS[(domain, variant)]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,12 @@ class TestValidatePlan:
         ok, idx = validate_plan(p, ("right",))
         assert not ok and idx == 1
 
+    def test_step_of_no_action_of_the_domain_fails(self):
+        assert validate_plan(maze_problem(), (("A", "B"),)) == (False, 1)
+        p = blocks_problem((("A",), ("B",)), (("A", "B"),), ("A", "B"))
+        assert validate_plan(p, (("Z", "A"),)) == (False, 1)
+        assert validate_plan(p, ("down",)) == (False, 1)
+
     def test_transition_determinism(self):
         p = maze_problem()
         plan = ("down", "right", "down", "right")
@@ -173,6 +180,19 @@ def test_problem_validation_rejects_bad_states():
         maze_problem(obstacles={(0, 0)})
     with pytest.raises(ValueError):
         blocks_problem((("A",),), (("A",), ("A",)), ("A",))
+    with pytest.raises(ValueError):  # repeated labels
+        blocks_problem((("A",), ("A",)), (("A",), ("A",)), ("A", "A"))
+    with pytest.raises(ValueError):  # a block named like the table
+        blocks_problem((("A",), ("table",)), (("A",), ("table",)), ("A", "table"))
+    for rows, obstacles in ((3.0, ()), (True, ()), (3, {(1, 1.0)})):
+        with pytest.raises(ValueError):
+            MazeGrid(rows, 3, frozenset(obstacles))
+
+
+def test_blocks_states_are_canonical_at_construction():
+    p = blocks_problem((("C",), ("A", "B")), (("C", "B"), ("A",)), ("A", "B", "C"))
+    assert p.start == canonical_blocks([["A", "B"], ["C"]]) == (("A", "B"), ("C",))
+    assert p.goal == (("A",), ("C", "B"))
 
 
 def test_blocks_problem_needs_a_block():
@@ -209,7 +229,8 @@ def test_valid_actions_are_the_legal_steps(problem, data):
 def test_expansion_is_the_step_of_every_candidate(problem, data):
     state = data.draw(states_of(problem))
     if problem.domain == "blocks":  # a start state read from a file need not be sorted
-        state = tuple(data.draw(st.permutations(state)))
+        problem = replace(problem, start=tuple(data.draw(st.permutations(state))))
+        state = problem.start
     assert _expand(problem, state) == [(a, *step(problem, state, a))
                                        for a in candidate_actions(problem, state)]
 

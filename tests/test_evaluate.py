@@ -17,12 +17,11 @@ from hybridplan.evaluate import (
     average_se,
     budget_sweep,
     match_budget_cap,
-    plan_optimality_rate,
-    plan_validity_rate,
     report_to_csv,
     report_to_markdown,
     report_to_plot_data,
     run_planner,
+    score_runs,
     solve_one,
 )
 from hybridplan.search import ENGINES, TraceConfig
@@ -41,17 +40,15 @@ def make_run(valid=True, length=2, optimal=2):
 class TestRates:
     def test_validity_counting(self):
         runs = [make_run(), make_run(), make_run(), make_run(valid=False)]
-        assert plan_validity_rate(runs) == Fraction(3, 4)
+        assert score_runs(runs).validity == Fraction(3, 4)
 
     def test_all_failures(self):
         runs = [make_run(valid=False)] * 3
-        assert plan_validity_rate(runs) == 0
+        assert score_runs(runs).validity == 0
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
-            plan_validity_rate([])
-        with pytest.raises(ValueError):
-            plan_optimality_rate([])
+            score_runs([])
 
     def test_valid_but_suboptimal(self):
         # a valid 2-step plan against an oracle length of 2 is optimal;
@@ -62,19 +59,21 @@ class TestRates:
                             optimal_length=2)
         detour = ("down", "right", "right", "up")
         runs = [ScoredRun(p, detour, 4)]
-        assert plan_validity_rate(runs) == 1
-        assert plan_optimality_rate(runs) == 0
+        row = score_runs(runs)
+        assert row.validity == 1
+        assert row.optimality == 0
 
     def test_optimality_needs_oracle(self):
         p = PlanningProblem(domain="maze", start=(0, 0), goal=(0, 1), grid=MazeGrid(3, 3))
         with pytest.raises(ValueError):
-            plan_optimality_rate([ScoredRun(p, ("right",), 1)])
+            score_runs([ScoredRun(p, ("right",), 1)])
 
     def test_optimality_le_validity(self, small_maze_dataset):
         ctl = HybridController(ControllerConfig(x=0.5)).fit(small_maze_dataset["train"])
         config = PlannerConfig(kind="hybrid", controller=ctl)
         runs = run_planner(small_maze_dataset["test"], config)
-        assert plan_optimality_rate(runs) <= plan_validity_rate(runs)
+        row = score_runs(runs)
+        assert row.optimality <= row.validity
 
 
 class TestMatchBudgetCap:
@@ -138,7 +137,7 @@ class TestBudgetSweep:
         report = budget_sweep(small_maze_dataset["test"], config, [target])
         row = report.rows[0]
         assert row.bias == 1.0
-        assert row.validity == plan_validity_rate(runs)
+        assert row.validity == score_runs(runs).validity
         assert row.avg_se == average_se(runs)
 
     def test_deterministic(self, small_maze_dataset):

@@ -18,7 +18,7 @@ from hybridplan.domains import (
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
 from hybridplan.hybrid import EnginesConfig, SweepMemo, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
-from hybridplan.textio import verbalize_trace
+from hybridplan.textio import trace_record
 from reference import truncate_run
 from strategies import blocks_problems, maze_problems, reachable_states
 
@@ -280,7 +280,7 @@ def test_golden_trace_digests(engine, domain, caps, small_maze_dataset, small_bl
     config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
     digest = hashlib.sha256()
     for p in problems:
-        digest.update(verbalize_trace(run_engine(engine, p, config)).encode())
+        digest.update(trace_record(run_engine(engine, p, config))[0].encode())
         digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[(engine, domain, caps)]
 

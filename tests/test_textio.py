@@ -16,15 +16,13 @@ from hybridplan.controller import (
     build_controller_dataset,
     decompose_states,
 )
-from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks
+from hybridplan.domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.hybrid import EnginesConfig
 from hybridplan.search import TraceConfig, astar, bfs, run_engine
 from hybridplan.textio import (
-    MAZE_ACTION_SET,
     ParseError,
     emit_datasets,
-    metaplan_mirror,
     metaplan_record,
     parse_action,
     parse_metaplan_text,
@@ -38,11 +36,8 @@ from hybridplan.textio import (
     render_state,
     save_problems,
     load_problems,
-    trace_mirror,
     trace_record,
-    verbalize_metaplan,
     verbalize_plan,
-    verbalize_trace,
 )
 from strategies import blocks_problems, blocks_states, maze_problems, states_of
 
@@ -80,7 +75,7 @@ LABELS = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_siz
 MAZE_STATES = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
 BLOCKS_STATES = st.lists(LABELS, min_size=1, max_size=6, unique=True).flatmap(
     lambda labels: blocks_states(tuple(labels)))
-ACTIONS = st.one_of(st.sampled_from(sorted(MAZE_ACTION_SET)),
+ACTIONS = st.one_of(st.sampled_from(sorted(MAZE_ACTIONS)),
                     st.tuples(LABELS, st.one_of(LABELS, st.just("table"))))
 
 
@@ -121,19 +116,19 @@ class TestTraceRoundTrip:
     def test_event_line_count(self, small_maze_dataset):
         p = small_maze_dataset["test"][0]
         run = astar(p)
-        text = verbalize_trace(run)
+        text = trace_record(run)[0]
         lines = text.splitlines()
         assert sum(1 for ln in lines if ln.startswith("step ")) == len(run.events)
         assert "PLAN:" in lines
 
     def test_round_trip(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:50]:
-            run = astar(p)
-            assert parse_trace_text(verbalize_trace(run)) == trace_mirror(run)
+            text, mirror = trace_record(astar(p))
+            assert parse_trace_text(text) == mirror
 
     def test_bfs_trace_has_no_heuristic_scores(self, small_maze_dataset):
         run = bfs(small_maze_dataset["test"][0])
-        mirror = parse_trace_text(verbalize_trace(run))
+        mirror = parse_trace_text(trace_record(run)[0])
         valid = [e for e in mirror["events"] if e["validity"] == "valid"]
         assert valid and all(e["t"] is None and e["f"] is None for e in valid)
 
@@ -142,7 +137,7 @@ class TestTraceRoundTrip:
         p = PlanningProblem(domain="maze", start=(2, 0), goal=(2, 4),
                             grid=MazeGrid(5, 5, wall))
         run = astar(p)
-        text = verbalize_trace(run)
+        text = trace_record(run)[0]
         assert text.endswith("NO PLAN")
         assert parse_trace_text(text)["plan"] is None
 
@@ -164,7 +159,7 @@ def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
     run = run_engine(engine, problem, config)
     text, mirror = trace_record(run)
     assert parse_trace_text(text) == mirror
-    assert (verbalize_trace(run), trace_mirror(run)) == (text, mirror)
+    assert trace_record(run) == (text, mirror)
     assert len(mirror["events"]) == len(run.events)
     for event in mirror["events"]:
         if event["validity"] == "valid" and engine != "astar":
@@ -192,7 +187,7 @@ def test_parsed_metaplan_equals_the_one_pass_mirror(data):
                                 data.draw(st.sampled_from(("sliding-window", "edge-window"))), hfn)
     text, mirror = metaplan_record(meta)
     assert parse_metaplan_text(text) == mirror
-    assert (verbalize_metaplan(meta), metaplan_mirror(meta)) == (text, mirror)
+    assert metaplan_record(meta) == (text, mirror)
     assert [(sg["from"], sg["to"], sg["mode"]) for sg in mirror["subgoals"]] == \
            [(render_state(sg.start), render_state(sg.goal), sg.mode) for sg in meta]
 
@@ -202,13 +197,14 @@ class TestMetaplanRoundTrip:
         records = build_controller_dataset(
             small_maze_dataset["train"][:100], ControllerConfig(x=0.5))
         for _, meta in records:
-            assert parse_metaplan_text(verbalize_metaplan(meta)) == metaplan_mirror(meta)
+            text, mirror = metaplan_record(meta)
+            assert parse_metaplan_text(text) == mirror
 
     def test_line_shape(self):
         from hybridplan.controller import SYS1, SubGoal
 
         meta = (SubGoal((0, 0), (1, 1), SYS1),)
-        assert verbalize_metaplan(meta) == "subgoal 1 | (0,0) -> (1,1) | SYS1"
+        assert metaplan_record(meta)[0] == "subgoal 1 | (0,0) -> (1,1) | SYS1"
 
     def test_malformed(self):
         with pytest.raises(ParseError):
