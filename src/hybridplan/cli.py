@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .controller import ControllerConfig, HybridController, build_controller_dataset
+from .controller import VARIANTS, ControllerConfig, HybridController, build_controller_dataset
 from .domains import validate_plan
 from .evaluate import (
     PlannerConfig,
@@ -35,11 +35,13 @@ from .generators import (
 )
 from .hardness import SELECTORS
 from .hybrid import EnginesConfig
-from .search import TraceConfig
+from .search import ENGINES, TraceConfig
 from .textio import (
     ParseError,
     emit_datasets,
     load_problems,
+    metaplan_record,
+    render_action,
     save_problems,
     write_atomic,
     write_jsonl_atomic,
@@ -52,6 +54,7 @@ EXIT_EXHAUSTED = 4
 DEFAULT_OUT_DIR_ENV = "HYBRIDPLAN_OUT_DIR"
 
 SELECTOR_NAMES = tuple(name for names in SELECTORS.values() for name in names)
+DATASET_VARIANTS = tuple(v for v in VARIANTS if v != "random")  # random has no dataset
 
 
 class UsageError(Exception):
@@ -115,21 +118,18 @@ def _planner_config(args, train_problems):
                          trace=_trace_config(args), controller=controller)
 
 
-def cmd_gen_maze(args):
-    splits = generate_maze_dataset(args.seed, MazeDatasetConfig())
-    path = _out_path(args, "maze_problems.jsonl")
+def cmd_generate(args):
+    """gen-maze and gen-blocks. The config classes are looked up here, at
+    call time, so that a caller may swap them for smaller ones."""
+    domain = args.command.removeprefix("gen-")
+    if domain == "maze":
+        splits = generate_maze_dataset(args.seed, MazeDatasetConfig())
+    else:
+        splits = generate_blocks_dataset(args.seed, BlocksDatasetConfig())
+    path = _out_path(args, f"{domain}_problems.jsonl")
     save_problems(path, splits)
     counts = {k: len(v) for k, v in splits.items()}
-    print(f"gen-maze: wrote {sum(counts.values())} problems {counts} -> {path}")
-    return 0
-
-
-def cmd_gen_blocks(args):
-    splits = generate_blocks_dataset(args.seed, BlocksDatasetConfig())
-    path = _out_path(args, "blocks_problems.jsonl")
-    save_problems(path, splits)
-    counts = {k: len(v) for k, v in splits.items()}
-    print(f"gen-blocks: wrote {sum(counts.values())} problems {counts} -> {path}")
+    print(f"{args.command}: wrote {sum(counts.values())} problems {counts} -> {path}")
     return 0
 
 
@@ -140,20 +140,25 @@ def _load_split(args, split):
     return splits
 
 
-def _load_scored_split(args):
-    """The problems of the split that eval and sweep score; each needs the
-    oracle length its optimality is judged by."""
+def _planned_split(args, scored):
+    """The problems of args.split and the planner the flags configure, its
+    controller fitted on the train split (or on the problems, when the file
+    has no train split). The problems that eval and sweep score each need
+    the oracle length their optimality is judged by."""
     splits = _load_split(args, args.split)
-    for problem in splits[args.split]:
-        if problem.optimal_length is None:
-            raise ParseError(f"problem {problem.problem_id!r} in {args.problems} "
-                             "has no optimal_length to score optimality against")
-    return splits
+    problems = splits[args.split]
+    if scored:
+        for problem in problems:
+            if problem.optimal_length is None:
+                raise ParseError(f"problem {problem.problem_id!r} in {args.problems} "
+                                 "has no optimal_length to score optimality against")
+    return problems, _planner_config(args, splits.get("train", problems))
 
 
-def _load_gold_train(args):
+def _controller_dataset(args):
     """The train split, whose gold plans build-controller-data and
-    emit-datasets decompose and write; each must reach its goal."""
+    emit-datasets decompose and write (each must reach its goal), and its
+    controller dataset."""
     train = _load_split(args, "train")["train"]
     for problem in train:
         if problem.gold_plan is None:
@@ -162,14 +167,11 @@ def _load_gold_train(args):
         if not ok:
             raise ParseError(f"problem {problem.problem_id!r} in {args.problems}: gold plan "
                              f"fails at step {at} of {len(problem.gold_plan)}")
-    return train
+    return train, build_controller_dataset(train, _controller_config(args, train))
 
 
 def cmd_build_controller_data(args):
-    train = _load_gold_train(args)
-    records = build_controller_dataset(train, _controller_config(args, train))
-    from .textio import metaplan_record
-
+    _, records = _controller_dataset(args)
     out = []
     for problem, meta in records:
         text, mirror = metaplan_record(meta)
@@ -182,10 +184,9 @@ def cmd_build_controller_data(args):
 
 
 def cmd_emit_datasets(args):
-    train = _load_gold_train(args)
-    records = build_controller_dataset(train, _controller_config(args, train))
+    train, records = _controller_dataset(args)
     engines = EnginesConfig(sys2=args.sys2, trace=_trace_config(args))
-    out_dir = args.out or os.path.join(os.environ.get(DEFAULT_OUT_DIR_ENV, "."), "datasets")
+    out_dir = _out_path(args, "datasets")
     manifest = emit_datasets(train, records, engines, out_dir, seed=args.seed)
     counts = {k: v["count"] for k, v in manifest["files"].items()}
     print(f"emit-datasets: {counts} -> {out_dir}")
@@ -193,12 +194,8 @@ def cmd_emit_datasets(args):
 
 
 def cmd_plan(args):
-    splits = _load_split(args, args.split)
-    problems = splits[args.split]
-    config = _planner_config(args, splits.get("train", problems))
+    problems, config = _planned_split(args, scored=False)
     runs = run_planner(problems, config, budget=args.budget, workers=args.workers)
-    from .textio import render_action
-
     out = [
         {"id": r.problem.problem_id,
          "plan": [render_action(a) for a in r.plan] if r.plan is not None else None,
@@ -214,9 +211,7 @@ def cmd_plan(args):
 
 
 def cmd_eval(args):
-    splits = _load_scored_split(args)
-    problems = splits[args.split]
-    config = _planner_config(args, splits.get("train", problems))
+    problems, config = _planned_split(args, scored=True)
     row = score_runs(run_planner(problems, config, budget=args.budget, workers=args.workers))
     print(
         f"eval: {config.label()} n={row.n} "
@@ -228,9 +223,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    splits = _load_scored_split(args)
-    problems = splits[args.split]
-    config = _planner_config(args, splits.get("train", problems))
+    problems, config = _planned_split(args, scored=True)
     report = budget_sweep(problems, config, args.budgets, workers=args.workers)
     path = _out_path(args, "sweep.csv")
     write_atomic(path, [report_to_csv(report)])
@@ -251,14 +244,22 @@ def _add_common(parser, problems=True):
         parser.add_argument("--problems", default=None, help="problem-set JSONL file")
 
 
+def _add_engine_flag(parser):
+    parser.add_argument("--sys2", choices=tuple(ENGINES), default="astar")
+
+
+def _add_controller_flags(parser, variants, bias=False):
+    parser.add_argument("--x", type=float, default=0.5)
+    if bias:
+        parser.add_argument("--bias", type=float, default=0.0)
+    parser.add_argument("--variant", choices=variants, default="sliding-window")
+    parser.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
+
+
 def _add_planner_flags(parser):
     parser.add_argument("--planner", choices=("system1", "system2", "system1x"), default="system1x")
-    parser.add_argument("--sys2", choices=("astar", "bfs", "dfs"), default="astar")
-    parser.add_argument("--x", type=float, default=0.5)
-    parser.add_argument("--bias", type=float, default=0.0)
-    parser.add_argument("--variant", choices=("sliding-window", "edge-window", "no-subgoal", "random"),
-                        default="sliding-window")
-    parser.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
+    _add_engine_flag(parser)
+    _add_controller_flags(parser, VARIANTS, bias=True)
     parser.add_argument("--split", default="test")
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes per planner pass (default 1); workers do not "
@@ -271,26 +272,18 @@ def build_parser():
     parser = _Parser(prog="hybridplan", description="hybrid fast/deliberate planning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-maze", help="generate the balanced maze problem set")
-    _add_common(p, problems=False)
-
-    p = sub.add_parser("gen-blocks", help="generate the blocks problem set")
-    _add_common(p, problems=False)
+    for name, text in (("gen-maze", "generate the balanced maze problem set"),
+                       ("gen-blocks", "generate the blocks problem set")):
+        _add_common(sub.add_parser(name, help=text), problems=False)
 
     p = sub.add_parser("build-controller-data", help="decompose gold plans into labeled sub-goals")
     _add_common(p)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--variant", choices=("sliding-window", "edge-window", "no-subgoal"),
-                   default="sliding-window")
-    p.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
+    _add_controller_flags(p, DATASET_VARIANTS)
 
     p = sub.add_parser("emit-datasets", help="emit the three training corpora")
     _add_common(p)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--variant", choices=("sliding-window", "edge-window", "no-subgoal"),
-                   default="sliding-window")
-    p.add_argument("--selector", choices=SELECTOR_NAMES, default=None)
-    p.add_argument("--sys2", choices=("astar", "bfs", "dfs"), default="astar")
+    _add_controller_flags(p, DATASET_VARIANTS)
+    _add_engine_flag(p)
     p.add_argument("--blocks-caps", action="store_true")
 
     for name, text in (("plan", "run a planner over a split, write per-problem runs"),
@@ -311,8 +304,8 @@ def build_parser():
 
 
 COMMANDS = {
-    "gen-maze": cmd_gen_maze,
-    "gen-blocks": cmd_gen_blocks,
+    "gen-maze": cmd_generate,
+    "gen-blocks": cmd_generate,
     "build-controller-data": cmd_build_controller_data,
     "emit-datasets": cmd_emit_datasets,
     "plan": cmd_plan,
@@ -366,15 +359,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except GenerationExhausted as exc:
         print(f"generation exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -105,8 +105,9 @@ def decompose_states(states, x, variant, hfn):
 def build_controller_dataset(problems, config):
     """Label the floor((1-x)*N) easiest problems fast-only and decompose
     the gold plans of the rest. Returns [(problem, meta_plan)] in ranked
-    order. The random variant has no dataset: it gates by a coin flip and
-    places no window."""
+    order. A hard problem with no step, or under the no-subgoal variant, is
+    one Sys2 sub-goal. The random variant has no dataset: it gates by a
+    coin flip and places no window."""
     if config.variant == "random":
         raise ValueError("the random variant has no controller dataset")
     ranked = rank_problems(problems, config.selector)
@@ -117,7 +118,7 @@ def build_controller_dataset(problems, config):
             raise ValueError(f"problem {problem.problem_id!r} has no gold plan")
         if i < n_easy:
             meta = (SubGoal(problem.start, problem.goal, SYS1),)
-        elif config.variant == "no-subgoal":
+        elif config.variant == "no-subgoal" or not problem.gold_plan:
             meta = (SubGoal(problem.start, problem.goal, SYS2),)
         else:
             meta = decompose_states(plan_states(problem, problem.gold_plan), config.x,

@@ -14,6 +14,7 @@ skeleton over which the controller places its search window.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +29,7 @@ _MAZE_DELTAS = {
 }
 
 TABLE = "table"
+_BLOCK_LABEL = re.compile(r"\w+")  # the labels that move(...) text can name
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class PlanningProblem:
                 raise ValueError("block labels must be distinct")
             if TABLE in self.blocks:
                 raise ValueError(f"a block may not be named {TABLE!r}")
+            if not all(type(b) is str and _BLOCK_LABEL.fullmatch(b) for b in self.blocks):
+                raise ValueError("block labels must be words of letters, digits and _")
             universe = sorted(self.blocks)
             for name in ("start", "goal"):
                 state = canonical_blocks(getattr(self, name))

@@ -30,6 +30,7 @@ from .domains import (
     maze_step,
     valid_actions,
 )
+from .search import _reconstruct
 
 
 class GenerationExhausted(Exception):
@@ -80,16 +81,6 @@ def maze_distances(grid, start):
     return dist, parent
 
 
-def _extract_plan(parent, start, goal):
-    actions = []
-    cur = goal
-    while cur != start:
-        cur, action = parent[cur]
-        actions.append(action)
-    actions.reverse()
-    return tuple(actions)
-
-
 def generate_maze_dataset(seed, config=MazeDatasetConfig()):
     """Returns {split: [PlanningProblem]} balanced over plan lengths."""
     rng = random.Random(seed)
@@ -129,26 +120,18 @@ def generate_maze_dataset(seed, config=MazeDatasetConfig()):
             # fill the neediest split first so buckets close together
             split = max(open_splits, key=lambda s: (quota[(s, length)], -SPLITS.index(s)))
             quota[(split, length)] -= 1
-            plan = _extract_plan(parent, start, goal)
-            out[split].append(
-                PlanningProblem(
-                    domain="maze", start=start, goal=goal, grid=grid,
-                    gold_plan=plan, optimal_length=length, split=split,
-                )
-            )
+            out[split].append((grid, start, goal, _reconstruct(parent, goal, start)))
             break  # one problem per sampled grid keeps grids varied
     for split in SPLITS:
+        # ids follow the shuffled order; each problem is built once, with its id
         rng.shuffle(out[split])
         out[split] = [
-            _with_id(p, f"maze-{split}-{i:05d}") for i, p in enumerate(out[split])
+            PlanningProblem(domain="maze", start=start, goal=goal, grid=grid, gold_plan=plan,
+                            optimal_length=len(plan), split=split,
+                            problem_id=f"maze-{split}-{i:05d}")
+            for i, (grid, start, goal, plan) in enumerate(out[split])
         ]
     return out
-
-
-def _with_id(problem, problem_id):
-    from dataclasses import replace
-
-    return replace(problem, problem_id=problem_id)
 
 
 def random_blocks_state(rng, blocks):
@@ -190,7 +173,7 @@ def blocks_optimal_plan(problem):
             g_score[nxt] = tentative
             came_from[nxt] = (current, action)
             if nxt == goal:
-                return _extract_plan(came_from, start, goal)
+                return _reconstruct(came_from, goal, start)
             counter += 1
             heapq.heappush(frontier, (tentative + h(nxt), counter, nxt))
     return None
@@ -236,16 +219,9 @@ def generate_blocks_dataset(seed, config=BlocksDatasetConfig()):
             continue
         seen.add(key)
         remaining[split] -= 1
-        out[split].append(
-            PlanningProblem(
-                domain="blocks", start=start, goal=goal, blocks=blocks,
-                gold_plan=plan, optimal_length=length, split=split,
-            )
-        )
-    for split in SPLITS:
-        out[split] = [
-            _with_id(p, f"blocks-{split}-{i:05d}") for i, p in enumerate(out[split])
-        ]
+        out[split].append(PlanningProblem(
+            domain="blocks", start=start, goal=goal, blocks=blocks, gold_plan=plan,
+            optimal_length=length, split=split, problem_id=f"blocks-{split}-{len(out[split]):05d}"))
     return out
 
 

@@ -15,7 +15,7 @@ import os
 import re
 
 from .domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
-from .search import VALID
+from .search import VALID, run_engine
 
 TEMPLATE_VERSION = "grammar-v1"
 
@@ -313,7 +313,10 @@ def save_problems(path, problems_by_split):
 
 
 def load_problems(path):
+    """{split: [problem]} of a problem file, whose records all name one
+    domain."""
     out = {}
+    domain = None
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
@@ -327,6 +330,10 @@ def load_problems(path):
                 # AttributeError and TypeError: a field of the wrong JSON type,
                 # such as "start": 5 or "obstacles": 5
                 raise ParseError(f"corrupt problem record in {path}: {exc}", i) from exc
+            domain = domain or problem.domain
+            if problem.domain != domain:
+                raise ParseError(f"{problem.domain} problem in {path}, which began with "
+                                 f"{domain} problems", i)
             out.setdefault(problem.split or "all", []).append(problem)
     return out
 
@@ -370,8 +377,6 @@ def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
     comes from build_controller_dataset. A problem without a gold plan is
     rejected before any file is written.
     """
-    from .search import run_engine
-
     os.makedirs(out_dir, exist_ok=True)
 
     input_texts = {}  # problem -> its input text, shared by its three records

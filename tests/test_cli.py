@@ -115,9 +115,13 @@ class TestValidation:
         ("maze", lambda rec: {**rec, "grid": {**rec["grid"], "obstacles": [[1, 1.5]]}}),
         ("maze", lambda rec: {**rec, "id": [rec["id"]]}),
         ("maze", lambda rec: {**rec, "split": [rec["split"]]}),
+        ("blocks", lambda rec: {**rec, "blocks": ["A-1", "B"], "start": "A-1|B",
+                                "goal": "A-1,B", "gold_plan": None, "optimal_length": 1}),
+        ("maze", lambda rec: {**BLOCKS_RECORD, "split": rec["split"]}),
     ], ids=["blocks-as-string", "length-not-the-gold-plans", "length-0-but-start-is-not-goal",
             "length-not-an-integer", "repeated-blocks", "block-named-table", "float-rows",
-            "float-obstacle", "list-id", "list-split"])
+            "float-obstacle", "list-id", "list-split", "block-label-not-a-word",
+            "second-domain"])
     def test_inconsistent_problem_line_exits_3(self, small_maze_dataset, small_blocks_dataset,
                                                tmp_path, domain, edit, capsys):
         from hybridplan.textio import problem_to_json
@@ -287,6 +291,25 @@ class TestControllerData:
         assert err.startswith("data error:") and repr(record["id"]) in err
         assert f"step {step} " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-controller-data", "emit-datasets"])
+    @pytest.mark.parametrize("variant", ["sliding-window", "edge-window"])
+    def test_train_problem_with_no_step_is_one_sys2_subgoal(self, tmp_path, command, variant):
+        zero = {**MAZE_RECORD, "id": "z", "goal": MAZE_RECORD["start"], "gold_plan": [],
+                "optimal_length": 0}
+        path = tmp_path / "problems.jsonl"
+        path.write_text("".join(json.dumps({**rec, "split": "train"}) + "\n"
+                                for rec in (MAZE_RECORD, zero)))
+        out = tmp_path / "out"
+        assert main([command, "--problems", str(path), "--x", "1", "--variant", variant,
+                     "--out", str(out)]) == 0
+        if command == "emit-datasets":
+            records = [json.loads(l) for l in open(out / "controller.jsonl")]
+            subgoals = {r["id"]: r["structured"]["subgoals"] for r in records}
+        else:
+            subgoals = {r["id"]: r["subgoals"] for r in map(json.loads, open(out))}
+        s = zero["start"]
+        assert subgoals["z"] == [{"from": s, "to": s, "mode": "sys2"}]
 
     def test_emit_datasets_manifest_onto_a_directory_exits_3_leaving_no_temp_file(
             self, problems_file, tmp_path, capsys):

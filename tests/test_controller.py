@@ -9,11 +9,12 @@ from hybridplan.controller import (
     SYS2,
     ControllerConfig,
     HybridController,
+    SubGoal,
     build_controller_dataset,
     decompose_states,
     window_length,
 )
-from hybridplan.domains import plan_states, skeleton
+from hybridplan.domains import PlanningProblem, plan_states, skeleton
 from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.textio import metaplan_record
 from strategies import blocks_problems, maze_problems, states_of
@@ -138,6 +139,16 @@ class TestBuildControllerDataset:
         problems = small_maze_dataset["train"][:10]
         records = build_controller_dataset(problems, ControllerConfig(x=1.0, variant="no-subgoal"))
         assert all(m[0].mode == SYS2 and len(m) == 1 for _, m in records)
+
+    @pytest.mark.parametrize("variant", ["sliding-window", "edge-window"])
+    def test_hard_problem_with_no_step_is_one_sys2_subgoal(self, variant):
+        s = ("A", "B"), ("C",)
+        problem = PlanningProblem(domain="blocks", start=s, goal=s, blocks=("A", "B", "C"),
+                                  gold_plan=(), optimal_length=0)
+        config = ControllerConfig(x=1.0, variant=variant)
+        expected = (SubGoal(s, s, SYS2),)
+        assert build_controller_dataset([problem], config) == [(problem, expected)]
+        assert HybridController(config).fit([problem]).decompose(problem) == expected
 
     def test_rejects_random_variant(self, small_maze_dataset):
         # the runtime random variant gates by a coin flip; the dataset has no such labels

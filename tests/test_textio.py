@@ -173,6 +173,23 @@ def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
 
 
 @PROPERTY
+@given(labels=st.lists(st.text(min_size=1, max_size=3).filter(lambda label: label != "table"),
+                       min_size=2, max_size=3, unique=True))
+@example(labels=["A-1", "B"])
+def test_block_labels_are_rejected_or_round_trip(labels):
+    """A blocks problem is built only on labels that its move text can
+    name, so the A* trace of turning its one stack upside down parses
+    back."""
+    try:
+        problem = PlanningProblem(domain="blocks", start=(tuple(labels),),
+                                  goal=(tuple(reversed(labels)),), blocks=tuple(labels))
+    except ValueError:
+        return
+    text, mirror = trace_record(run_engine("astar", problem, TraceConfig()))
+    assert parse_trace_text(text) == mirror
+
+
+@PROPERTY
 @given(data=st.data())
 def test_parsed_metaplan_equals_the_one_pass_mirror(data):
     problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
