@@ -248,6 +248,11 @@ def _add_engine_flag(parser):
     parser.add_argument("--sys2", choices=tuple(ENGINES), default="astar")
 
 
+def _add_caps_flag(parser):
+    parser.add_argument("--blocks-caps", action="store_true",
+                        help="record at most 3 valid / 2 invalid probes per expansion")
+
+
 def _add_controller_flags(parser, variants, bias=False):
     parser.add_argument("--x", type=float, default=0.5)
     if bias:
@@ -264,8 +269,7 @@ def _add_planner_flags(parser):
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes per planner pass (default 1); workers do not "
                              "share a sweep's memo, so more than one makes sweeps slower")
-    parser.add_argument("--blocks-caps", action="store_true",
-                        help="record at most 3 valid / 2 invalid probes per expansion")
+    _add_caps_flag(parser)
 
 
 def build_parser():
@@ -284,7 +288,7 @@ def build_parser():
     _add_common(p)
     _add_controller_flags(p, DATASET_VARIANTS)
     _add_engine_flag(p)
-    p.add_argument("--blocks-caps", action="store_true")
+    _add_caps_flag(p)
 
     for name, text in (("plan", "run a planner over a split, write per-problem runs"),
                        ("eval", "score a planner on a split")):

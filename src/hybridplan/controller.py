@@ -185,7 +185,7 @@ class HybridController:
         if x < 1.0:
             key = ("gate", config.variant == "random", config.selector, config.seed,
                    problem.problem_id, problem.geometry)
-            g = _kept(memo, key, self.gate_input, problem)
+            g = self.gate_input(problem) if memo is None else memo.kept(key, self.gate_input, problem)
             if not (g < x if config.variant == "random" else g >= self.threshold()):
                 return SYS1
         if config.variant in ("no-subgoal", "random"):
@@ -197,20 +197,15 @@ class HybridController:
 
     def meta_plan(self, problem, shape, memo=None):
         """The meta-plan of a shape that shape() gave for the problem. With a
-        SweepMemo, the window optimizer runs once per window length."""
+        SweepMemo, the skeleton is computed once per problem."""
         if shape in (SYS1, SYS2):
             return (SubGoal(problem.start, problem.goal, shape),)
         states = skeleton(problem) if memo is None else memo.skeleton(problem)
         variant, selector = self.config.variant, self.config.selector
-        u = _kept(memo, ("window", shape, variant, selector, problem.geometry),
-                  window_start, states, shape, variant, hardness_fn(selector, problem))
+        u = window_start(states, shape, variant, hardness_fn(selector, problem))
         return window_subgoals(states, u, shape)
 
     def decompose(self, problem, memo=None):
         """The problem's meta-plan."""
         return self.meta_plan(problem, self.shape(problem, memo), memo)
 
-
-def _kept(memo, key, compute, *args):
-    """compute(*args), kept in the memo under key when there is a memo."""
-    return compute(*args) if memo is None else memo.kept(key, compute, *args)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .controller import SYS1, SYS2, HybridController, SubGoal
 from .domains import validate_plan
-from .hybrid import EnginesConfig, SweepMemo, solve_hybrid
+from .hybrid import EnginesConfig, SweepMemo, cut_run, solve_hybrid
 from .search import TraceConfig
 
 
@@ -111,33 +111,42 @@ def solve_one(problem, config, budget=None):
     """Run the configured planner on one problem; returns a ScoredRun.
     The pure planners run as a hybrid episode with a single sub-goal.
 
-    With a SweepMemo, an unbudgeted run is solved once per meta-plan shape
-    (the controller's gate and window length), engine and trace config,
-    and every later pass gets the same plan and states explored back."""
+    With a SweepMemo, the unbudgeted run is solved once per meta-plan shape
+    (the controller's gate and window length), engine and trace config;
+    every later pass gets its plan and states explored back, or cuts it to
+    its budget."""
     memo = config.memo
-    if memo is None or budget is not None:
-        plan, se = _solve(problem, config, budget)
+    if memo is None:
+        run = _solve(problem, config, budget)
+        return ScoredRun(problem, run.plan, run.states_explored)
+    if config.kind == "hybrid":
+        controller = config.controller
+        key = ("run", controller.shape(problem, memo), controller.config.variant,
+               controller.config.selector)
     else:
-        if config.kind == "hybrid":
-            controller = config.controller
-            key = ("scored", controller.shape(problem, memo), controller.config.variant,
-                   controller.config.selector)
-        else:
-            key = ("scored", SYS1 if config.kind == "sys1" else SYS2, None, None)
-        key += (config.engine, config.trace, problem.geometry)
-        plan, se = memo.kept(key, _solve, problem, config, None)
+        key = ("run", SYS1 if config.kind == "sys1" else SYS2, None, None)
+    key += (config.engine, config.trace, problem.geometry)
+    plan, se, outcomes = memo.kept(key, _compact_run, problem, config)
+    if budget is not None:
+        plan, se, _ = cut_run(outcomes, budget)
     return ScoredRun(problem, plan, se)
 
 
 def _solve(problem, config, budget):
-    """(plan, states explored) of the configured planner on one problem."""
+    """The configured planner's HybridRun on one problem."""
     if config.kind == "hybrid":
         meta = config.controller.decompose(problem, config.memo)
     else:
         meta = (SubGoal(problem.start, problem.goal, SYS1 if config.kind == "sys1" else SYS2),)
-    engines = EnginesConfig(sys2=config.engine, trace=config.trace, budget=budget)
-    run = solve_hybrid(problem, meta, engines, config.memo)
-    return run.plan, run.states_explored
+    return solve_hybrid(problem, meta, EnginesConfig(config.engine, config.trace, budget))
+
+
+def _compact_run(problem, config):
+    """The unbudgeted run as a SweepMemo keeps it: (plan, states explored,
+    each sub-goal's (mode, plan, states explored))."""
+    run = _solve(problem, config, None)
+    return run.plan, run.states_explored, tuple((o.mode, o.plan, o.states_explored)
+                                                for o in run.outcomes)
 
 
 def run_planner(problems, config, budget=None, workers=1):
@@ -173,9 +182,9 @@ def budget_sweep(problems, config, budgets, workers=1):
     reached by sweeping the controller bias upward in steps of 0.05 and
     keeping the largest bias whose average stays within the target.
 
-    Every pass solves its problems from one SweepMemo, so each skeleton
-    and each distinct sub-goal is solved once per sweep; the memo is
-    emptied when the sweep returns.
+    Every pass solves its problems from one SweepMemo, so each problem is
+    solved once per meta-plan shape and a truncation pass only cuts the
+    kept runs; the memo is emptied when the sweep returns.
     """
     memo = SweepMemo()
     try:

@@ -7,11 +7,11 @@ the goal; validity is judged downstream by the plan validator, and its
 states-explored equals the emitted plan length. Search sub-goals are
 scored by search.explore, which counts the states explored and builds no
 trace, so no outcome carries a search run: an outcome is its plan and
-states explored, cut to the budget by the greedy cut or reached_within.
+states explored, and cut_run cuts a run's outcomes to a budget.
 
-A SweepMemo lets the passes of a budget sweep solve each skeleton and each
-distinct sub-goal once, then cut the cached outcome to each pass's budget;
-it also keeps what the controller and the scorer compute per problem.
+A SweepMemo lets the passes of a budget sweep solve each problem once per
+meta-plan shape, then cut the kept run to each pass's budget; it also
+keeps what the controller computes per problem.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .controller import SYS1, SubGoal
 from .domains import greedy_walk, skeleton
-from .search import TraceConfig, explore, reached_within
+from .search import TraceConfig, explore
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,15 @@ class SweepMemo(dict):
     first use and keyed on what it depends on:
 
     - per problem, its skeleton and the controller's gate input;
-    - per (problem, window length), where the window optimizer put it;
-    - per (problem, meta-plan shape, engine, trace config), the plan and
-      states explored of the unbudgeted run, so that an unbudgeted pass
-      hands back the same plan tuple for the same shape;
-    - per (sub-goal, engine, trace config), the unbudgeted outcome in
-      compact form, (plan, states explored, states explored when the
-      goal was found). A budgeted pass cuts it to its budget by the rules
-      solve_hybrid applies to a fresh one.
+    - per (problem, meta-plan shape, controller variant and selector,
+      engine, trace config), the unbudgeted run in compact form: its plan,
+      its states explored and each sub-goal's (mode, plan, states
+      explored). An unbudgeted pass hands back its plan tuple and states
+      explored; a budgeted pass cuts it with cut_run.
 
-    No meta-plan or run is kept. Problems are keyed on their geometry,
-    so problems with the same grid, blocks and end states share entries."""
+    No meta-plan, search run or event is kept. Problems are keyed on their
+    geometry, so problems with the same grid, blocks and end states share
+    entries."""
 
     def kept(self, key, compute, *args):
         """The value kept under key; compute(*args) on first use."""
@@ -77,63 +75,51 @@ class SweepMemo(dict):
     def skeleton(self, problem):
         return self.kept(("skeleton", problem.geometry), skeleton, problem)
 
-    def outcome(self, problem, subgoal, engines):
-        key = ("outcome", subgoal.start, subgoal.goal, subgoal.mode, engines.sys2, engines.trace,
-               problem.geometry)
-        return self.kept(key, _unbudgeted, problem, subgoal, engines)
 
+def cut_run(outcomes, budget):
+    """(plan, states explored, kept outcomes) of a run cut to a
+    states-explored budget (None: no cut), from each sub-goal's unbudgeted
+    (mode, plan, states explored) in order.
 
-def _unbudgeted(problem, subgoal, engines):
-    """One sub-goal solved without a budget: (plan, states explored,
-    states explored when the goal was found); the last is None for the
-    greedy planner."""
-    if subgoal.mode == SYS1:
-        plan, _ = greedy_walk(problem, subgoal.start, subgoal.goal)
-        return plan, len(plan), None
-    return explore(engines.sys2, problem, subgoal.start, subgoal.goal, engines.trace)
-
-
-def solve_hybrid(problem, meta_plan, engines=EnginesConfig(), memo=None):
-    """Solve the meta-plan's sub-goals in order and concatenate.
-
-    With a global state budget, each sub-goal only gets the remaining
-    budget: a search sub-goal keeps its plan only if the goal was found
-    within it, and the greedy planner's emitted walk is cut at it. A
-    failed search sub-goal (no plan within budget) stops the run with a
-    failure outcome; its explored states still count. With a SweepMemo,
-    each sub-goal's unbudgeted outcome is taken from it.
-    """
-    outcomes = []
-    parts = []
-    total = 0
-    failed = False
-    for subgoal in meta_plan:
-        remaining = None if engines.budget is None else engines.budget - total
-        if remaining is not None and remaining <= 0:
-            failed = True
-            break
-        if memo is None:
-            plan, se, at_goal = _unbudgeted(problem, subgoal, engines)
-        else:
-            plan, se, at_goal = memo.outcome(problem, subgoal, engines)
-        if remaining is not None and se > remaining:
-            if subgoal.mode == SYS1:
-                plan = plan[:remaining]
-            else:
-                plan = plan if reached_within(at_goal, remaining) else None
-            se = remaining
-        outcomes.append(PlannerOutcome(plan=plan, states_explored=se, mode=subgoal.mode,
-                                       subgoal=subgoal))
+    Each sub-goal gets what the ones before it left of the budget. A Sys1
+    walk that explores more is cut at it; a Sys2 sub-goal that explores
+    more has no plan, since a search generates its goal in the last
+    expansion it counts. A sub-goal with no plan, or with no budget left
+    for it, ends the run without a plan; the states explored so far still
+    count. An outcome is unpacked only when the run reaches its sub-goal."""
+    kept, total = [], 0
+    for outcome in outcomes:
+        if budget is not None and total >= budget:
+            return None, total, tuple(kept)
+        mode, plan, se = outcome
+        if budget is not None and se > budget - total:
+            plan, se = (plan[:budget - total] if mode == SYS1 else None), budget - total
+        kept.append((mode, plan, se))
         total += se
         if plan is None:
-            failed = True
-            break
-        parts.append(plan)
-    if failed:
-        plan = None
-    elif len(parts) == 1:
-        plan = parts[0]  # the sub-goal's own tuple, shared with the memo's outcome
+            return None, total, tuple(kept)
+    if len(kept) == 1:
+        return kept[0][1], total, tuple(kept)  # the sub-goal's own plan tuple
+    return tuple(a for _, plan, _ in kept for a in plan), total, tuple(kept)
+
+
+def _solved(problem, subgoal, engines):
+    """The sub-goal's unbudgeted (mode, plan, states explored), solved as
+    it is unpacked."""
+    yield subgoal.mode
+    if subgoal.mode == SYS1:
+        plan, _ = greedy_walk(problem, subgoal.start, subgoal.goal)
+        yield from (plan, len(plan))
     else:
-        plan = tuple(a for part in parts for a in part)
-    return HybridRun(problem=problem, meta_plan=tuple(meta_plan),
-                     outcomes=tuple(outcomes), plan=plan, states_explored=total)
+        yield from explore(engines.sys2, problem, subgoal.start, subgoal.goal, engines.trace)
+
+
+def solve_hybrid(problem, meta_plan, engines=EnginesConfig()):
+    """Solve the meta-plan's sub-goals in order and concatenate, cut to the
+    global state budget by cut_run. A sub-goal the cut run does not reach
+    is not solved."""
+    plan, se, kept = cut_run((_solved(problem, s, engines) for s in meta_plan), engines.budget)
+    outcomes = tuple(PlannerOutcome(plan=p, states_explored=n, mode=mode, subgoal=subgoal)
+                     for (mode, p, n), subgoal in zip(kept, meta_plan))
+    return HybridRun(problem=problem, meta_plan=tuple(meta_plan), outcomes=outcomes, plan=plan,
+                     states_explored=se)

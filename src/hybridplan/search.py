@@ -17,11 +17,11 @@ The loop hands each expansion to one of two accounts:
 - the counter (explore, the scoring entry) adds min(valid, valid cap) +
   min(invalid, invalid cap) and builds no probe, event or random sample.
   The caps only choose which probes are recorded, never how many, so the
-  count equals the recorder's len(events), and the count when the goal is
-  generated equals its events_at_goal.
+  count equals the recorder's len(events).
 
-A run cut to a state budget keeps its plan only if the goal was found
-within the budget (reached_within).
+A search stops at the expansion that generates its goal, so a run that
+finds a plan has counted all its states explored by then: cut to a state
+budget, it keeps its plan only when its count is within the budget.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class SearchRun:
     algorithm: str  # "astar" | "bfs" | "dfs"
     events: tuple
     plan: tuple | None
-    events_at_goal: int | None  # recorded-event count when the goal was found
 
     @property
     def states_explored(self):
@@ -173,10 +172,10 @@ def _search(problem, start, goal, algorithm, account):
     state to its t, which returns how many states it counts as explored.
     The search stops after the expansion that generates the goal.
 
-    Returns (plan, states explored, states explored when the goal was
-    found); the plan and the last are None when the goal is never found."""
+    Returns (plan, states explored); the plan is None when the goal is
+    never found."""
     if start == goal:
-        return (), 0, 0
+        return (), 0
     h = heuristic_for(problem, goal) if algorithm == "astar" else None
     frontier, pop, push = _frontier(algorithm, start, h(start) if h else None)
     explored = 0
@@ -206,16 +205,15 @@ def _search(problem, start, goal, algorithm, account):
             children.append((nxt, g, t))
         explored += account(current, g, expansion, fresh)
         if goal in fresh:
-            return _reconstruct(came_from, goal, start), explored, explored
+            return _reconstruct(came_from, goal, start), explored
         push(children)
-    return None, explored, None
+    return None, explored
 
 
 def _traced(problem, algorithm, config):
     events = []
-    plan, _, at_goal = _search(problem, problem.start, problem.goal, algorithm,
-                               _recorder(config, events))
-    return SearchRun(problem, algorithm, tuple(events), plan, at_goal)
+    plan, _ = _search(problem, problem.start, problem.goal, algorithm, _recorder(config, events))
+    return SearchRun(problem, algorithm, tuple(events), plan)
 
 
 def astar(problem, config=TraceConfig()):
@@ -248,15 +246,8 @@ def run_engine(name, problem, config=TraceConfig()):
 
 def explore(name, problem, start, goal, config=TraceConfig()):
     """Score engine `name` from `start` to `goal` in the problem's maze or
-    block universe without building a trace: (plan, states explored,
-    states explored when the goal was found), equal to the plan,
-    len(events) and events_at_goal of the engine's run."""
+    block universe without building a trace: (plan, states explored),
+    equal to the plan and len(events) of the engine's run."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}")
     return _search(problem, start, goal, name, _counter(config))
-
-
-def reached_within(events_at_goal, cap):
-    """Whether a run that found its goal after `events_at_goal` recorded
-    events (None: never) keeps its plan when cut after `cap` events."""
-    return events_at_goal is not None and events_at_goal <= cap

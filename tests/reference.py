@@ -3,23 +3,16 @@
 from collections import Counter
 from dataclasses import replace
 
-from hybridplan.search import reached_within
-
 
 def truncate_run(run, cap):
-    """Cut a run after `cap` recorded events. The plan survives only if the
-    goal had been discovered within the first `cap` events."""
+    """Cut a run after `cap` recorded events. A cut run has no plan: a
+    search generates its goal in its last expansion, so a run that found
+    its goal had recorded all its events by then."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if cap >= len(run.events):
         return run
-    reached = reached_within(run.events_at_goal, cap)
-    return replace(
-        run,
-        events=run.events[:cap],
-        plan=run.plan if reached else None,
-        events_at_goal=run.events_at_goal if reached else None,
-    )
+    return replace(run, events=run.events[:cap], plan=None)
 
 
 def capped_totals(sizes):

@@ -321,6 +321,16 @@ class TestControllerData:
         assert not (out / "manifest.json.tmp").exists()
 
 
+@pytest.mark.parametrize("command", ["emit-datasets", "plan", "eval", "sweep"])
+def test_blocks_caps_help(command, capsys):
+    """Every command with --blocks-caps explains it in its --help."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--blocks-caps record at most 3 valid / 2 invalid probes per expansion" in help_text
+
+
 class TestConfigFile:
     def test_config_file_mirrors_flags(self, problems_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -235,11 +235,15 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
     """Work counts, not times: in a hybrid sweep with truncation and bias
     passes, each problem's gate input (its hardness) is computed at most
     once, the window optimizer runs at most once per skeleton and window
-    length, and unbudgeted passes solve each (problem, meta-plan shape)
-    at most once."""
-    gates, windows, unbudgeted, passes = [], [], [], []
+    length, unbudgeted passes solve each (problem, meta-plan shape) at most
+    once, and a budgeted pass neither solves nor places a window: it cuts
+    the kept runs."""
+    gates, windows, unbudgeted, passes, budgeted_work = [], [], [], [], []
     original_gate, original_window = HybridController.gate_input, controller.window_start
     original_solve, original_run_planner = evaluate.solve_hybrid, evaluate.run_planner
+
+    def in_budgeted_pass():
+        return passes[-1][1] is not None
 
     def gate_input(self, problem):
         gates.append(problem.problem_id)
@@ -247,12 +251,16 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
 
     def window_start(states, w, variant, hfn):
         windows.append((tuple(states), w))
+        if in_budgeted_pass():
+            budgeted_work.append(("window_start", w))
         return original_window(states, w, variant, hfn)
 
-    def solve_hybrid(problem, meta_plan, engines, memo=None):
+    def solve_hybrid(problem, meta_plan, engines):
         if engines.budget is None:
             unbudgeted.append(problem.problem_id)
-        return original_solve(problem, meta_plan, engines, memo)
+        if in_budgeted_pass():
+            budgeted_work.append(("solve_hybrid", problem.problem_id))
+        return original_solve(problem, meta_plan, engines)
 
     def run_planner(problems, config, budget=None, workers=1):
         passes.append((config.controller, budget))
@@ -271,6 +279,7 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
     shapes = {(p.geometry, ctl.shape(p)) for ctl, budget in passes if budget is None
               for p in problems}
     assert len(unbudgeted) <= len(shapes) < len(passes) * len(problems) // 4
+    assert budgeted_work == []
 
 
 biases = st.one_of(st.sampled_from((0.0, 0.05, 0.5)), st.floats(-0.3, 0.3))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, validate_plan
-from hybridplan.hybrid import EnginesConfig, SweepMemo, solve_hybrid
+from hybridplan.evaluate import PlannerConfig, solve_one
+from hybridplan.hybrid import EnginesConfig, SweepMemo, cut_run, solve_hybrid
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
 from reference import truncate_run
@@ -158,32 +159,38 @@ def test_golden_greedy_digests(domain, small_maze_dataset, small_blocks_dataset)
 
 class TestSweepMemo:
     def test_outcome_is_the_compact_unbudgeted_run(self, small_maze_dataset):
-        memo = SweepMemo()
-        engines = EnginesConfig(sys2="bfs")
+        """The memo keeps one compact unbudgeted run per problem: its plan,
+        its states explored and each sub-goal's (mode, plan, states
+        explored), the plan tuple shared with its one sub-goal's."""
         for p in small_maze_dataset["test"][:10]:
             run = run_engine("bfs", p)
-            sub = SubGoal(p.start, p.goal, SYS2)
-            assert memo.outcome(p, sub, engines) == \
-                (run.plan, run.states_explored, run.events_at_goal)
             walk = greedy(p)
-            assert memo.outcome(p, SubGoal(p.start, p.goal, SYS1), engines) == \
-                (walk, len(walk), None)
+            for kind, expected in (("sys2", (run.plan, run.states_explored, SYS2)),
+                                   ("sys1", (walk, len(walk), SYS1))):
+                memo = SweepMemo()
+                solve_one(p, PlannerConfig(kind=kind, engine="bfs", memo=memo))
+                plan, se, mode = expected
+                [kept] = memo.values()
+                assert kept == (plan, se, ((mode, plan, se),))
+                assert plan is None or kept[0] is kept[2][0][1]
 
     def test_keys_on_the_maze_not_only_the_subgoal(self):
         open_maze = maze_problem(3, 3, (), (0, 0), (0, 2))
         walled = maze_problem(3, 3, {(0, 1), (1, 1)}, (0, 0), (0, 2))
-        meta = (SubGoal((0, 0), (0, 2), SYS2),)
+        config = PlannerConfig(kind="sys2")
         memo = SweepMemo()
-        for p in (open_maze, walled):
-            assert solve_hybrid(p, meta, memo=memo).plan == solve_hybrid(p, meta).plan
-        assert solve_hybrid(open_maze, meta, memo=memo).plan != \
-            solve_hybrid(walled, meta, memo=memo).plan
+        for budget in (None, 3, 100):
+            for p in (open_maze, walled):
+                assert solve_one(p, replace(config, memo=memo), budget) == solve_one(p, config, budget)
+        assert solve_one(open_maze, replace(config, memo=memo)).plan != \
+            solve_one(walled, replace(config, memo=memo)).plan
+        assert len(memo) == 2
 
     def test_clear_empties(self, small_maze_dataset):
         memo = SweepMemo()
         p = small_maze_dataset["test"][0]
         memo.skeleton(p)
-        memo.outcome(p, SubGoal(p.start, p.goal, SYS2), EnginesConfig())
+        solve_one(p, PlannerConfig(kind="sys2", memo=memo))
         assert len(memo) == 2
         memo.clear()
         assert len(memo) == 0
@@ -206,38 +213,46 @@ def meta_plans(draw, problem):
                  for a, b in zip(chain, chain[1:]))
 
 
+def compact(run):
+    """Each sub-goal's (mode, plan, states explored) of a HybridRun."""
+    return tuple((o.mode, o.plan, o.states_explored) for o in run.outcomes)
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("caps", sorted(CAPS))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_memo_gives_the_fresh_outcomes(engine, caps, data):
-    """Over budgets drawn at random, solve_hybrid with one shared memo gives
-    the plans and the total and per-outcome states explored of fresh solves;
-    with the memo and without, a run's states explored is the sum of its
-    outcomes' and stays within the budget; and a fresh Sys2 outcome is its
-    recorded run cut to the remaining budget by the reference truncation."""
+    """Over budgets drawn at random (None among them), cut_run over the
+    compact unbudgeted run that a sweep memo keeps gives the plan, the
+    states explored and the per-sub-goal (mode, plan, states explored) of
+    a fresh solve_hybrid with that budget. A run's states explored is the
+    sum of its outcomes' and stays within the budget, and a fresh outcome
+    is its sub-goal's unbudgeted solve cut to the remaining budget: the
+    recorded search run by the reference truncation, the greedy walk by
+    its prefix."""
     problem = data.draw(small_problems)
     meta = data.draw(meta_plans(problem))
     budgets = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 80)), min_size=1, max_size=4))
-    memo = SweepMemo()
+    full = solve_hybrid(problem, meta, EnginesConfig(sys2=engine, trace=CAPS[caps]))
+    kept = compact(full)
+    assert cut_run(kept, None) == (full.plan, full.states_explored, kept)
     for budget in budgets:
-        engines = EnginesConfig(sys2=engine, trace=CAPS[caps], budget=budget)
-        fresh = solve_hybrid(problem, meta, engines)
-        cached = solve_hybrid(problem, meta, engines, memo)
-        assert cached.plan == fresh.plan
-        assert cached.states_explored == fresh.states_explored
-        assert [(o.mode, o.plan, o.states_explored) for o in cached.outcomes] == \
-            [(o.mode, o.plan, o.states_explored) for o in fresh.outcomes]
-        for run in (fresh, cached):
-            assert run.states_explored == sum(o.states_explored for o in run.outcomes)
-            assert budget is None or run.states_explored <= budget
+        fresh = solve_hybrid(problem, meta, EnginesConfig(sys2=engine, trace=CAPS[caps],
+                                                          budget=budget))
+        assert cut_run(kept, budget) == (fresh.plan, fresh.states_explored, compact(fresh))
+        assert [o.subgoal for o in fresh.outcomes] == list(meta[:len(fresh.outcomes)])
+        assert fresh.states_explored == sum(o.states_explored for o in fresh.outcomes)
+        assert budget is None or fresh.states_explored <= budget
         spent = 0
         for o in fresh.outcomes:
+            sub = replace(problem, start=o.subgoal.start, goal=o.subgoal.goal)
             if o.mode == SYS2:
-                sub = replace(problem, start=o.subgoal.start, goal=o.subgoal.goal)
                 run = run_engine(engine, sub, CAPS[caps])
                 if budget is not None:
                     run = truncate_run(run, budget - spent)
                 assert (o.plan, o.states_explored) == (run.plan, run.states_explored)
+            else:
+                walk = greedy(sub)[:None if budget is None else budget - spent]
+                assert (o.plan, o.states_explored) == (walk, len(walk))
             spent += o.states_explored
-

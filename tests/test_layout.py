@@ -7,38 +7,73 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hybridplan"
 
 
+def nodes_outside(tree, skip=None):
+    """Every node of a module outside the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def referenced_names(tree, skip=None):
     """Every identifier a module refers to outside the node skip: names,
     attributes and imported names."""
     names = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in nodes_outside(tree, skip):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def referenced_attributes(tree, skip=None):
+    """Every attribute a module reads or calls outside the node skip."""
+    return {node.attr for node in nodes_outside(tree, skip) if isinstance(node, ast.Attribute)}
+
+
+def sources():
+    """The parsed modules of the package and the benchmark, by path."""
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def unreferenced(defs, trees, refs):
+    """The qualified names of the (path, qualname, def node) triples whose
+    name refs(tree, skip) finds in no module outside the def itself."""
+    found = {path: refs(tree) for path, tree in trees.items()}
+    unused = []
+    for path, qualname, node in defs:
+        elsewhere = (found[other] for other in trees if other != path)
+        if node.name not in refs(trees[path], node) and not any(node.name in f for f in elsewhere):
+            unused.append(f"{path.stem}.{qualname}")
+    return unused
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     """A public module-level function of the package is referenced in the
     package or the benchmark outside its own def: no function exists only
     for the tests."""
-    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    names = {path: referenced_names(tree) for path, tree in trees.items()}
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                elsewhere = (names[other] for other in paths if other != path)
-                if node.name not in referenced_names(trees[path], node) \
-                        and not any(node.name in found for found in elsewhere):
-                    unused.append(f"{path.stem}.{node.name}")
-    assert unused == []
+    trees = sources()
+    defs = [(path, node.name, node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in trees[path].body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert unreferenced(defs, trees, referenced_names) == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    """A public method or property of a package class is read as an
+    attribute in the package or the benchmark outside its own def: no
+    method exists only for the tests. A plain name of the same spelling
+    does not count, since a method is only reached through its object."""
+    trees = sources()
+    defs = [(path, f"{cls.name}.{node.name}", node) for path in sorted(PACKAGE.glob("*.py"))
+            for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert defs
+    assert unreferenced(defs, trees, referenced_attributes) == []

@@ -16,8 +16,9 @@ from hybridplan.domains import (
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
-from hybridplan.hybrid import EnginesConfig, SweepMemo, solve_hybrid
-from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
+from hybridplan.evaluate import PlannerConfig, ScoredRun, solve_one
+from hybridplan.hybrid import EnginesConfig, SweepMemo, cut_run, solve_hybrid
+from hybridplan.search import VALID, TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
 from reference import truncate_run
 from strategies import blocks_problems, maze_problems, reachable_states
@@ -82,8 +83,10 @@ class TestAstar:
     def test_unreachable(self):
         # wall of obstacles fully separates start from goal
         wall = {(r, 2) for r in range(5)}
-        run = astar(maze_problem(5, 5, wall, (2, 0), (2, 4)))
-        assert run.plan is None and run.events_at_goal is None
+        p = maze_problem(5, 5, wall, (2, 0), (2, 4))
+        run = astar(p)
+        assert run.plan is None and run.events
+        assert explore("astar", p, p.start, p.goal) == (None, len(run.events))
 
     def test_matches_bfs_oracle(self):
         rng = random.Random(11)
@@ -223,12 +226,16 @@ class TestTruncate:
         assert cut.plan is None and len(cut.events) == 1
 
     def test_boundary_at_goal_discovery(self):
-        run = astar(maze_problem(5, 5, {(1, 1)}, (0, 0), (3, 3)))
-        assert run.events_at_goal is not None
-        keep = truncate_run(run, run.events_at_goal)
-        assert keep.plan == run.plan
-        lose = truncate_run(run, run.events_at_goal - 1)
-        assert lose.plan is None
+        """The goal is found with the last recorded event: a cut at the
+        run's count keeps the plan, one event less loses it, in the
+        reference cut and in a budgeted hybrid run alike."""
+        p = maze_problem(5, 5, {(1, 1)}, (0, 0), (3, 3))
+        run = astar(p)
+        assert run.plan is not None
+        meta = (SubGoal(p.start, p.goal, SYS2),)
+        for cap, plan in ((len(run.events), run.plan), (len(run.events) - 1, None)):
+            assert truncate_run(run, cap).plan == plan
+            assert solve_hybrid(p, meta, EnginesConfig(budget=cap)).plan == plan
 
     def test_idempotent(self):
         run = bfs(maze_problem(5, 5, (), (0, 0), (4, 4)))
@@ -295,9 +302,9 @@ def test_truncation_gives_a_prefix(engine, caps, problem, cap):
     run = run_engine(engine, problem, config)
     cut = truncate_run(run, cap)
     assert cut.events == run.events[:cap]
-    kept = run.events_at_goal is not None and run.events_at_goal <= cap
-    assert cut.plan == (run.plan if kept else None)
-    assert cut.events_at_goal == (run.events_at_goal if kept else None)
+    assert cut.plan == (run.plan if cap >= len(run.events) else None)
+    explored = explore(engine, problem, problem.start, problem.goal, config)
+    assert cut_run(((SYS2, *explored),), cap)[:2] == (cut.plan, len(cut.events))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -322,15 +329,34 @@ def test_astar_and_bfs_lengths_agree_with_the_oracles(problem):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_count_equals_the_recorded_trace(engine, caps, data):
-    """The counting account gives the plan, event count and goal count of
-    the recorded run between the same endpoints, caps or not."""
+    """The counting account gives the plan and event count of the recorded
+    run between the same endpoints, caps or not."""
     config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
     problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
     start = data.draw(reachable_states(problem))
     goal = data.draw(st.one_of(st.just(problem.goal), reachable_states(problem)))
     run = run_engine(engine, replace(problem, start=start, goal=goal), config)
-    assert explore(engine, problem, start, goal, config) == \
-        (run.plan, len(run.events), run.events_at_goal)
+    assert explore(engine, problem, start, goal, config) == (run.plan, len(run.events))
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("domain", ["maze", "blocks"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_goal_is_generated_in_the_last_expansion(engine, domain, data):
+    """With caps off, a run that finds a plan (here, to a reachable goal
+    other than the start) generates its goal in its last expansion, the
+    events that share the last event's parent state, and in no earlier one:
+    its count when the goal is found is its count, so a run cut below its
+    count has no plan."""
+    problem = data.draw(maze_problems() if domain == "maze" else blocks_problems(max_blocks=4))
+    goal = data.draw(reachable_states(problem).filter(lambda state: state != problem.start))
+    run = run_engine(engine, replace(problem, goal=goal))
+    assert run.plan and run.events
+    last = [e for e in run.events if e.parent_state == run.events[-1].parent_state]
+    assert last == list(run.events[len(run.events) - len(last):])
+    generated = [e.index for e in run.events if e.validity == VALID and e.state == goal]
+    assert len(generated) == 1 and generated[0] >= last[0].index
 
 
 def test_explore_rejects_unknown_engine():
@@ -340,7 +366,8 @@ def test_explore_rejects_unknown_engine():
 
 
 def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_dataset):
-    """solve_hybrid, fresh or from a sweep memo, scores by counting."""
+    """solve_hybrid, and solve_one fresh or from a sweep memo's kept run,
+    score by counting."""
     problems = [*small_maze_dataset["test"][:10], *small_blocks_dataset["test"][:3]]
     expected = {}
     for p in problems:
@@ -353,11 +380,14 @@ def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_
     monkeypatch.setattr(search, "ExplorationEvent", no_events)
     with pytest.raises(AssertionError):
         astar(problems[0])
+    config = PlannerConfig(kind="sys2")
     memo = SweepMemo()
     for p in problems:
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for budget in (None, 5):
-            engines = EnginesConfig(budget=budget)
-            assert solve_hybrid(p, meta, engines) == solve_hybrid(p, meta, engines, memo)
-        run = solve_hybrid(p, meta, memo=memo)
+            run = solve_hybrid(p, meta, EnginesConfig(budget=budget))
+            scored = ScoredRun(p, run.plan, run.states_explored)
+            assert solve_one(p, config, budget) == scored
+            assert solve_one(p, replace(config, memo=memo), budget) == scored
+        run = solve_hybrid(p, meta)
         assert (run.plan, run.states_explored) == expected[p.problem_id]
