@@ -34,7 +34,6 @@ from .generators import (
     generate_maze_dataset,
 )
 from .hardness import SELECTORS
-from .hybrid import EnginesConfig
 from .search import ENGINES, TraceConfig
 from .textio import (
     ParseError,
@@ -185,9 +184,9 @@ def cmd_build_controller_data(args):
 
 def cmd_emit_datasets(args):
     train, records = _controller_dataset(args)
-    engines = EnginesConfig(sys2=args.sys2, trace=_trace_config(args))
     out_dir = _out_path(args, "datasets")
-    manifest = emit_datasets(train, records, engines, out_dir, seed=args.seed)
+    manifest = emit_datasets(train, records, args.sys2, _trace_config(args), out_dir,
+                             seed=args.seed)
     counts = {k: v["count"] for k, v in manifest["files"].items()}
     print(f"emit-datasets: {counts} -> {out_dir}")
     return 0

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .controller import SYS1, SYS2, HybridController, SubGoal
 from .domains import validate_plan
-from .hybrid import EnginesConfig, SweepMemo, cut_run, solve_hybrid
+from .hybrid import SweepMemo, cut_run, solve_hybrid
 from .search import TraceConfig
 
 
@@ -126,27 +126,19 @@ def solve_one(problem, config, budget=None):
     else:
         key = ("run", SYS1 if config.kind == "sys1" else SYS2, None, None)
     key += (config.engine, config.trace, problem.geometry)
-    plan, se, outcomes = memo.kept(key, _compact_run, problem, config)
+    run = memo.kept(key, _solve, problem, config, None)
     if budget is not None:
-        plan, se, _ = cut_run(outcomes, budget)
-    return ScoredRun(problem, plan, se)
+        run = cut_run(run.outcomes, budget)
+    return ScoredRun(problem, run.plan, run.states_explored)
 
 
 def _solve(problem, config, budget):
-    """The configured planner's HybridRun on one problem."""
+    """The configured planner's hybrid.Run on one problem."""
     if config.kind == "hybrid":
         meta = config.controller.decompose(problem, config.memo)
     else:
         meta = (SubGoal(problem.start, problem.goal, SYS1 if config.kind == "sys1" else SYS2),)
-    return solve_hybrid(problem, meta, EnginesConfig(config.engine, config.trace, budget))
-
-
-def _compact_run(problem, config):
-    """The unbudgeted run as a SweepMemo keeps it: (plan, states explored,
-    each sub-goal's (mode, plan, states explored))."""
-    run = _solve(problem, config, None)
-    return run.plan, run.states_explored, tuple((o.mode, o.plan, o.states_explored)
-                                                for o in run.outcomes)
+    return solve_hybrid(problem, meta, config.engine, config.trace, budget)
 
 
 def run_planner(problems, config, budget=None, workers=1):

@@ -6,8 +6,10 @@ The fast planner emits whatever path it walked even when it never reached
 the goal; validity is judged downstream by the plan validator, and its
 states-explored equals the emitted plan length. Search sub-goals are
 scored by search.explore, which counts the states explored and builds no
-trace, so no outcome carries a search run: an outcome is its plan and
-states explored, and cut_run cuts a run's outcomes to a budget.
+trace, so no outcome carries a search run. A run has one shape from
+solve_hybrid to the sweep memo: a Run of its plan, its states explored and
+one Outcome (mode, plan, states explored) per sub-goal it reached, which
+cut_run cuts to a budget.
 
 A SweepMemo lets the passes of a budget sweep solve each problem once per
 meta-plan shape, then cut the kept run to each pass's budget; it also
@@ -16,35 +18,28 @@ keeps what the controller computes per problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .controller import SYS1, SubGoal
+from .controller import SYS1
 from .domains import greedy_walk, skeleton
 from .search import TraceConfig, explore
 
 
-@dataclass(frozen=True)
-class PlannerOutcome:
-    plan: tuple | None
-    states_explored: int
+class Outcome(NamedTuple):
+    """One sub-goal's part of a run."""
+
     mode: str  # "sys1" | "sys2"
-    subgoal: SubGoal | None = None
-
-
-@dataclass(frozen=True)
-class HybridRun:
-    problem: object
-    meta_plan: tuple
-    outcomes: tuple
     plan: tuple | None
     states_explored: int
 
 
-@dataclass(frozen=True)
-class EnginesConfig:
-    sys2: str = "astar"
-    trace: TraceConfig = TraceConfig()
-    budget: int | None = None
+class Run(NamedTuple):
+    """A hybrid run: its sub-plans joined in order, their states explored
+    summed, and the outcome of each sub-goal the run reached."""
+
+    plan: tuple | None
+    states_explored: int
+    outcomes: tuple
 
 
 _MISSING = object()
@@ -56,10 +51,9 @@ class SweepMemo(dict):
 
     - per problem, its skeleton and the controller's gate input;
     - per (problem, meta-plan shape, controller variant and selector,
-      engine, trace config), the unbudgeted run in compact form: its plan,
-      its states explored and each sub-goal's (mode, plan, states
-      explored). An unbudgeted pass hands back its plan tuple and states
-      explored; a budgeted pass cuts it with cut_run.
+      engine, trace config), the unbudgeted Run. An unbudgeted pass hands
+      back its plan tuple and states explored; a budgeted pass cuts its
+      outcomes with cut_run.
 
     No meta-plan, search run or event is kept. Problems are keyed on their
     geometry, so problems with the same grid, blocks and end states share
@@ -77,9 +71,8 @@ class SweepMemo(dict):
 
 
 def cut_run(outcomes, budget):
-    """(plan, states explored, kept outcomes) of a run cut to a
-    states-explored budget (None: no cut), from each sub-goal's unbudgeted
-    (mode, plan, states explored) in order.
+    """The Run cut to a states-explored budget (None: no cut) from each
+    sub-goal's unbudgeted (mode, plan, states explored) in order.
 
     Each sub-goal gets what the ones before it left of the budget. A Sys1
     walk that explores more is cut at it; a Sys2 sub-goal that explores
@@ -90,20 +83,20 @@ def cut_run(outcomes, budget):
     kept, total = [], 0
     for outcome in outcomes:
         if budget is not None and total >= budget:
-            return None, total, tuple(kept)
+            return Run(None, total, tuple(kept))
         mode, plan, se = outcome
         if budget is not None and se > budget - total:
             plan, se = (plan[:budget - total] if mode == SYS1 else None), budget - total
-        kept.append((mode, plan, se))
+        kept.append(Outcome(mode, plan, se))
         total += se
         if plan is None:
-            return None, total, tuple(kept)
+            return Run(None, total, tuple(kept))
     if len(kept) == 1:
-        return kept[0][1], total, tuple(kept)  # the sub-goal's own plan tuple
-    return tuple(a for _, plan, _ in kept for a in plan), total, tuple(kept)
+        return Run(kept[0].plan, total, tuple(kept))  # the sub-goal's own plan tuple
+    return Run(tuple(a for o in kept for a in o.plan), total, tuple(kept))
 
 
-def _solved(problem, subgoal, engines):
+def _solved(problem, subgoal, engine, trace):
     """The sub-goal's unbudgeted (mode, plan, states explored), solved as
     it is unpacked."""
     yield subgoal.mode
@@ -111,15 +104,11 @@ def _solved(problem, subgoal, engines):
         plan, _ = greedy_walk(problem, subgoal.start, subgoal.goal)
         yield from (plan, len(plan))
     else:
-        yield from explore(engines.sys2, problem, subgoal.start, subgoal.goal, engines.trace)
+        yield from explore(engine, problem, subgoal.start, subgoal.goal, trace)
 
 
-def solve_hybrid(problem, meta_plan, engines=EnginesConfig()):
-    """Solve the meta-plan's sub-goals in order and concatenate, cut to the
-    global state budget by cut_run. A sub-goal the cut run does not reach
-    is not solved."""
-    plan, se, kept = cut_run((_solved(problem, s, engines) for s in meta_plan), engines.budget)
-    outcomes = tuple(PlannerOutcome(plan=p, states_explored=n, mode=mode, subgoal=subgoal)
-                     for (mode, p, n), subgoal in zip(kept, meta_plan))
-    return HybridRun(problem=problem, meta_plan=tuple(meta_plan), outcomes=outcomes, plan=plan,
-                     states_explored=se)
+def solve_hybrid(problem, meta_plan, engine="astar", trace=TraceConfig(), budget=None):
+    """The Run of the meta-plan's sub-goals solved in order, Sys2 ones by
+    the named engine, cut to the global state budget by cut_run. A
+    sub-goal the cut run does not reach is not solved."""
+    return cut_run((_solved(problem, s, engine, trace) for s in meta_plan), budget)

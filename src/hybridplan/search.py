@@ -68,8 +68,6 @@ class ExplorationEvent:
 
 @dataclass(frozen=True)
 class SearchRun:
-    problem: object
-    algorithm: str  # "astar" | "bfs" | "dfs"
     events: tuple
     plan: tuple | None
 
@@ -213,7 +211,7 @@ def _search(problem, start, goal, algorithm, account):
 def _traced(problem, algorithm, config):
     events = []
     plan, _ = _search(problem, problem.start, problem.goal, algorithm, _recorder(config, events))
-    return SearchRun(problem, algorithm, tuple(events), plan)
+    return SearchRun(tuple(events), plan)
 
 
 def astar(problem, config=TraceConfig()):

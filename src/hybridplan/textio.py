@@ -368,12 +368,13 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
+def emit_datasets(problems, controller_records, engine, trace, out_dir, seed=0):
     """Write the three training corpora (fast-planner, search-trace, and
     controller records) plus a manifest with counts and hashes.
 
     problems: the problem list supplying fast-planner targets and search
-    traces (typically the train split); it is read twice. controller_records
+    traces (typically the train split); it is read twice. Each trace is the
+    named engine's run under the TraceConfig trace. controller_records
     comes from build_controller_dataset. A problem without a gold plan is
     rejected before any file is written.
     """
@@ -395,7 +396,7 @@ def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
         }
 
     def trace_out(problem):
-        run = run_engine(engine_config.sys2, problem, engine_config.trace)
+        run = run_engine(engine, problem, trace)
         return record(problem, "sys2", *trace_record(run))
 
     sys1_records = []
@@ -423,10 +424,10 @@ def emit_datasets(problems, controller_records, engine_config, out_dir, seed=0):
     write_jsonl_atomic(paths["sys2"], map(trace_out, problems))
 
     config_text = json.dumps({
-        "engine": engine_config.sys2,
-        "valid_cap": engine_config.trace.valid_cap,
-        "invalid_cap": engine_config.trace.invalid_cap,
-        "trace_seed": engine_config.trace.seed,
+        "engine": engine,
+        "valid_cap": trace.valid_cap,
+        "invalid_cap": trace.invalid_cap,
+        "trace_seed": trace.seed,
         "seed": seed,
     }, sort_keys=True)
     manifest = {

@@ -18,7 +18,7 @@ from hybridplan.controller import (
 from hybridplan.domains import greedy_walk, plan_states, validate_plan
 from hybridplan.evaluate import PlannerConfig, budget_sweep, match_budget_cap
 from hybridplan.generators import blocks_bfs_length
-from hybridplan.hybrid import EnginesConfig, solve_hybrid
+from hybridplan.hybrid import solve_hybrid
 from hybridplan.hardness import hardness_fn
 from hybridplan.search import TraceConfig, astar, bfs, dfs
 from hybridplan.textio import (
@@ -200,9 +200,9 @@ def test_criterion_7_dataset_round_trip(maze_dataset, blocks_dataset, tmp_path):
 
     train = maze_dataset["train"][:50]
     small_records = build_controller_dataset(train, ControllerConfig(x=0.5))
-    engines = EnginesConfig(sys2="astar", trace=TraceConfig(seed=0))
-    m1 = emit_datasets(train, small_records, engines, str(tmp_path / "a"), seed=0)
-    m2 = emit_datasets(train, small_records, engines, str(tmp_path / "b"), seed=0)
+    trace = TraceConfig(seed=0)
+    m1 = emit_datasets(train, small_records, "astar", trace, str(tmp_path / "a"), seed=0)
+    m2 = emit_datasets(train, small_records, "astar", trace, str(tmp_path / "b"), seed=0)
     bytes_ok = all(m1["files"][k]["sha256"] == m2["files"][k]["sha256"]
                    for k in ("sys1", "sys2", "controller"))
     ok = plans_ok and traces_ok and metas_ok and caps_ok and bytes_ok
@@ -237,7 +237,7 @@ def test_criterion_9_saturation_equivalences(maze_dataset, fitted_controller):
         ControllerConfig(x=0.5, bias=1.0, variant="no-subgoal")).fit(maze_dataset["train"])
     sys2_ok = True
     for p in test:
-        hybrid = solve_hybrid(p, sat.decompose(p), EnginesConfig(sys2="astar"))
+        hybrid = solve_hybrid(p, sat.decompose(p), "astar")
         bare = astar(p)
         if hybrid.plan != bare.plan or hybrid.states_explored != len(bare.events):
             sys2_ok = False

@@ -206,7 +206,7 @@ def test_sweep_workers_match_serial(small_maze_dataset):
 def _compact(value):
     if value is None or type(value) in (int, float, str):
         return True
-    return type(value) in (tuple, list) and all(_compact(x) for x in value)
+    return isinstance(value, (tuple, list)) and all(_compact(x) for x in value)
 
 
 def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
@@ -217,7 +217,8 @@ def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
         runs = original(problems, config, budget=budget, workers=workers)
         memos.append(config.memo)
         filled.append(len(config.memo))
-        # numbers, states, plans, skeletons and tuples of them: no runs, events or meta-plans
+        # numbers, states, plans, skeletons, hybrid Runs and tuples of them: no search
+        # runs, events or meta-plans
         assert all(_compact(value) for value in config.memo.values())
         return runs
 
@@ -255,12 +256,12 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
             budgeted_work.append(("window_start", w))
         return original_window(states, w, variant, hfn)
 
-    def solve_hybrid(problem, meta_plan, engines):
-        if engines.budget is None:
+    def solve_hybrid(problem, meta_plan, engine, trace, budget):
+        if budget is None:
             unbudgeted.append(problem.problem_id)
         if in_budgeted_pass():
             budgeted_work.append(("solve_hybrid", problem.problem_id))
-        return original_solve(problem, meta_plan, engines)
+        return original_solve(problem, meta_plan, engine, trace, budget)
 
     def run_planner(problems, config, budget=None, workers=1):
         passes.append((config.controller, budget))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, validate_plan
 from hybridplan.evaluate import PlannerConfig, solve_one
-from hybridplan.hybrid import EnginesConfig, SweepMemo, cut_run, solve_hybrid
+from hybridplan.hybrid import Run, SweepMemo, cut_run, solve_hybrid
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
 from reference import truncate_run
@@ -82,14 +82,14 @@ class TestSolveHybrid:
         assert validate_plan(p, full.plan)[0]
         sys2_se = full.outcomes[1].states_explored
         budget = full.outcomes[0].states_explored + sys2_se - 1
-        cut = solve_hybrid(p, meta, EnginesConfig(budget=budget))
+        cut = solve_hybrid(p, meta, budget=budget)
         assert cut.plan is None
         assert cut.states_explored <= budget
 
     def test_budget_cuts_sys1_walk(self):
         p = maze_problem(1, 5, (), (0, 0), (0, 4))
         meta = (SubGoal((0, 0), (0, 4), SYS1),)
-        run = solve_hybrid(p, meta, EnginesConfig(budget=2))
+        run = solve_hybrid(p, meta, budget=2)
         assert run.plan == ("right", "right")
         assert run.states_explored == 2
         assert not validate_plan(p, run.plan)[0]
@@ -114,10 +114,8 @@ class TestSolveHybrid:
             meta = ctl.decompose(p)
             run = solve_hybrid(p, meta)
             if all(o.plan is not None and
-                   validate_plan(
-                       type(p)(domain=p.domain, start=o.subgoal.start, goal=o.subgoal.goal,
-                               grid=p.grid, blocks=p.blocks), o.plan)[0]
-                   for o in run.outcomes) and len(run.outcomes) == len(meta):
+                   validate_plan(replace(p, start=s.start, goal=s.goal), o.plan)[0]
+                   for o, s in zip(run.outcomes, meta)) and len(run.outcomes) == len(meta):
                 assert validate_plan(p, run.plan) == (True, None)
 
     def test_se_additivity(self, small_maze_dataset):
@@ -135,7 +133,7 @@ class TestSolveHybrid:
         p = maze_problem(4, 4, (), (0, 0), (3, 3))
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for engine in ("astar", "bfs", "dfs"):
-            run = solve_hybrid(p, meta, EnginesConfig(sys2=engine))
+            run = solve_hybrid(p, meta, engine)
             assert validate_plan(p, run.plan)[0]
             assert run.plan == run_engine(engine, p).plan
 
@@ -171,6 +169,7 @@ class TestSweepMemo:
                 solve_one(p, PlannerConfig(kind=kind, engine="bfs", memo=memo))
                 plan, se, mode = expected
                 [kept] = memo.values()
+                assert type(kept) is Run
                 assert kept == (plan, se, ((mode, plan, se),))
                 assert plan is None or kept[0] is kept[2][0][1]
 
@@ -213,40 +212,34 @@ def meta_plans(draw, problem):
                  for a, b in zip(chain, chain[1:]))
 
 
-def compact(run):
-    """Each sub-goal's (mode, plan, states explored) of a HybridRun."""
-    return tuple((o.mode, o.plan, o.states_explored) for o in run.outcomes)
-
-
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("caps", sorted(CAPS))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_memo_gives_the_fresh_outcomes(engine, caps, data):
     """Over budgets drawn at random (None among them), cut_run over the
-    compact unbudgeted run that a sweep memo keeps gives the plan, the
-    states explored and the per-sub-goal (mode, plan, states explored) of
-    a fresh solve_hybrid with that budget. A run's states explored is the
-    sum of its outcomes' and stays within the budget, and a fresh outcome
-    is its sub-goal's unbudgeted solve cut to the remaining budget: the
-    recorded search run by the reference truncation, the greedy walk by
-    its prefix."""
+    outcomes of the unbudgeted run that a sweep memo keeps gives the Run of
+    a fresh solve_hybrid with that budget: its plan, its states explored
+    and each sub-goal's (mode, plan, states explored). A run's states
+    explored is the sum of its outcomes' and stays within the budget, and a
+    fresh outcome is its sub-goal's unbudgeted solve cut to the remaining
+    budget: the recorded search run by the reference truncation, the greedy
+    walk by its prefix."""
     problem = data.draw(small_problems)
     meta = data.draw(meta_plans(problem))
     budgets = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 80)), min_size=1, max_size=4))
-    full = solve_hybrid(problem, meta, EnginesConfig(sys2=engine, trace=CAPS[caps]))
-    kept = compact(full)
-    assert cut_run(kept, None) == (full.plan, full.states_explored, kept)
+    full = solve_hybrid(problem, meta, engine, CAPS[caps])
+    assert cut_run(full.outcomes, None) == full
     for budget in budgets:
-        fresh = solve_hybrid(problem, meta, EnginesConfig(sys2=engine, trace=CAPS[caps],
-                                                          budget=budget))
-        assert cut_run(kept, budget) == (fresh.plan, fresh.states_explored, compact(fresh))
-        assert [o.subgoal for o in fresh.outcomes] == list(meta[:len(fresh.outcomes)])
+        fresh = solve_hybrid(problem, meta, engine, CAPS[caps], budget)
+        assert cut_run(full.outcomes, budget) == fresh
+        assert len(fresh.outcomes) <= len(meta)
+        assert [o.mode for o in fresh.outcomes] == [s.mode for s in meta[:len(fresh.outcomes)]]
         assert fresh.states_explored == sum(o.states_explored for o in fresh.outcomes)
         assert budget is None or fresh.states_explored <= budget
         spent = 0
-        for o in fresh.outcomes:
-            sub = replace(problem, start=o.subgoal.start, goal=o.subgoal.goal)
+        for o, subgoal in zip(fresh.outcomes, meta):
+            sub = replace(problem, start=subgoal.start, goal=subgoal.goal)
             if o.mode == SYS2:
                 run = run_engine(engine, sub, CAPS[caps])
                 if budget is not None:

@@ -17,7 +17,7 @@ from hybridplan.domains import (
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
 from hybridplan.evaluate import PlannerConfig, ScoredRun, solve_one
-from hybridplan.hybrid import EnginesConfig, SweepMemo, cut_run, solve_hybrid
+from hybridplan.hybrid import SweepMemo, cut_run, solve_hybrid
 from hybridplan.search import VALID, TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
 from reference import truncate_run
@@ -142,8 +142,9 @@ class TestBfsDfs:
                 assert len(a.plan) == len(b.plan)
 
     def test_dfs_single_step(self):
-        run = dfs(maze_problem(3, 3, (), (0, 0), (0, 1)))
-        assert validate_plan(run.problem, run.plan) == (True, None)
+        p = maze_problem(3, 3, (), (0, 0), (0, 1))
+        run = dfs(p)
+        assert validate_plan(p, run.plan) == (True, None)
 
     def test_dfs_takes_long_route(self):
         # two routes; depth-first order commits to the long one
@@ -235,7 +236,7 @@ class TestTruncate:
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for cap, plan in ((len(run.events), run.plan), (len(run.events) - 1, None)):
             assert truncate_run(run, cap).plan == plan
-            assert solve_hybrid(p, meta, EnginesConfig(budget=cap)).plan == plan
+            assert solve_hybrid(p, meta, budget=cap).plan == plan
 
     def test_idempotent(self):
         run = bfs(maze_problem(5, 5, (), (0, 0), (4, 4)))
@@ -254,7 +255,7 @@ class TestTruncate:
 
 def test_run_engine_dispatch():
     p = maze_problem(3, 3, (), (0, 0), (2, 2))
-    assert run_engine("bfs", p).algorithm == "bfs"
+    assert run_engine("bfs", p) == bfs(p) != dfs(p)
     with pytest.raises(ValueError):
         run_engine("ids", p)
 
@@ -385,7 +386,7 @@ def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_
     for p in problems:
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for budget in (None, 5):
-            run = solve_hybrid(p, meta, EnginesConfig(budget=budget))
+            run = solve_hybrid(p, meta, budget=budget)
             scored = ScoredRun(p, run.plan, run.states_explored)
             assert solve_one(p, config, budget) == scored
             assert solve_one(p, replace(config, memo=memo), budget) == scored

@@ -18,7 +18,6 @@ from hybridplan.controller import (
 )
 from hybridplan.domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.hardness import SELECTORS, hardness_fn
-from hybridplan.hybrid import EnginesConfig
 from hybridplan.search import TraceConfig, astar, bfs, run_engine
 from hybridplan.textio import (
     ParseError,
@@ -278,9 +277,8 @@ class TestEmitDatasets:
     def _emit(self, tmp_path, dataset, sub="d1"):
         train = dataset["train"][:30]
         records = build_controller_dataset(train, ControllerConfig(x=0.5))
-        engines = EnginesConfig(sys2="astar", trace=TraceConfig(seed=0))
         out = tmp_path / sub
-        manifest = emit_datasets(train, records, engines, str(out), seed=0)
+        manifest = emit_datasets(train, records, "astar", TraceConfig(seed=0), str(out), seed=0)
         return out, manifest
 
     def test_counts(self, tmp_path, small_maze_dataset):
@@ -307,9 +305,9 @@ class TestEmitDatasets:
     def test_blocks_emission_honors_caps(self, tmp_path, small_blocks_dataset):
         train = small_blocks_dataset["train"][:10]
         records = build_controller_dataset(train, ControllerConfig(x=0.5))
-        engines = EnginesConfig(sys2="astar", trace=TraceConfig(valid_cap=3, invalid_cap=2))
         out = tmp_path / "blocks"
-        emit_datasets(train, records, engines, str(out), seed=0)
+        emit_datasets(train, records, "astar", TraceConfig(valid_cap=3, invalid_cap=2), str(out),
+                      seed=0)
         with open(out / "sys2.jsonl") as fh:
             for line in fh:
                 rec = json.loads(line)
@@ -348,7 +346,7 @@ class TestEmitDatasets:
         if caps == "caps":
             trace = TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
         records = build_controller_dataset(train, ControllerConfig(x=0.5))
-        emit_datasets(train, records, EnginesConfig(sys2="astar", trace=trace), str(out))
+        emit_datasets(train, records, "astar", trace, str(out))
         return tuple(hashlib.sha256((out / f"{kind}.jsonl").read_bytes()).hexdigest()
                      for kind in ("sys1", "sys2", "controller"))
 
