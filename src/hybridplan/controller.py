@@ -102,6 +102,12 @@ def decompose_states(states, x, variant, hfn):
     return window_subgoals(states, window_start(states, w, variant, hfn), w)
 
 
+def easy_count(x, n):
+    """floor((1 - x) * n), exact for a decimal x: the product is rounded to
+    9 places first, since 1 - 0.8 is 0.19999999999999996 in floats."""
+    return int(round((1.0 - x) * n, 9))
+
+
 def build_controller_dataset(problems, config):
     """Label the floor((1-x)*N) easiest problems fast-only and decompose
     the gold plans of the rest. Returns [(problem, meta_plan)] in ranked
@@ -111,7 +117,7 @@ def build_controller_dataset(problems, config):
     if config.variant == "random":
         raise ValueError("the random variant has no controller dataset")
     ranked = rank_problems(problems, config.selector)
-    n_easy = int((1.0 - config.x) * len(ranked))
+    n_easy = easy_count(config.x, len(ranked))
     records = []
     for i, problem in enumerate(ranked):
         if problem.gold_plan is None:
@@ -157,8 +163,7 @@ class HybridController:
 
     def _calibrate(self, sorted_hardness):
         self._sorted_hardness = sorted_hardness
-        percentile = int((1.0 - self._x) * 100)
-        idx = percentile * len(sorted_hardness) // 100
+        idx = easy_count(self._x, 100) * len(sorted_hardness) // 100
         self._threshold = float("inf") if idx >= len(sorted_hardness) else sorted_hardness[idx]
 
     def threshold(self):

@@ -14,7 +14,8 @@ from hybridplan.controller import (
     decompose_states,
     window_length,
 )
-from hybridplan.domains import PlanningProblem, plan_states, skeleton
+from hybridplan.domains import MazeGrid, PlanningProblem, plan_states, skeleton
+from hybridplan.evaluate import BIAS_STEP
 from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.textio import metaplan_record
 from strategies import blocks_problems, maze_problems, states_of
@@ -224,6 +225,33 @@ class TestRuntimeController:
         ctl = self._fitted(small_maze_dataset, x=0.75)
         for p in small_maze_dataset["test"]:
             assert_chained_or_single(p, ctl.decompose(p))
+
+
+def test_decimal_x_gives_the_exact_easy_share():
+    """At x = k/100 the dataset labels exactly the 100 - k easiest of 100
+    problems fast-only and the runtime gate takes percentile 100 - k, also
+    at each x + i * BIAS_STEP that a sweep's bias scan passes through: in
+    floats 1 - 0.8 is 0.19999999999999996, which must not lose a problem."""
+    grid = MazeGrid(1, 101)
+    # hardness (Manhattan distance) 1..100
+    problems = [PlanningProblem(domain="maze", start=(0, 0), goal=(0, d), grid=grid,
+                                gold_plan=("right",) * d) for d in range(1, 101)]
+
+    def threshold(k):  # percentile 100 - k of hardness 1..100
+        return float("inf") if k == 0 else 101 - k
+
+    for k in range(101):
+        config = ControllerConfig(x=k / 100, variant="no-subgoal", selector="maze-manhattan")
+        records = build_controller_dataset(problems, config)
+        easy = [p.goal[1] for p, m in records if m[0].mode == SYS1]
+        assert easy == list(range(1, 101 - k)), k
+        assert HybridController(config).fit(problems).threshold() == threshold(k), k
+    step = round(100 * BIAS_STEP)
+    for x in (0.25, 0.5, 0.75):
+        ctl = HybridController(ControllerConfig(x=x, selector="maze-manhattan")).fit(problems)
+        for i in range(1, 100 // step + 1):
+            k = min(100, round(100 * x) + i * step)
+            assert ctl.with_bias(min(1.0, i * BIAS_STEP)).threshold() == threshold(k), (x, i)
 
 
 def assert_chained_or_single(problem, meta):
