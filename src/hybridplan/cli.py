@@ -323,7 +323,7 @@ def _config_argv(args):
     try:
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8 text
         raise ParseError(f"bad config file {args.config}: {exc}")
     if not isinstance(values, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")

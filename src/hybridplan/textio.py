@@ -317,24 +317,27 @@ def load_problems(path):
     domain."""
     out = {}
     domain = None
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-                problem = problem_from_json(rec)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                # AttributeError and TypeError: a field of the wrong JSON type,
-                # such as "start": 5 or "obstacles": 5
-                raise ParseError(f"corrupt problem record in {path}: {exc}", i) from exc
-            domain = domain or problem.domain
-            if problem.domain != domain:
-                raise ParseError(f"{problem.domain} problem in {path}, which began with "
-                                 f"{domain} problems", i)
-            out.setdefault(problem.split or "all", []).append(problem)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for i, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+                    problem = problem_from_json(rec)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    # AttributeError and TypeError: a field of the wrong JSON type,
+                    # such as "start": 5 or "obstacles": 5
+                    raise ParseError(f"corrupt problem record in {path}: {exc}", i) from exc
+                domain = domain or problem.domain
+                if problem.domain != domain:
+                    raise ParseError(f"{problem.domain} problem in {path}, which began with "
+                                     f"{domain} problems", i)
+                out.setdefault(problem.split or "all", []).append(problem)
+    except UnicodeDecodeError as exc:  # its position is within a read chunk, not the file
+        raise ParseError(f"problem file {path} is not UTF-8 text ({exc.reason})") from exc
     return out
 
 

@@ -79,6 +79,13 @@ class TestValidation:
         bad.write_text("{not json\n")
         assert main(["eval", "--problems", str(bad)]) == 3
 
+    def test_problems_file_not_utf8_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff{}\n")
+        assert main(["eval", "--problems", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
+
     @pytest.mark.parametrize("field,value", [
         (None, [1, 2]),  # the whole line is not a JSON object
         ("obstacles", 5),
@@ -361,6 +368,13 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--problems" in err
+
+    def test_config_file_not_utf8_exits_3(self, problems_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff{}")
+        assert main(["eval", "--problems", problems_file, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(cfg) in err
 
     def test_unknown_config_key_exits_2(self, problems_file, tmp_path):
         cfg = tmp_path / "cfg.json"
