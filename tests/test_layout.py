@@ -43,13 +43,15 @@ def sources():
 
 
 def unreferenced(defs, trees, refs):
-    """The qualified names of the (path, qualname, def node) triples whose
-    name refs(tree, skip) finds in no module outside the def itself."""
+    """The qualified names of the (path, qualname, node) triples whose
+    name, the last part of qualname, refs(tree, skip) finds in no module
+    outside the node itself."""
     found = {path: refs(tree) for path, tree in trees.items()}
     unused = []
     for path, qualname, node in defs:
+        name = qualname.rpartition(".")[2]
         elsewhere = (found[other] for other in trees if other != path)
-        if node.name not in refs(trees[path], node) and not any(node.name in f for f in elsewhere):
+        if name not in refs(trees[path], node) and not any(name in f for f in elsewhere):
             unused.append(f"{path.stem}.{qualname}")
     return unused
 
@@ -75,5 +77,18 @@ def test_every_public_method_has_a_caller_outside_the_tests():
             for cls in trees[path].body if isinstance(cls, ast.ClassDef)
             for node in cls.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert defs
+    assert unreferenced(defs, trees, referenced_attributes) == []
+
+
+def test_every_field_is_read_outside_the_tests():
+    """An annotated field of a package class is read as an attribute in
+    the package or the benchmark outside its own declaration (its class's
+    methods count): no field is carried only for the tests."""
+    trees = sources()
+    defs = [(path, f"{cls.name}.{node.target.id}", node) for path in sorted(PACKAGE.glob("*.py"))
+            for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
     assert defs
     assert unreferenced(defs, trees, referenced_attributes) == []
