@@ -167,7 +167,8 @@ BIAS_STEP = 0.05
 
 
 def budget_sweep(problems, config, budgets, workers=1):
-    """One report row per target budget plus the planner's default row.
+    """One report row per target budget plus the planner's default row;
+    a sys1 planner gets its default row alone, whatever the budgets.
 
     Targets below the default average are reached by truncation via
     match_budget_cap; for hybrid planners, targets above the default are
