@@ -224,10 +224,10 @@ def cmd_eval(args):
 def cmd_sweep(args):
     problems, config = _planned_split(args, scored=True)
     report = budget_sweep(problems, config, args.budgets, workers=args.workers)
+    if args.plot_data:  # first, so that a bad --plot-data path leaves --out as it was
+        write_atomic(args.plot_data, [report_to_plot_data([report])])
     path = _out_path(args, "sweep.csv")
     write_atomic(path, [report_to_csv(report)])
-    if args.plot_data:
-        write_atomic(args.plot_data, [report_to_plot_data([report])])
     if args.markdown:
         print(report_to_markdown(report), end="")
     print(f"sweep: {config.label()} {len(report.rows)} rows -> {path}")

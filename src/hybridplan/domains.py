@@ -6,9 +6,9 @@ block labels, with stacks sorted by their bottom block so equal
 configurations compare equal.
 
 Every per-domain decision of the planners lives here: the step semantics,
-the one-pass expansion of a state that search engines and oracles probe,
-the search heuristic, the greedy walk behind the fast planner, and the
-skeleton over which the controller places its search window.
+the successors that search engines and oracles expand (built for the valid
+moves only), the search heuristic, the greedy walk behind the fast planner,
+and the skeleton over which the controller places its search window.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 MAZE_ACTIONS = ("up", "down", "left", "right")
 
@@ -178,63 +178,41 @@ def candidate_actions(problem, state):
     ones that will turn out invalid)."""
     if problem.domain == "maze":
         return list(MAZE_ACTIONS)
-    dests = sorted(problem.blocks) + [TABLE]
-    return [(b, d) for b in sorted(problem.blocks) for d in dests if d != b]
+    return [a for onto in _moves(problem.blocks).values() for a in onto.values()]
 
 
-# per block universe: the canonical moves grouped by moving block
-_BLOCKS_MOVES = {}
+@lru_cache(maxsize=64)  # problem files may bring any number of universes
+def _moves(blocks):
+    """A block universe's moves in canonical order as {block: {destination:
+    action}}: by sorted label, the table last. Every search shares these
+    action tuples, so that the parent maps of long searches hold no copies."""
+    labels = sorted(blocks)
+    return {b: {d: (b, d) for d in (*labels, TABLE) if d != b} for b in labels}
 
 
-def _blocks_moves(problem):
-    """Per block of the problem's universe, in canonical order: the block,
-    its moves onto other blocks as (action, dest) pairs, its move to the
-    table (canonically the last), and the block-not-clear probes of all
-    its moves."""
-    moves = _BLOCKS_MOVES.get(problem.blocks)
-    if moves is None:
-        if len(_BLOCKS_MOVES) >= 64:  # problem files may bring any number of universes
-            _BLOCKS_MOVES.clear()
-        by_block = {}
-        for action in candidate_actions(problem, None):
-            by_block.setdefault(action[0], []).append(action)
-        moves = _BLOCKS_MOVES[problem.blocks] = tuple(
-            (block, tuple((a, a[1]) for a in actions[:-1]), actions[-1],
-             tuple((a, None, "block-not-clear") for a in actions))
-            for block, actions in by_block.items())
-    return moves
-
-
-def _expand(problem, state):
-    """(action, next_state, reason) for every candidate action of a state,
-    in canonical order: what step gives for each of candidate_actions.
-
-    A blocks state is read once into a map from each stack's top block to
-    the stack's index; each move's reason or successor follows from it.
-    Successors keep the stacks sorted by bottom block without re-sorting:
-    a move onto a stack leaves every bottom in place, a move to the table
-    inserts the new one-block stack at its bisected position. The state
-    must be canonical, as a problem's start and goal and every successor
-    are."""
+def valid_actions(problem, state):
+    """(action, next_state) for every action whose step result is valid, in
+    canonical order; only the clear blocks' moves are built. Successors keep
+    the stacks sorted by bottom block without re-sorting: a move onto a stack
+    leaves every bottom in place, a move to the table inserts the new stack
+    at its bisected position. The state must be canonical, as a problem's
+    start and goal and every successor are."""
     if problem.domain == "maze":
         out = []
         for action in MAZE_ACTIONS:
-            nxt, reason = maze_step(problem.grid, state, action)
-            out.append((action, nxt, reason))
+            nxt, _ = maze_step(problem.grid, state, action)
+            if nxt is not None:
+                out.append((action, nxt))
         return out
+    moves = _moves(problem.blocks)
     bottoms = [s[0] for s in state]
-    tops = {s[-1]: i for i, s in enumerate(state)}
+    tops = sorted((s[-1], i) for i, s in enumerate(state))
     out = []
-    for block, onto, to_table, not_clear in _blocks_moves(problem):
-        src = tops.get(block)
-        if src is None:
-            out.extend(not_clear)
-            continue
+    for block, src in tops:
+        onto = moves[block]
         rest = state[src][:-1]
-        for action, dest in onto:
-            dst = tops.get(dest)
-            if dst is None:
-                out.append((action, None, "destination-not-clear"))
+        for dest, dst in tops:
+            if dest == block:
                 continue
             new = list(state)
             new[dst] = state[dst] + (block,)
@@ -242,21 +220,35 @@ def _expand(problem, state):
                 new[src] = rest
             else:
                 del new[src]
-            out.append((action, tuple(new), None))
+            out.append((onto[dest], tuple(new)))
         if rest:
             new = list(state)
             new[src] = rest
             new.insert(bisect.bisect(bottoms, block), (block,))
-            out.append((to_table, tuple(new), None))
-        else:
-            out.append((to_table, None, "self-move"))
+            out.append((onto[TABLE], tuple(new)))
     return out
 
 
-def valid_actions(problem, state):
-    """(action, next_state) for every action whose step result is valid,
-    in canonical order."""
-    return [(a, nxt) for a, nxt, _ in _expand(problem, state) if nxt is not None]
+def _expand(problem, state, successors):
+    """(action, next_state, reason) for every candidate action of a state,
+    in canonical order: what step gives for each of candidate_actions, given
+    the state's valid_actions. A blocks move is invalid when its block or
+    destination is not clear, or when it moves a table block to the table."""
+    valid = dict(successors)
+    if problem.domain == "maze":
+        return [(a, valid[a], None) if a in valid else (a, *maze_step(problem.grid, state, a))
+                for a in MAZE_ACTIONS]
+    tops = {s[-1] for s in state}
+    out = []
+    for block, onto in _moves(problem.blocks).items():
+        if block not in tops:
+            out += [(action, None, "block-not-clear") for action in onto.values()]
+            continue
+        for dest, action in onto.items():
+            nxt = valid.get(action)
+            out.append((action, nxt, None) if nxt is not None else
+                       (action, None, "self-move" if dest == TABLE else "destination-not-clear"))
+    return out
 
 
 def _manhattan(a, b):

@@ -167,8 +167,8 @@ BIAS_STEP = 0.05
 
 
 def budget_sweep(problems, config, budgets, workers=1):
-    """One report row per target budget plus the planner's default row;
-    a sys1 planner gets its default row alone, whatever the budgets.
+    """One report row per distinct target budget plus the planner's default
+    row; a sys1 planner gets its default row alone, whatever the budgets.
 
     Targets below the default average are reached by truncation via
     match_budget_cap; for hybrid planners, targets above the default are
@@ -181,7 +181,7 @@ def budget_sweep(problems, config, budgets, workers=1):
     """
     memo = SweepMemo()
     try:
-        return _sweep(problems, replace(config, memo=memo), sorted(budgets), workers)
+        return _sweep(problems, replace(config, memo=memo), sorted(set(budgets)), workers)
     finally:
         memo.clear()
 

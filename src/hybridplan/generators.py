@@ -6,11 +6,10 @@ configurations of 4-7 blocks, split by optimal plan length so the test
 split is strictly longer-horizon than train/val.
 
 The oracles used here (plain BFS for mazes, a lean A* and an exhaustive
-BFS for blocks) run their own searches, apart from the trace-recording
-engines in search.py, so generated optimal lengths check those engines'
-search. They share the engines' step semantics: the blocks oracles
-expand states through domains.valid_actions, the same successors the
-engines probe.
+BFS for blocks) run their own searches, apart from the engines in
+search.py, so generated optimal lengths check those engines' search. The
+blocks oracles share the engines' successors, domains.valid_actions; the
+lean A* updates its heuristic per move rather than scoring each state.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 
 from .domains import (
     MAZE_ACTIONS,
+    TABLE,
     MazeGrid,
     PlanningProblem,
     canonical_blocks,
@@ -151,31 +151,36 @@ def random_blocks_state(rng, blocks):
 
 def blocks_optimal_plan(problem):
     """Lean A* (mismatch heuristic, admissible and consistent) returning an
-    optimal plan, or None when unreachable."""
+    optimal plan, or None when unreachable. A move changes only its block's
+    support, so a successor's heuristic is its parent's corrected for it."""
     start, goal = problem.start, problem.goal
     if start == goal:
         return ()
-    h = heuristic_for(problem, goal)
+    goal_on = {s[i]: s[i - 1] if i else TABLE for s in goal for i in range(len(s))}
     g_score = {start: 0}
     came_from = {}
     counter = 0
-    frontier = [(h(start), counter, start)]
+    h = heuristic_for(problem, goal)(start)
+    frontier = [(h, counter, start, h)]
     closed = set()
     while frontier:
-        _, _, current = heapq.heappop(frontier)
+        _, _, current, h = heapq.heappop(frontier)
         if current in closed:
             continue
         closed.add(current)
+        tentative = g_score[current] + 1
+        on = {s[-1]: s[-2] if len(s) > 1 else TABLE for s in current}  # each clear block's support
         for action, nxt in valid_actions(problem, current):
-            tentative = g_score[current] + 1
             if nxt in g_score and tentative >= g_score[nxt]:
                 continue
             g_score[nxt] = tentative
             came_from[nxt] = (current, action)
             if nxt == goal:
                 return _reconstruct(came_from, goal, start)
+            block, dest = action
+            h_next = h - (goal_on[block] != on[block]) + (goal_on[block] != dest)
             counter += 1
-            heapq.heappush(frontier, (tentative + h(nxt), counter, nxt))
+            heapq.heappush(frontier, (tentative + h_next, counter, nxt, h_next))
     return None
 
 

@@ -10,14 +10,15 @@ engine: per expansion, the valid cap keeps the lowest-t valid probes (probe
 order for BFS and DFS, which have no t), the invalid cap a seeded random
 sample of the invalid ones.
 
-The loop hands each expansion to one of two accounts:
+The loop builds only the valid successors of each expansion (valid_actions)
+and hands them to one of two accounts:
 
-- the event recorder (astar, bfs, dfs, run_engine) logs the kept probes as
-  ExplorationEvents, the trace the corpora are written from;
-- the counter (explore, the scoring entry) adds min(valid, valid cap) +
-  min(invalid, invalid cap) and builds no probe, event or random sample.
-  The caps only choose which probes are recorded, never how many, so the
-  count equals the recorder's len(events).
+- the event recorder (astar, bfs, dfs, run_engine) labels every probe with
+  _expand and logs the kept ones as ExplorationEvents, the corpora's trace;
+- the counter (explore, the scoring entry) takes the fixed probe count less
+  the fresh successors as invalid, adds min(valid, valid cap) + min(invalid,
+  invalid cap) and builds no probe, event or random sample. The caps choose
+  which probes are recorded, never how many: the count is len(events).
 
 A search stops at the expansion that generates its goal, so a run that
 finds a plan has counted all its states explored by then: cut to a state
@@ -32,7 +33,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .domains import _expand, heuristic_for
+from .domains import _expand, candidate_actions, heuristic_for, valid_actions
 
 VALID = "valid"
 INVALID = "invalid"
@@ -108,9 +109,9 @@ def _frontier(algorithm, start, t):
     return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
 
 
-def _recorder(config, events):
-    """The event account: appends each expansion's probes to events as
-    ExplorationEvents under the recording caps, and returns how many.
+def _recorder(problem, config, events):
+    """The event account: appends each expansion's probes (its _expand) to
+    events as ExplorationEvents under the recording caps; returns how many.
 
     The valid cap keeps the lowest-t valid probes (a stable sort, so probe
     order for engines without t); the invalid cap keeps a seeded random
@@ -119,7 +120,8 @@ def _recorder(config, events):
     capped = valid_cap is not None or invalid_cap is not None
     rng = random.Random(config.seed)
 
-    def record(parent, g, expansion, fresh):
+    def record(parent, g, successors, fresh):
+        expansion = _expand(problem, parent, successors)
         if capped:
             valid = [i for i, p in enumerate(expansion) if p[1] in fresh]
             invalid = [i for i, p in enumerate(expansion) if p[1] not in fresh]
@@ -144,14 +146,15 @@ def _recorder(config, events):
     return record
 
 
-def _counter(config):
-    """The counting account: how many events the recorder would keep of
-    an expansion, from its probe and fresh-state counts alone."""
+def _counter(problem, config):
+    """The counting account: how many events the recorder would keep of an
+    expansion, from the universe's fixed probe count and its fresh states."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
+    probes = len(candidate_actions(problem, None))
 
-    def count(parent, g, expansion, fresh):
+    def count(parent, g, successors, fresh):
         valid = len(fresh)
-        invalid = len(expansion) - valid
+        invalid = probes - valid
         if valid_cap is not None and valid > valid_cap:
             valid = valid_cap
         if invalid_cap is not None and invalid > invalid_cap:
@@ -166,8 +169,9 @@ def _search(problem, start, goal, algorithm, account):
 
     A state counts as visited once generated. A* alone re-opens a generated,
     unclosed state that is reached more cheaply. Each expansion is passed to
-    account(parent, g, expansion, fresh), fresh mapping each newly generated
-    state to its t, which returns how many states it counts as explored.
+    account(parent, g, successors, fresh), successors from valid_actions and
+    fresh mapping each newly generated state to its t, which returns how
+    many states it counts as explored.
     The search stops after the expansion that generates the goal.
 
     Returns (plan, states explored); the plan is None when the goal is
@@ -186,11 +190,9 @@ def _search(problem, start, goal, algorithm, account):
             continue
         closed.add(current)
         g = g_score[current] + 1
-        expansion = _expand(problem, current)
+        successors = valid_actions(problem, current)
         fresh, children = {}, []
-        for action, nxt, _ in expansion:
-            if nxt is None:
-                continue
+        for action, nxt in successors:
             if nxt in g_score:
                 if h and g < g_score[nxt] and nxt not in closed:
                     g_score[nxt] = g
@@ -201,7 +203,7 @@ def _search(problem, start, goal, algorithm, account):
             came_from[nxt] = (current, action)
             t = fresh[nxt] = h(nxt) if h else None
             children.append((nxt, g, t))
-        explored += account(current, g, expansion, fresh)
+        explored += account(current, g, successors, fresh)
         if goal in fresh:
             return _reconstruct(came_from, goal, start), explored
         push(children)
@@ -210,7 +212,8 @@ def _search(problem, start, goal, algorithm, account):
 
 def _traced(problem, algorithm, config):
     events = []
-    plan, _ = _search(problem, problem.start, problem.goal, algorithm, _recorder(config, events))
+    plan, _ = _search(problem, problem.start, problem.goal, algorithm,
+                      _recorder(problem, config, events))
     return SearchRun(tuple(events), plan)
 
 
@@ -248,4 +251,4 @@ def explore(name, problem, start, goal, config=TraceConfig()):
     equal to the plan and len(events) of the engine's run."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}")
-    return _search(problem, start, goal, name, _counter(config))
+    return _search(problem, start, goal, name, _counter(problem, config))

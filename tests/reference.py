@@ -1,7 +1,11 @@
 """Reference implementations that the tests hold the package against."""
 
+import heapq
 from collections import Counter
 from dataclasses import replace
+
+from hybridplan.domains import heuristic_for, valid_actions
+from hybridplan.search import _reconstruct
 
 
 def truncate_run(run, cap):
@@ -25,3 +29,33 @@ def capped_totals(sizes):
         totals.append(totals[-1] + reaching)
         reaching -= at[c]
     return totals
+
+
+def blocks_optimal_plan(problem):
+    """Lean A* (mismatch heuristic, admissible and consistent) returning an
+    optimal plan, or None when unreachable."""
+    start, goal = problem.start, problem.goal
+    if start == goal:
+        return ()
+    h = heuristic_for(problem, goal)
+    g_score = {start: 0}
+    came_from = {}
+    counter = 0
+    frontier = [(h(start), counter, start)]
+    closed = set()
+    while frontier:
+        _, _, current = heapq.heappop(frontier)
+        if current in closed:
+            continue
+        closed.add(current)
+        for action, nxt in valid_actions(problem, current):
+            tentative = g_score[current] + 1
+            if nxt in g_score and tentative >= g_score[nxt]:
+                continue
+            g_score[nxt] = tentative
+            came_from[nxt] = (current, action)
+            if nxt == goal:
+                return _reconstruct(came_from, goal, start)
+            counter += 1
+            heapq.heappush(frontier, (tentative + h(nxt), counter, nxt))
+    return None

@@ -29,9 +29,15 @@ def blocks_states(draw, blocks):
     return canonical_blocks(stacks)
 
 
+# labels such as 10, 9, A, _1 and b, which sort in that order: not by
+# length, number or character class
+BLOCK_LABELS = st.text("0123456789ABCabc_", min_size=1, max_size=2)
+
+
 @st.composite
 def blocks_problems(draw, max_blocks=6):
-    blocks = tuple("ABCDEFG"[:draw(st.integers(1, max_blocks))])
+    blocks = tuple(sorted(draw(st.lists(BLOCK_LABELS, min_size=1, max_size=max_blocks,
+                                        unique=True))))
     return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
                            goal=draw(blocks_states(blocks)), blocks=blocks)
 

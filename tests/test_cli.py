@@ -224,6 +224,23 @@ class TestPlanEvalSweep:
         data = json.loads(plot.read_text())
         assert data["series"]
 
+    def test_sweep_takes_each_budget_once(self, problems_file, tmp_path):
+        csvs = []
+        for budgets in ("5,5,10", "5,10"):
+            out = tmp_path / f"{budgets}.csv"
+            assert main(["sweep", "--problems", problems_file, "--planner", "system2",
+                         "--budgets", budgets, "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1]
+
+    def test_sweep_data_error_leaves_out_as_it_was(self, problems_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_text("before\n")
+        assert main(["sweep", "--problems", problems_file, "--planner", "system1",
+                     "--out", str(out), "--plot-data", str(tmp_path / "missing" / "x.json")]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert out.read_text() == "before\n"
+
     @pytest.mark.parametrize("flag", ["--out", "--plot-data"])
     def test_sweep_output_onto_a_directory_exits_3_leaving_no_temp_file(
             self, problems_file, tmp_path, flag, capsys):

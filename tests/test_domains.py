@@ -231,8 +231,8 @@ def test_expansion_is_the_step_of_every_candidate(problem, data):
     if problem.domain == "blocks":  # a start state read from a file need not be sorted
         problem = replace(problem, start=tuple(data.draw(st.permutations(state))))
         state = problem.start
-    assert _expand(problem, state) == [(a, *step(problem, state, a))
-                                       for a in candidate_actions(problem, state)]
+    expansion = _expand(problem, state, valid_actions(problem, state))
+    assert expansion == [(a, *step(problem, state, a)) for a in candidate_actions(problem, state)]
 
 
 def pairwise_mismatch(a, b):

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from hybridplan.domains import validate_plan
 from hybridplan.generators import (
@@ -14,6 +15,8 @@ from hybridplan.generators import (
     maze_distances,
 )
 from hybridplan.textio import problem_to_json
+import reference
+from strategies import blocks_problems
 
 SMALL_MAZE = MazeDatasetConfig(split_sizes=(80, 16, 16))
 SMALL_BLOCKS = BlocksDatasetConfig(split_sizes=(40, 10, 10))
@@ -114,3 +117,11 @@ def test_blocks_optimal_plan_identity():
     s = canonical_blocks([["A", "B"], ["C"]])
     p = PlanningProblem(domain="blocks", start=s, goal=s, blocks=("A", "B", "C"))
     assert blocks_optimal_plan(p) == ()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(blocks_problems(max_blocks=6))
+def test_blocks_oracle_gives_the_reference_plan(problem):
+    """The per-move heuristic update leaves the oracle's search unchanged:
+    the same plan as the reference, which scores every state afresh."""
+    assert blocks_optimal_plan(problem) == reference.blocks_optimal_plan(problem)
