@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -270,6 +271,35 @@ class TestPlanEvalSweep:
         assert main(["eval", "--problems", str(path), "--planner", "system2"]) == 0
         out = capsys.readouterr().out
         assert "validity=1.000" in out and "optimality=1.000" in out
+
+
+# sha256 of the files the CLI writes on the module fixtures, each holding
+# train, val and test splits: sweeps at the default budgets 5,10,15,20 and
+# the controller dataset, all at seed 0.
+GOLDEN_CLI_DIGESTS = {
+    ("blocks", "build-controller-data", None):
+        "aad7b7376ab0c4dd23435f6f661507007279eea6062dd1155b9b5d7ebd17f21f",
+    ("blocks", "sweep", "system1x"):
+        "2f8729b4afbeec0b533605ae90c70404e2d11ab84e3b210cbf02a5797e413bf5",
+    ("blocks", "sweep", "system2"):
+        "aadf841b7f139a6e95400936da1d3228a1457b335564478b00e08febb94e5bea",
+    ("maze", "build-controller-data", None):
+        "ff4d772b7770639840666abcab024c77f2dfa5eccf03d917d02fa9fc6ff2df51",
+    ("maze", "sweep", "system1x"):
+        "a20d7e9f2f0097182b28fc0b41a1c94150e8affa275b930609cb81becb089ffd",
+    ("maze", "sweep", "system2"):
+        "c13e087805fffab4ebb8f8d0950318539546e311077c6906f914132d6d4be7e8",
+}
+
+
+@pytest.mark.parametrize("data,command,planner", sorted(GOLDEN_CLI_DIGESTS, key=str))
+def test_golden_cli_digests(problems_file, blocks_file, tmp_path, data, command, planner):
+    out = tmp_path / "out"
+    argv = [command, "--problems", blocks_file if data == "blocks" else problems_file,
+            "--out", str(out)]
+    assert main(argv + (["--planner", planner] if planner else [])) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CLI_DIGESTS[(data, command, planner)]
 
 
 class TestControllerData:
