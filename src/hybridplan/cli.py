@@ -132,10 +132,13 @@ def cmd_generate(args):
     return 0
 
 
-def _load_split(args, split):
-    splits = load_problems(args.problems)
+def _load_split(args, split, *also):
+    """The problem file's {split: [problem]}, in which only split, which
+    must be present, and the splits also are built: the others map to None."""
+    splits = load_problems(args.problems, {split, *also})
     if split not in splits:
-        raise ParseError(f"split {split!r} not present in {args.problems}")
+        raise ParseError(f"split {split!r} not present in {args.problems} "
+                         f"(has: {', '.join(sorted(splits)) or 'none'})")
     return splits
 
 
@@ -144,7 +147,8 @@ def _planned_split(args, scored):
     controller fitted on the train split (or on the problems, when the file
     has no train split). The problems that eval and sweep score each need
     the oracle length their optimality is judged by."""
-    splits = _load_split(args, args.split)
+    fit_on = ("train",) if args.planner == "system1x" else ()
+    splits = _load_split(args, args.split, *fit_on)
     problems = splits[args.split]
     if scored:
         for problem in problems:

@@ -60,9 +60,12 @@ class MazeGrid:
         ]
 
 
+DOMAINS = ("maze", "blocks")
+
+
 @dataclass(frozen=True)
 class PlanningProblem:
-    domain: str  # "maze" | "blocks"
+    domain: str  # one of DOMAINS
     start: object
     goal: object
     grid: MazeGrid | None = None
@@ -76,7 +79,7 @@ class PlanningProblem:
         """Checks the problem against its grid or block universe. Blocks
         states are canonicalized, so a state written with its stacks out of
         bottom order equals its canonical form."""
-        if self.domain not in ("maze", "blocks"):
+        if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == "maze":
             if self.grid is None:

@@ -14,7 +14,7 @@ import json
 import os
 import re
 
-from .domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
+from .domains import DOMAINS, MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
 from .search import VALID, run_engine
 
 TEMPLATE_VERSION = "grammar-v1"
@@ -312,9 +312,12 @@ def save_problems(path, problems_by_split):
     write_jsonl_atomic(path, records)
 
 
-def load_problems(path):
+def load_problems(path, splits=None):
     """{split: [problem]} of a problem file, whose records all name one
-    domain."""
+    domain; a record without a split is in split "all". Given a set of
+    splits, only their records are built into problems and every other
+    split of the file maps to None: a record of such a split is checked
+    only to be a JSON object with a string split and the file's domain."""
     out = {}
     domain = None
     try:
@@ -326,16 +329,27 @@ def load_problems(path):
                     rec = json.loads(line)
                     if not isinstance(rec, dict):
                         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-                    problem = problem_from_json(rec)
+                    split, rec_domain = rec.get("split", ""), rec["domain"]
+                    if type(split) is not str:
+                        raise ValueError("split must be a string")
+                    split = split or "all"
+                    problem = None
+                    if splits is None or split in splits:
+                        problem = problem_from_json(rec)
+                    elif rec_domain not in DOMAINS:
+                        raise ValueError(f"unknown domain {rec_domain!r}")
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     # AttributeError and TypeError: a field of the wrong JSON type,
                     # such as "start": 5 or "obstacles": 5
                     raise ParseError(f"corrupt problem record in {path}: {exc}", i) from exc
-                domain = domain or problem.domain
-                if problem.domain != domain:
-                    raise ParseError(f"{problem.domain} problem in {path}, which began with "
+                domain = domain or rec_domain
+                if rec_domain != domain:
+                    raise ParseError(f"{rec_domain} problem in {path}, which began with "
                                      f"{domain} problems", i)
-                out.setdefault(problem.split or "all", []).append(problem)
+                if problem is None:
+                    out[split] = None
+                else:
+                    out.setdefault(split, []).append(problem)
     except UnicodeDecodeError as exc:  # its position is within a read chunk, not the file
         raise ParseError(f"problem file {path} is not UTF-8 text ({exc.reason})") from exc
     return out

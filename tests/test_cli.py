@@ -375,6 +375,85 @@ class TestControllerData:
         assert not (out / "manifest.json.tmp").exists()
 
 
+class TestUnreadSplits:
+    """A command builds problems only from the splits it reads. A record of
+    any other split is still checked to be a JSON object with a string
+    split and the file's domain."""
+
+    @pytest.fixture
+    def lines(self, small_maze_dataset):
+        """Four records of each split: train on lines 1-4, val on 5-8, test
+        on 9-12."""
+        from hybridplan.textio import problem_to_json
+
+        return [json.dumps(problem_to_json(p)) for split in ("train", "val", "test")
+                for p in small_maze_dataset[split][:4]]
+
+    @staticmethod
+    def write(tmp_path, lines, name="maze.jsonl"):
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines))
+        return str(path)
+
+    @staticmethod
+    def with_obstacles_5(lines, at):
+        rec = json.loads(lines[at])
+        rec["grid"]["obstacles"] = 5
+        return [*lines[:at], json.dumps(rec), *lines[at + 1:]]
+
+    def test_corrupt_train_record_is_not_read_by_system2(self, tmp_path, lines, capsys):
+        summaries = []
+        for name, text in (("clean.jsonl", lines), ("bad.jsonl", self.with_obstacles_5(lines, 1))):
+            assert main(["eval", "--problems", self.write(tmp_path, text, name),
+                         "--planner", "system2"]) == 0
+            summaries.append(capsys.readouterr().out)
+        assert summaries[0] == summaries[1]
+
+    def test_corrupt_train_record_is_read_by_system1x(self, tmp_path, lines, capsys):
+        path = self.write(tmp_path, self.with_obstacles_5(lines, 1))
+        assert main(["eval", "--problems", path, "--planner", "system1x"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: corrupt problem record") and "(line 2)" in err
+
+    @pytest.mark.parametrize("at", [0, 5, 11], ids=["train", "val", "test"])
+    def test_non_string_split_exits_3(self, tmp_path, lines, at, capsys):
+        rec = json.loads(lines[at])
+        rec["split"] = 5
+        path = self.write(tmp_path, [*lines[:at], json.dumps(rec), *lines[at + 1:]])
+        assert main(["eval", "--problems", path, "--planner", "system2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"(line {at + 1})" in err
+
+    @pytest.mark.parametrize("line,at", [
+        (json.dumps({**BLOCKS_RECORD, "split": "val"}), 6),
+        (json.dumps({**MAZE_RECORD, "domain": "chess", "split": "val"}), 6),
+        (json.dumps({**MAZE_RECORD, "domain": "chess", "split": "val"}), 0),
+        (json.dumps({**MAZE_RECORD, "split": "val"})[:-1], 6),
+        (json.dumps(["val"]), 6),
+    ], ids=["second-domain", "unknown-domain", "unknown-domain-first", "not-json",
+            "not-an-object"])
+    def test_bad_line_in_an_unread_split_exits_3(self, tmp_path, lines, line, at, capsys):
+        path = self.write(tmp_path, [*lines[:at], line, *lines[at:]])
+        assert main(["eval", "--problems", path, "--planner", "system2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"(line {at + 1})" in err
+
+    def test_corrupt_test_record_is_not_read_by_emit_datasets(self, tmp_path, lines):
+        corpora = []
+        for name, text in (("clean", lines), ("bad", self.with_obstacles_5(lines, 10))):
+            out = tmp_path / name
+            assert main(["emit-datasets", "--problems", self.write(tmp_path, text),
+                         "--out", str(out)]) == 0
+            corpora.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert corpora[0] == corpora[1]
+
+    def test_absent_split_names_the_splits_present(self, tmp_path, lines, capsys):
+        path = self.write(tmp_path, lines)
+        assert main(["eval", "--problems", path, "--split", "tset"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: split 'tset' not present in {path} (has: test, train, val)\n"
+
+
 @pytest.mark.parametrize("command", ["emit-datasets", "plan", "eval", "sweep"])
 def test_blocks_caps_help(command, capsys):
     """Every command with --blocks-caps explains it in its --help."""

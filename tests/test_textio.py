@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -225,6 +226,48 @@ class TestMetaplanRoundTrip:
     def test_malformed(self):
         with pytest.raises(ParseError):
             parse_metaplan_text("subgoal one | x -> y | SYS3")
+
+
+SPLIT_NAMES = ("train", "val", "test", "all")  # "all": a record with no split
+
+
+def split_record(problem, split):
+    rec = problem_to_json(problem)
+    if split == "all":
+        del rec["split"]
+    else:
+        rec["split"] = split
+    return rec
+
+
+@PROPERTY
+@given(data=st.data())
+def test_loading_some_splits_is_the_full_load_restricted(tmp_path_factory, data):
+    """Loading a set of splits builds just the full load's problems of
+    those splits and maps the file's other splits to None. A record of a
+    second domain fails both loads, in whichever split it is."""
+    domain, other = data.draw(st.permutations(("maze", "blocks")))
+    problems = {"maze": maze_problems(max_side=4), "blocks": blocks_problems(max_blocks=4)}
+    drawn = data.draw(st.lists(st.tuples(problems[domain], st.sampled_from(SPLIT_NAMES)),
+                               max_size=8))
+    records = [split_record(replace(p, problem_id=f"p{i}"), split)
+               for i, (p, split) in enumerate(drawn)]
+    foreign = bool(records) and data.draw(st.booleans())
+    if foreign:
+        records.insert(data.draw(st.integers(0, len(records))),
+                       split_record(data.draw(problems[other]),
+                                    data.draw(st.sampled_from(SPLIT_NAMES))))
+    path = tmp_path_factory.getbasetemp() / "splits.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    wanted = data.draw(st.sets(st.sampled_from(SPLIT_NAMES)))
+    if foreign:
+        for splits in (None, wanted):
+            with pytest.raises(ParseError):
+                load_problems(path, splits)
+        return
+    full = load_problems(path)
+    assert load_problems(path, wanted) == \
+           {split: built if split in wanted else None for split, built in full.items()}
 
 
 class TestProblemSerialization:
