@@ -133,8 +133,8 @@ def cmd_generate(args):
 
 
 def _load_split(args, split, *also):
-    """The problem file's {split: [problem]}, in which only split, which
-    must be present, and the splits also are built: the others map to None."""
+    """The problem file's {split: [problem]}, with problems built for split,
+    which the file must have, and the splits in also; other splits map to None."""
     splits = load_problems(args.problems, {split, *also})
     if split not in splits:
         raise ParseError(f"split {split!r} not present in {args.problems} "
@@ -268,7 +268,9 @@ def _add_planner_flags(parser):
     parser.add_argument("--planner", choices=("system1", "system2", "system1x"), default="system1x")
     _add_engine_flag(parser)
     _add_controller_flags(parser, VARIANTS, bias=True)
-    parser.add_argument("--split", default="test")
+    parser.add_argument("--split", default="test",
+                        help="split to run (default test); system1x also reads train to fit "
+                             "its controller, and other splits are checked but not built")
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes per planner pass (default 1); workers do not "
                              "share a sweep's memo, so more than one makes sweeps slower")
