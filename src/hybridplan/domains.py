@@ -140,7 +140,6 @@ def blocks_step(state, action):
     block-not-clear | destination-not-clear | destination-missing | self-move.
     """
     block, dest = action
-    tops = {s[-1]: i for i, s in enumerate(state)}
     if block == dest:
         return None, "self-move"
     src = None
@@ -162,6 +161,7 @@ def blocks_step(state, action):
         return canonical_blocks(new), None
     if not any(dest in s for s in state):
         return None, "destination-missing"
+    tops = {s[-1]: i for i, s in enumerate(state)}
     if dest not in tops:
         return None, "destination-not-clear"
     new = [list(s) for s in state]
@@ -176,7 +176,7 @@ def step(problem, state, action):
     return blocks_step(state, action)
 
 
-def candidate_actions(problem, state):
+def candidate_actions(problem):
     """All actions probed during search, in canonical order (including
     ones that will turn out invalid)."""
     if problem.domain == "maze":
@@ -229,28 +229,6 @@ def valid_actions(problem, state):
             new[src] = rest
             new.insert(bisect.bisect(bottoms, block), (block,))
             out.append((onto[TABLE], tuple(new)))
-    return out
-
-
-def _expand(problem, state, successors):
-    """(action, next_state, reason) for every candidate action of a state,
-    in canonical order: what step gives for each of candidate_actions, given
-    the state's valid_actions. A blocks move is invalid when its block or
-    destination is not clear, or when it moves a table block to the table."""
-    valid = dict(successors)
-    if problem.domain == "maze":
-        return [(a, valid[a], None) if a in valid else (a, *maze_step(problem.grid, state, a))
-                for a in MAZE_ACTIONS]
-    tops = {s[-1] for s in state}
-    out = []
-    for block, onto in _moves(problem.blocks).items():
-        if block not in tops:
-            out += [(action, None, "block-not-clear") for action in onto.values()]
-            continue
-        for dest, action in onto.items():
-            nxt = valid.get(action)
-            out.append((action, nxt, None) if nxt is not None else
-                       (action, None, "self-move" if dest == TABLE else "destination-not-clear"))
     return out
 
 

@@ -13,8 +13,9 @@ sample of the invalid ones.
 The loop builds only the valid successors of each expansion (valid_actions)
 and hands them to one of two accounts:
 
-- the event recorder (astar, bfs, dfs, run_engine) labels every probe with
-  _expand and logs the kept ones as ExplorationEvents, the corpora's trace;
+- the event recorder (astar, bfs, dfs, run_engine) chooses the kept probes
+  of candidate_actions and labels only those, an invalid one with step's
+  reason, as ExplorationEvents, the corpora's trace;
 - the counter (explore, the scoring entry) takes the fixed probe count less
   the fresh successors as invalid, adds min(valid, valid cap) + min(invalid,
   invalid cap) and builds no probe, event or random sample. The caps choose
@@ -33,7 +34,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .domains import _expand, candidate_actions, heuristic_for, valid_actions
+from .domains import candidate_actions, heuristic_for, step, valid_actions
 
 VALID = "valid"
 INVALID = "invalid"
@@ -110,36 +111,53 @@ def _frontier(algorithm, start, t):
 
 
 def _recorder(problem, config, events):
-    """The event account: appends each expansion's probes (its _expand) to
-    events as ExplorationEvents under the recording caps; returns how many.
+    """The event account: appends each expansion's probes, those of
+    candidate_actions, to events as ExplorationEvents under the recording
+    caps; returns how many.
 
-    The valid cap keeps the lowest-t valid probes (a stable sort, so probe
+    The valid cap keeps the lowest-t fresh probes (a stable sort, so probe
     order for engines without t); the invalid cap keeps a seeded random
-    sample. Kept probes stay in probe order."""
+    sample of the others, drawn as ordinals among them. Only the kept probes
+    are labelled, in probe order: a probe whose successor is not fresh is
+    already-visited, one without a successor gets step's reason."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
     capped = valid_cap is not None or invalid_cap is not None
     rng = random.Random(config.seed)
+    probes = candidate_actions(problem)
+    position = {action: i for i, action in enumerate(probes)}
 
     def record(parent, g, successors, fresh):
-        expansion = _expand(problem, parent, successors)
+        nexts = dict(successors)
+        kept = probes
         if capped:
-            valid = [i for i, p in enumerate(expansion) if p[1] in fresh]
-            invalid = [i for i, p in enumerate(expansion) if p[1] not in fresh]
-            if valid_cap is not None and len(valid) > valid_cap:
-                valid = sorted(valid, key=lambda i: fresh[expansion[i][1]] or 0)[:valid_cap]
-            if invalid_cap is not None and len(invalid) > invalid_cap:
-                invalid = rng.sample(invalid, invalid_cap)
-            keep = set(valid) | set(invalid)
-            expansion = [p for i, p in enumerate(expansion) if i in keep]
-        before = len(events)
-        for action, state, reason in expansion:
-            if state in fresh:
-                t = fresh[state]
-                event = ExplorationEvent(len(events), state, parent, action, VALID, None,
-                                         g, t, None if t is None else g + t)
+            # successors come in probe order, so valid's positions are sorted
+            valid = {position[a]: fresh[nxt] or 0 for a, nxt in successors if nxt in fresh}
+            invalid = len(probes) - len(valid)
+            if invalid_cap is not None and invalid > invalid_cap:
+                keep = set()
+                for i in rng.sample(range(invalid), invalid_cap):
+                    for j in valid:  # the i-th non-fresh position skips the fresh ones
+                        if j > i:
+                            break
+                        i += 1
+                    keep.add(i)
             else:
-                event = ExplorationEvent(len(events), state, parent, action, INVALID,
-                                         reason or "already-visited")
+                keep = set(range(len(probes))).difference(valid)
+            keep.update(sorted(valid, key=valid.get)[:valid_cap])
+            kept = [probes[i] for i in sorted(keep)]
+        before = len(events)
+        for action in kept:
+            nxt = nexts.get(action)
+            if nxt in fresh:
+                t = fresh[nxt]
+                event = ExplorationEvent(len(events), nxt, parent, action, VALID, None,
+                                         g, t, None if t is None else g + t)
+            elif nxt is not None:
+                event = ExplorationEvent(len(events), nxt, parent, action, INVALID,
+                                         "already-visited")
+            else:
+                event = ExplorationEvent(len(events), None, parent, action, INVALID,
+                                         step(problem, parent, action)[1])
             events.append(event)
         return len(events) - before
 
@@ -150,7 +168,7 @@ def _counter(problem, config):
     """The counting account: how many events the recorder would keep of an
     expansion, from the universe's fixed probe count and its fresh states."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
-    probes = len(candidate_actions(problem, None))
+    probes = len(candidate_actions(problem))
 
     def count(parent, g, successors, fresh):
         valid = len(fresh)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from hybridplan.domains import (
     MAZE_ACTIONS,
     MazeGrid,
     PlanningProblem,
-    _expand,
     _manhattan,
     _neighbor_maps,
     blocks_step,
@@ -220,19 +218,8 @@ def legal_state(problem, state):
 @given(problems, st.data())
 def test_valid_actions_are_the_legal_steps(problem, data):
     state = data.draw(states_of(problem))
-    legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem, state)]
+    legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem)]
     assert valid_actions(problem, state) == [(a, nxt) for a, nxt in legal if nxt is not None]
-
-
-@PROPERTY
-@given(st.one_of(maze_problems(), blocks_problems(max_blocks=7)), st.data())
-def test_expansion_is_the_step_of_every_candidate(problem, data):
-    state = data.draw(states_of(problem))
-    if problem.domain == "blocks":  # a start state read from a file need not be sorted
-        problem = replace(problem, start=tuple(data.draw(st.permutations(state))))
-        state = problem.start
-    expansion = _expand(problem, state, valid_actions(problem, state))
-    assert expansion == [(a, *step(problem, state, a)) for a in candidate_actions(problem, state)]
 
 
 def pairwise_mismatch(a, b):

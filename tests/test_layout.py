@@ -57,13 +57,12 @@ def unreferenced(defs, trees, refs):
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
-    """A public module-level function of the package is referenced in the
-    package or the benchmark outside its own def: no function exists only
-    for the tests."""
+    """A module-level function of the package, public or private, is
+    referenced in the package or the benchmark outside its own def: no
+    function exists only for the tests."""
     trees = sources()
     defs = [(path, node.name, node) for path in sorted(PACKAGE.glob("*.py"))
-            for node in trees[path].body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+            for node in trees[path].body if isinstance(node, ast.FunctionDef)]
     assert unreferenced(defs, trees, referenced_names) == []
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -11,8 +12,10 @@ from hybridplan.controller import SYS2, SubGoal
 from hybridplan.domains import (
     MazeGrid,
     PlanningProblem,
+    candidate_actions,
     canonical_blocks,
     heuristic_for,
+    step,
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
@@ -331,13 +334,39 @@ def test_astar_and_bfs_lengths_agree_with_the_oracles(problem):
 @given(data=st.data())
 def test_count_equals_the_recorded_trace(engine, caps, data):
     """The counting account gives the plan and event count of the recorded
-    run between the same endpoints, caps or not."""
+    run between the same endpoints, caps or not. Every event is step's
+    result for its probe: valid and already-visited events carry its
+    successor, the other invalid ones its reason; each expansion's events
+    follow candidate_actions order."""
     config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
     problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
     start = data.draw(reachable_states(problem))
     goal = data.draw(st.one_of(st.just(problem.goal), reachable_states(problem)))
     run = run_engine(engine, replace(problem, start=start, goal=goal), config)
     assert explore(engine, problem, start, goal, config) == (run.plan, len(run.events))
+    for event in run.events:
+        nxt, reason = step(problem, event.parent_state, event.action)
+        if event.validity == VALID or event.reason == "already-visited":
+            assert nxt is not None and event.state == nxt
+        else:
+            assert event.state is None and event.reason == reason
+    position = {action: i for i, action in enumerate(candidate_actions(problem))}
+    for _, expansion in itertools.groupby(run.events, lambda e: e.parent_state):
+        probes = [position[e.action] for e in expansion]
+        assert probes == sorted(set(probes))
+
+
+def test_sample_draws_positions_from_length_and_k():
+    """random.sample picks its positions from the population's length and k
+    alone, so the recorder can draw invalid probes as ordinals. Two
+    generators seeded alike stay in step while every draw agrees."""
+    for seed in range(200):
+        by_value, by_position = random.Random(seed), random.Random(seed)
+        for n in range(2, 60):
+            population = [(seed, j) for j in range(n)]
+            for k in range(1, min(n, 3) + 1):
+                ordinals = by_position.sample(range(n), k)
+                assert by_value.sample(population, k) == [population[j] for j in ordinals]
 
 
 @pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
