@@ -347,22 +347,40 @@ def test_solve_one_budget_none_vs_cap(small_maze_dataset):
 # sha256 over report_to_csv of budget sweeps on the small datasets: the maze
 # test split (targets 5,10,20,25; the hybrid's rows take both truncation and
 # the bias scan) and the blocks train problems with at most 5 blocks (targets
-# 5,10,20,25,100), with and without the 3/2 recording caps.
+# 5,10,20,25,100), with and without the 3/2 recording caps. The hybrid is
+# pinned over every engine; a test id names the engine unless it is A*, the
+# default.
 GOLDEN_SWEEP_DIGESTS = {
-    ("maze", "hybrid", "nocaps"):
+    ("maze", "astar", "hybrid", "nocaps"):
         "8a90a666cdeab2e5bd65bc0b94c76e997bc725366955c15ea969bfa9b0813283",
-    ("maze", "sys2", "nocaps"):
+    ("maze", "astar", "sys2", "nocaps"):
         "3a092a2aa75696247e681aa5531bcbf76b55055f1dca56eed2e2f7be4d0ffb28",
-    ("maze", "sys1", "nocaps"):
+    ("maze", "astar", "sys1", "nocaps"):
         "d3ee8b3d9abcf6eec49aa937c4181cf811f1d9973117ad89549f139b82385114",
-    ("blocks", "hybrid", "nocaps"):
+    ("blocks", "astar", "hybrid", "nocaps"):
         "f89d9684f4df91180a446a85c377642a845cc5b6e6cb3e92ea435e81447f57cd",
-    ("blocks", "hybrid", "caps"):
+    ("blocks", "astar", "hybrid", "caps"):
         "3748d9ead826dfc4bf21dc762f1bcf8abc3c2ebd9832d38eaa9cf354f6614547",
+    ("maze", "bfs", "hybrid", "nocaps"):
+        "8361c214b9c45c5baf7d77a184a7db6af185baaa22c75d47324036d93788ebb8",
+    ("maze", "bfs", "hybrid", "caps"):
+        "4d8a70ebdb0ad880925386cbe4f03cf38851228c8ae7a3d521e83010e71bfd32",
+    ("maze", "dfs", "hybrid", "nocaps"):
+        "59fb73a4094cae7d2b5cc4e591a9303caf9cf14ffa8cfb3e4eebf8fd4b521d1d",
+    ("maze", "dfs", "hybrid", "caps"):
+        "6536f0a1df88715758b1b1acfa2e9e1ceaeab1c30ced140744fcd53a76fb1faa",
+    ("blocks", "bfs", "hybrid", "nocaps"):
+        "e07043790f6296ea6e090eb5f1a558acacb035c714296d510afcec330d46698d",
+    ("blocks", "bfs", "hybrid", "caps"):
+        "07a8c5baa1ce0a20ed5d68546a265560369bb4b32faafae4e71d71d3b7bea40c",
+    ("blocks", "dfs", "hybrid", "nocaps"):
+        "1114196a38ca00a948827acbf908e2cbe631940fc4fbe3b0fbc2f8f93147cc0f",
+    ("blocks", "dfs", "hybrid", "caps"):
+        "a1d85a3d1a66ee25f3de655e3154b350ad1870369ee1167cd8f3191a25c57f94",
 }
 
 
-def _golden_sweep(domain, kind, caps, small_maze_dataset, small_blocks_dataset):
+def _golden_sweep(domain, engine, kind, caps, small_maze_dataset, small_blocks_dataset):
     if domain == "maze":
         train = small_maze_dataset["train"]
         problems, budgets = small_maze_dataset["test"], [5, 10, 20, 25]
@@ -371,11 +389,14 @@ def _golden_sweep(domain, kind, caps, small_maze_dataset, small_blocks_dataset):
         problems, budgets = [p for p in train if len(p.blocks) <= 5], [5, 10, 20, 25, 100]
     trace = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
     controller = HybridController(ControllerConfig(x=0.5)).fit(train) if kind == "hybrid" else None
-    config = PlannerConfig(kind=kind, engine="astar", trace=trace, controller=controller)
+    config = PlannerConfig(kind=kind, engine=engine, trace=trace, controller=controller)
     return report_to_csv(budget_sweep(problems, config, budgets))
 
 
-@pytest.mark.parametrize("domain,kind,caps", sorted(GOLDEN_SWEEP_DIGESTS))
-def test_golden_sweep_digests(domain, kind, caps, small_maze_dataset, small_blocks_dataset):
-    csv_text = _golden_sweep(domain, kind, caps, small_maze_dataset, small_blocks_dataset)
-    assert hashlib.sha256(csv_text.encode()).hexdigest() == GOLDEN_SWEEP_DIGESTS[(domain, kind, caps)]
+@pytest.mark.parametrize(
+    "domain,engine,kind,caps", sorted(GOLDEN_SWEEP_DIGESTS),
+    ids=["-".join(part for part in key if part != "astar") for key in sorted(GOLDEN_SWEEP_DIGESTS)])
+def test_golden_sweep_digests(domain, engine, kind, caps, small_maze_dataset, small_blocks_dataset):
+    csv_text = _golden_sweep(domain, engine, kind, caps, small_maze_dataset, small_blocks_dataset)
+    assert (hashlib.sha256(csv_text.encode()).hexdigest()
+            == GOLDEN_SWEEP_DIGESTS[(domain, engine, kind, caps)])

@@ -104,10 +104,26 @@ class TestAstar:
                 assert run.plan is None
 
     def test_f_equals_g_plus_t(self):
-        run = astar(maze_problem(5, 5, {(1, 1), (3, 3)}, (0, 0), (4, 4)))
-        for e in run.events:
-            if e.validity == "valid":
-                assert e.f == e.g + e.t
+        """In a rendered trace, A*'s valid events have f = g + t, BFS's and
+        DFS's have neither t nor f, and the indices run 0..n-1 in line
+        order."""
+        maze = maze_problem(5, 5, {(1, 1), (3, 3)}, (0, 0), (4, 4))
+        blocks = PlanningProblem(domain="blocks", start=canonical_blocks([["A", "B"], ["C"]]),
+                                 goal=canonical_blocks([["C", "B", "A"]]), blocks=("A", "B", "C"))
+        for problem in (maze, blocks):
+            for engine in ("astar", "bfs", "dfs"):
+                run = run_engine(engine, problem)
+                text, mirror = trace_record(run)
+                steps = [ln.split(" | ")[0] for ln in text.splitlines() if ln.startswith("step ")]
+                assert steps == [f"step {i}" for i in range(len(run.events))]
+                assert [e["index"] for e in mirror["events"]] == list(range(len(run.events)))
+                valid = [e for e in mirror["events"] if e["validity"] == "valid"]
+                assert valid
+                for e in valid:
+                    if engine == "astar":
+                        assert e["t"] is not None and e["f"] == e["g"] + e["t"]
+                    else:
+                        assert e["t"] is None and e["f"] is None
 
     def test_every_probe_recorded_once_per_expansion(self):
         rng = random.Random(4)
