@@ -15,7 +15,9 @@ and hands them to one of two accounts:
 
 - the event recorder (astar, bfs, dfs, run_engine) chooses the kept probes
   of candidate_actions and labels only those, an invalid one with step's
-  reason, as ExplorationEvents, the corpora's trace;
+  reason, as ExplorationEvents, the corpora's trace. An event holds only
+  what the recorder knows; its step index, validity word and f = g + t
+  are worked out when textio renders it;
 - the counter (explore, the scoring entry) takes the fixed probe count less
   the fresh successors as invalid, adds min(valid, valid cap) + min(invalid,
   invalid cap) and builds no probe, event or random sample. The caps choose
@@ -33,11 +35,9 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domains import candidate_actions, heuristic_for, step, valid_actions
-
-VALID = "valid"
-INVALID = "invalid"
 
 
 @dataclass(frozen=True)
@@ -55,27 +55,25 @@ class TraceConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ExplorationEvent:
-    index: int
+class ExplorationEvent(NamedTuple):
+    """One recorded probe: action tried from parent_state. A probe is valid
+    exactly when it has no reason; a valid one carries its g and, under A*,
+    its heuristic t."""
+
     state: object  # probed successor; None when the probe has no legal result
     parent_state: object
     action: object
-    validity: str  # "valid" | "invalid"
     reason: str | None = None
     g: int | None = None
     t: int | None = None
-    f: int | None = None
 
 
 @dataclass(frozen=True)
 class SearchRun:
+    """A recorded run; its states explored is len(events)."""
+
     events: tuple
     plan: tuple | None
-
-    @property
-    def states_explored(self):
-        return len(self.events)
 
 
 def _reconstruct(came_from, state, start):
@@ -145,21 +143,16 @@ def _recorder(problem, config, events):
                 keep = set(range(len(probes))).difference(valid)
             keep.update(sorted(valid, key=valid.get)[:valid_cap])
             kept = [probes[i] for i in sorted(keep)]
-        before = len(events)
         for action in kept:
             nxt = nexts.get(action)
             if nxt in fresh:
-                t = fresh[nxt]
-                event = ExplorationEvent(len(events), nxt, parent, action, VALID, None,
-                                         g, t, None if t is None else g + t)
+                event = ExplorationEvent(nxt, parent, action, None, g, fresh[nxt])
             elif nxt is not None:
-                event = ExplorationEvent(len(events), nxt, parent, action, INVALID,
-                                         "already-visited")
+                event = ExplorationEvent(nxt, parent, action, "already-visited")
             else:
-                event = ExplorationEvent(len(events), None, parent, action, INVALID,
-                                         step(problem, parent, action)[1])
+                event = ExplorationEvent(None, parent, action, step(problem, parent, action)[1])
             events.append(event)
-        return len(events) - before
+        return len(kept)
 
     return record
 

@@ -15,7 +15,7 @@ import os
 import re
 
 from .domains import DOMAINS, MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
-from .search import VALID, run_engine
+from .search import run_engine
 
 TEMPLATE_VERSION = "grammar-v1"
 
@@ -109,31 +109,33 @@ def parse_plan_text(text):
 def trace_record(run):
     """The verbalized trace and its structured mirror, {"events": [...],
     "plan": [...] | None}, from one pass over run.events. Each distinct
-    state is rendered once per run and each action once per event, and
-    every mirror field is read off the event its line is written from, so
-    parse_trace_text(text) == mirror without parsing."""
+    state is rendered once per run and each action once per event. Every
+    mirror field is read off, or worked out from, the event its line is
+    written from: the index is the event's position, an event without a
+    reason is valid, and f = g + t. So parse_trace_text(text) == mirror
+    without parsing."""
     names = {}
     lines = []
     events = []
-    for e in run.events:
+    for index, e in enumerate(run.events):
         src = names.get(e.parent_state)
         if src is None:
             src = names[e.parent_state] = render_state(e.parent_state)
         action = render_action(e.action)
-        if e.validity == VALID:
+        if e.reason is None:
             to = names.get(e.state)
             if to is None:
                 to = names[e.state] = render_state(e.state)
             g, t = e.g, e.t
-            f = None if t is None else e.f
+            f = None if t is None else g + t
             scores = f"g={g}" if t is None else f"g={g} t={t} f={f}"
-            lines.append(f"step {e.index} | from {src} | action {action} | valid -> {to} | {scores}")
-            events.append({"index": e.index, "from": src, "action": action, "validity": VALID,
+            lines.append(f"step {index} | from {src} | action {action} | valid -> {to} | {scores}")
+            events.append({"index": index, "from": src, "action": action, "validity": "valid",
                            "to": to, "g": g, "t": t, "f": f})
         else:
             validity = f"invalid:{e.reason}"
-            lines.append(f"step {e.index} | from {src} | action {action} | {validity}")
-            events.append({"index": e.index, "from": src, "action": action,
+            lines.append(f"step {index} | from {src} | action {action} | {validity}")
+            events.append({"index": index, "from": src, "action": action,
                            "validity": validity})
     if run.plan is None:
         lines.append("NO PLAN")

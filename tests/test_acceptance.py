@@ -192,8 +192,8 @@ def test_criterion_7_dataset_round_trip(maze_dataset, blocks_dataset, tmp_path):
         for e in run.events:
             per_parent.setdefault(e.parent_state, []).append(e)
         for group in per_parent.values():
-            if (sum(1 for e in group if e.validity == "valid") > 3
-                    or sum(1 for e in group if e.validity != "valid") > 2):
+            if (sum(1 for e in group if e.reason is None) > 3
+                    or sum(1 for e in group if e.reason is not None) > 2):
                 caps_ok = False
 
     from hybridplan.textio import emit_datasets

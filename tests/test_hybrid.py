@@ -106,7 +106,7 @@ class TestSolveHybrid:
             bare = astar(p)
             hybrid = solve_hybrid(p, (SubGoal(p.start, p.goal, SYS2),))
             assert hybrid.plan == bare.plan
-            assert hybrid.states_explored == bare.states_explored
+            assert hybrid.states_explored == len(bare.events)
 
     def test_composition_soundness(self, small_maze_dataset):
         ctl = HybridController(ControllerConfig(x=0.5)).fit(small_maze_dataset["train"])
@@ -163,7 +163,7 @@ class TestSweepMemo:
         for p in small_maze_dataset["test"][:10]:
             run = run_engine("bfs", p)
             walk = greedy(p)
-            for kind, expected in (("sys2", (run.plan, run.states_explored, SYS2)),
+            for kind, expected in (("sys2", (run.plan, len(run.events), SYS2)),
                                    ("sys1", (walk, len(walk), SYS1))):
                 memo = SweepMemo()
                 solve_one(p, PlannerConfig(kind=kind, engine="bfs", memo=memo))
@@ -244,7 +244,7 @@ def test_memo_gives_the_fresh_outcomes(engine, caps, data):
                 run = run_engine(engine, sub, CAPS[caps])
                 if budget is not None:
                     run = truncate_run(run, budget - spent)
-                assert (o.plan, o.states_explored) == (run.plan, run.states_explored)
+                assert (o.plan, o.states_explored) == (run.plan, len(run.events))
             else:
                 walk = greedy(sub)[:None if budget is None else budget - spent]
                 assert (o.plan, o.states_explored) == (walk, len(walk))

@@ -21,7 +21,7 @@ from hybridplan.domains import (
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
 from hybridplan.evaluate import PlannerConfig, ScoredRun, solve_one
 from hybridplan.hybrid import SweepMemo, cut_run, solve_hybrid
-from hybridplan.search import VALID, TraceConfig, astar, bfs, dfs, explore, run_engine
+from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
 from reference import truncate_run
 from strategies import blocks_problems, maze_problems, reachable_states
@@ -214,8 +214,8 @@ class TestBlocksTraceCaps:
         for p in self._problems(engine, domain, small_maze_dataset, small_blocks_dataset):
             run = run_engine(engine, p, config)
             for group in self._expansion_groups(run):
-                assert sum(1 for e in group if e.validity == "valid") <= 3
-                assert sum(1 for e in group if e.validity != "valid") <= 2
+                assert sum(1 for e in group if e.reason is None) <= 3
+                assert sum(1 for e in group if e.reason is not None) <= 2
 
     @pytest.mark.parametrize("domain", ["maze", "blocks"])
     @pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
@@ -264,7 +264,7 @@ class TestTruncate:
     def test_se_accounting(self):
         run = bfs(maze_problem(5, 5, (), (0, 0), (4, 4)))
         for cap in (1, 3, 10, 10_000):
-            assert truncate_run(run, cap).states_explored == min(cap, run.states_explored)
+            assert len(truncate_run(run, cap).events) == min(cap, len(run.events))
 
     def test_rejects_zero_cap(self):
         run = bfs(maze_problem(3, 3, (), (0, 0), (1, 1)))
@@ -362,7 +362,7 @@ def test_count_equals_the_recorded_trace(engine, caps, data):
     assert explore(engine, problem, start, goal, config) == (run.plan, len(run.events))
     for event in run.events:
         nxt, reason = step(problem, event.parent_state, event.action)
-        if event.validity == VALID or event.reason == "already-visited":
+        if event.reason in (None, "already-visited"):
             assert nxt is not None and event.state == nxt
         else:
             assert event.state is None and event.reason == reason
@@ -401,8 +401,8 @@ def test_goal_is_generated_in_the_last_expansion(engine, domain, data):
     assert run.plan and run.events
     last = [e for e in run.events if e.parent_state == run.events[-1].parent_state]
     assert last == list(run.events[len(run.events) - len(last):])
-    generated = [e.index for e in run.events if e.validity == VALID and e.state == goal]
-    assert len(generated) == 1 and generated[0] >= last[0].index
+    generated = [i for i, e in enumerate(run.events) if e.reason is None and e.state == goal]
+    assert len(generated) == 1 and generated[0] >= len(run.events) - len(last)
 
 
 def test_explore_rejects_unknown_engine():
