@@ -7,16 +7,19 @@ which places a contiguous x*n chunk of the gold plan under deliberate
 search (anywhere, or at either end for the edge-window ablation),
 minimizing h(s0, su) - h(su, sv) + h(sv, sg).
 
-Runtime side: a deterministic controller calibrated on training-set
-hardness. An instance is gated hard when its hardness reaches the
-(1-x')-th percentile threshold; hard instances get a search-free skeleton
-state sequence over which the same window optimizer runs.
+Runtime side: a deterministic controller fitted on training-set
+hardness. An instance is gated hard when its hardness reaches that of the
+first problem the training side would label hard at the effective x';
+hard instances get a search-free skeleton state sequence over which the
+same window optimizer runs. Both sides build their meta-plans from a
+shape with meta_plan.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .domains import plan_states, skeleton
 from .hardness import hardness_fn, rank_problems
@@ -50,7 +53,7 @@ class ControllerConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown controller variant {self.variant!r}")
 
-    @property
+    @cached_property  # read per problem and pass in a sweep
     def effective_x(self):
         return min(1.0, max(0.0, self.x + self.bias))
 
@@ -75,31 +78,17 @@ def window_start(states, w, variant, hfn):
                                       + hfn(states[i + w], sg)))
 
 
-def window_subgoals(states, u, w):
-    """The meta-plan of a window of w steps from step u: the window is its
-    one Sys2 sub-goal; the stretches before and after it, when not empty,
-    are Sys1 sub-goals."""
-    n = len(states) - 1
-    v = u + w
-    subgoals = []
-    if u > 0:
-        subgoals.append(SubGoal(states[0], states[u], SYS1))
-    subgoals.append(SubGoal(states[u], states[v], SYS2))
-    if v < n:
-        subgoals.append(SubGoal(states[v], states[n], SYS1))
-    return tuple(subgoals)
-
-
-def decompose_states(states, x, variant, hfn):
-    """The meta-plan of a window of window_length(x, n) steps placed by the
-    window optimizer over the state sequence s0..sn."""
-    if x <= 0:
-        raise ValueError("x must be positive for a search window; x = 0 means fast-only")
-    n = len(states) - 1
-    if n < 1:
-        raise ValueError("state sequence must contain at least one step")
-    w = window_length(x, n)
-    return window_subgoals(states, window_start(states, w, variant, hfn), w)
+def meta_plan(states, shape, variant, hfn):
+    """The meta-plan of a shape over the state sequence s0..sn: SYS1 or SYS2
+    is one sub-goal of that mode from s0 to sn; a window length w is a
+    w-step Sys2 sub-goal placed by window_start, with the stretches before
+    and after it, when not empty, as Sys1 sub-goals."""
+    if shape in (SYS1, SYS2):
+        return (SubGoal(states[0], states[-1], shape),)
+    u = window_start(states, shape, variant, hfn)
+    v = u + shape
+    stretches = ((0, u, SYS1), (u, v, SYS2), (v, len(states) - 1, SYS1))
+    return tuple(SubGoal(states[a], states[b], mode) for a, b, mode in stretches if a < b)
 
 
 def easy_count(x, n):
@@ -122,55 +111,55 @@ def build_controller_dataset(problems, config):
     for i, problem in enumerate(ranked):
         if problem.gold_plan is None:
             raise ValueError(f"problem {problem.problem_id!r} has no gold plan")
+        states = (problem.start, problem.goal)
         if i < n_easy:
-            meta = (SubGoal(problem.start, problem.goal, SYS1),)
+            shape = SYS1
         elif config.variant == "no-subgoal" or not problem.gold_plan:
-            meta = (SubGoal(problem.start, problem.goal, SYS2),)
+            shape = SYS2
         else:
-            meta = decompose_states(plan_states(problem, problem.gold_plan), config.x,
-                                    config.variant, hardness_fn(config.selector, problem))
-        records.append((problem, meta))
+            states = plan_states(problem, problem.gold_plan)
+            shape = window_length(config.x, len(states) - 1)
+        hfn = hardness_fn(config.selector, problem)
+        records.append((problem, meta_plan(states, shape, config.variant, hfn)))
     return records
 
 
+@dataclass(frozen=True)
 class HybridController:
-    """Runtime gate + decomposer, calibrated once on a training set.
+    """Runtime gate + decomposer: a config and the sorted hardness of the
+    training set it was fitted on.
 
-    fit() records the training hardness distribution. An instance is gated
-    hard when its gate input (its hardness, or for the random variant a
-    seeded coin draw) reaches the threshold implied by the effective
-    hybridization factor. The meta-plan's shape follows from the gate
-    alone: fast-only (SYS1), one Sys2 sub-goal (SYS2), or a Sys2 window of
-    window_length(x, n) steps over the n-step search-free skeleton.
+    An instance is gated hard when its gate input (its hardness, or for the
+    random variant a seeded coin draw) reaches the threshold: the training
+    hardness that the dataset's easy count at the effective hybridization
+    factor leaves first among the hard ones. The meta-plan's shape follows
+    from the gate alone: fast-only (SYS1), one Sys2 sub-goal (SYS2), or a
+    Sys2 window of window_length(x, n) steps over the n-step search-free
+    skeleton.
     """
 
-    def __init__(self, config=ControllerConfig()):
-        self.config = config
-        self._x = config.effective_x
-        self._sorted_hardness = None
-        self._threshold = None
-
-    def with_bias(self, bias):
-        clone = HybridController(replace(self.config, bias=bias))
-        if self._sorted_hardness is not None:
-            clone._calibrate(self._sorted_hardness)
-        return clone
+    config: ControllerConfig = ControllerConfig()
+    training_hardness: tuple | None = None  # ascending; None until fitted
 
     def fit(self, problems):
-        self._calibrate(sorted(hardness_fn(self.config.selector, p)(p.start, p.goal)
-                               for p in problems))
-        return self
+        """A copy fitted on the problems' hardness."""
+        return replace(self, training_hardness=tuple(sorted(
+            hardness_fn(self.config.selector, p)(p.start, p.goal) for p in problems)))
 
-    def _calibrate(self, sorted_hardness):
-        self._sorted_hardness = sorted_hardness
-        idx = easy_count(self._x, 100) * len(sorted_hardness) // 100
-        self._threshold = float("inf") if idx >= len(sorted_hardness) else sorted_hardness[idx]
+    def with_bias(self, bias):
+        return replace(self, config=replace(self.config, bias=bias))
 
     def threshold(self):
         """Hardness cutoff: instances at or above it are gated hard."""
-        if self._threshold is None:
-            raise RuntimeError("controller is not calibrated; call fit() first")
         return self._threshold
+
+    @cached_property  # read per problem and pass in a sweep
+    def _threshold(self):
+        hardness = self.training_hardness
+        if hardness is None:
+            raise RuntimeError("controller is not calibrated; call fit() first")
+        idx = easy_count(self.config.effective_x, len(hardness))
+        return float("inf") if idx >= len(hardness) else hardness[idx]
 
     def gate_input(self, problem):
         """What the gate reads of a problem, whatever x is: the seeded coin
@@ -184,7 +173,7 @@ class HybridController:
         Sys2 sub-goal) or the length of the Sys2 window over its skeleton.
         With a SweepMemo, the gate input and the skeleton are computed once
         per problem."""
-        config, x = self.config, self._x
+        config, x = self.config, self.config.effective_x
         if x <= 0.0:
             return SYS1
         if x < 1.0:
@@ -200,17 +189,14 @@ class HybridController:
             return SYS2
         return window_length(x, len(states) - 1)
 
-    def meta_plan(self, problem, shape, memo=None):
-        """The meta-plan of a shape that shape() gave for the problem. With a
-        SweepMemo, the skeleton is computed once per problem."""
-        if shape in (SYS1, SYS2):
-            return (SubGoal(problem.start, problem.goal, shape),)
-        states = skeleton(problem) if memo is None else memo.skeleton(problem)
-        variant, selector = self.config.variant, self.config.selector
-        u = window_start(states, shape, variant, hardness_fn(selector, problem))
-        return window_subgoals(states, u, shape)
-
-    def decompose(self, problem, memo=None):
-        """The problem's meta-plan."""
-        return self.meta_plan(problem, self.shape(problem, memo), memo)
-
+    def decompose(self, problem, memo=None, shape=None):
+        """The problem's meta-plan, of the shape that shape() gives it (or
+        gave it, when passed). With a SweepMemo, the skeleton is computed
+        once per problem."""
+        if shape is None:
+            shape = self.shape(problem, memo)
+        states = (problem.start, problem.goal)
+        if shape not in (SYS1, SYS2):
+            states = skeleton(problem) if memo is None else memo.skeleton(problem)
+        return meta_plan(states, shape, self.config.variant,
+                         hardness_fn(self.config.selector, problem))

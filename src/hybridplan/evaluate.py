@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .controller import SYS1, SYS2, HybridController, SubGoal
+from .controller import SYS1, SYS2, HybridController, meta_plan
 from .domains import validate_plan
 from .hybrid import SweepMemo, cut_run, solve_hybrid
 from .search import TraceConfig
@@ -115,30 +115,26 @@ def solve_one(problem, config, budget=None):
     (the controller's gate and window length), engine and trace config;
     every later pass gets its plan and states explored back, or cuts it to
     its budget."""
-    memo = config.memo
+    memo, controller = config.memo, config.controller
+    if config.kind == "hybrid":
+        shape = controller.shape(problem, memo)
+        key = ("run", shape, controller.config.variant, controller.config.selector)
+    else:
+        shape = SYS1 if config.kind == "sys1" else SYS2
+        key = ("run", shape, None, None)
+
+    def solve(budget):
+        meta = (controller.decompose(problem, memo, shape) if config.kind == "hybrid"
+                else meta_plan((problem.start, problem.goal), shape, None, None))
+        return solve_hybrid(problem, meta, config.engine, config.trace, budget)
+
     if memo is None:
-        run = _solve(problem, config, budget)
-        return ScoredRun(problem, run.plan, run.states_explored)
-    if config.kind == "hybrid":
-        controller = config.controller
-        key = ("run", controller.shape(problem, memo), controller.config.variant,
-               controller.config.selector)
+        run = solve(budget)
     else:
-        key = ("run", SYS1 if config.kind == "sys1" else SYS2, None, None)
-    key += (config.engine, config.trace, problem.geometry)
-    run = memo.kept(key, _solve, problem, config, None)
-    if budget is not None:
-        run = cut_run(run.outcomes, budget)
+        run = memo.kept(key + (config.engine, config.trace, problem.geometry), solve, None)
+        if budget is not None:
+            run = cut_run(run.outcomes, budget)
     return ScoredRun(problem, run.plan, run.states_explored)
-
-
-def _solve(problem, config, budget):
-    """The configured planner's hybrid.Run on one problem."""
-    if config.kind == "hybrid":
-        meta = config.controller.decompose(problem, config.memo)
-    else:
-        meta = (SubGoal(problem.start, problem.goal, SYS1 if config.kind == "sys1" else SYS2),)
-    return solve_hybrid(problem, meta, config.engine, config.trace, budget)
 
 
 def run_planner(problems, config, budget=None, workers=1):

@@ -115,7 +115,7 @@ def _recorder(problem, config, events):
 
     The valid cap keeps the lowest-t fresh probes (a stable sort, so probe
     order for engines without t); the invalid cap keeps a seeded random
-    sample of the others, drawn as ordinals among them. Only the kept probes
+    sample of the positions of the others. Only the kept probes
     are labelled, in probe order: a probe whose successor is not fresh is
     already-visited, one without a successor gets step's reason."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
@@ -128,19 +128,13 @@ def _recorder(problem, config, events):
         nexts = dict(successors)
         kept = probes
         if capped:
-            # successors come in probe order, so valid's positions are sorted
+            # successors come in probe order, so equal t keep probe order below
             valid = {position[a]: fresh[nxt] or 0 for a, nxt in successors if nxt in fresh}
-            invalid = len(probes) - len(valid)
-            if invalid_cap is not None and invalid > invalid_cap:
-                keep = set()
-                for i in rng.sample(range(invalid), invalid_cap):
-                    for j in valid:  # the i-th non-fresh position skips the fresh ones
-                        if j > i:
-                            break
-                        i += 1
-                    keep.add(i)
+            invalid = [i for i in range(len(probes)) if i not in valid]
+            if invalid_cap is not None and len(invalid) > invalid_cap:
+                keep = set(rng.sample(invalid, invalid_cap))
             else:
-                keep = set(range(len(probes))).difference(valid)
+                keep = set(invalid)
             keep.update(sorted(valid, key=valid.get)[:valid_cap])
             kept = [probes[i] for i in sorted(keep)]
         for action in kept:

@@ -13,7 +13,8 @@ from hybridplan.controller import (
     ControllerConfig,
     HybridController,
     build_controller_dataset,
-    decompose_states,
+    meta_plan,
+    window_length,
 )
 from hybridplan.domains import greedy_walk, plan_states, validate_plan
 from hybridplan.evaluate import PlannerConfig, budget_sweep, match_budget_cap
@@ -101,8 +102,9 @@ def test_criterion_4_decomposition_fidelity(maze_dataset):
     mismatches = 0
     for p in problems:
         for x in (0.25, 0.5, 0.75):
-            meta = decompose_states(plan_states(p, p.gold_plan), x, "sliding-window",
-                                    hardness_fn("maze-obstacles", p))
+            states = plan_states(p, p.gold_plan)
+            meta = meta_plan(states, window_length(x, len(states) - 1), "sliding-window",
+                             hardness_fn("maze-obstacles", p))
             su, sv = brute_force_window(p, p.gold_plan, x, "maze-obstacles")
             sys2 = [sg for sg in meta if sg.mode == SYS2][0]
             if (sys2.start, sys2.goal) != (su, sv):

@@ -11,7 +11,7 @@ from hybridplan.controller import (
     HybridController,
     SubGoal,
     build_controller_dataset,
-    decompose_states,
+    meta_plan,
     window_length,
 )
 from hybridplan.domains import MazeGrid, PlanningProblem, plan_states, skeleton
@@ -23,8 +23,8 @@ from strategies import blocks_problems, maze_problems, states_of
 
 def gold_window(problem, x, variant="sliding-window"):
     """The window optimizer over the problem's gold plan, default selector."""
-    return decompose_states(plan_states(problem, problem.gold_plan), x, variant,
-                            hardness_fn(None, problem))
+    states = plan_states(problem, problem.gold_plan)
+    return meta_plan(states, window_length(x, len(states) - 1), variant, hardness_fn(None, problem))
 
 
 def brute_force_window(problem, gold_plan, x, selector):
@@ -73,11 +73,6 @@ class TestSlidingWindow:
         p = next(p for p in small_maze_dataset["train"] if p.optimal_length == 1)
         meta = gold_window(p, 0.3)
         assert len(meta) == 1 and meta[0].mode == SYS2
-
-    def test_rejects_x_zero(self, small_maze_dataset):
-        p = small_maze_dataset["train"][0]
-        with pytest.raises(ValueError):
-            gold_window(p, 0.0)
 
 
 class TestEdgeWindow:
@@ -254,6 +249,23 @@ def test_decimal_x_gives_the_exact_easy_share():
             assert ctl.with_bias(min(1.0, i * BIAS_STEP)).threshold() == threshold(k), (x, i)
 
 
+def test_fitted_gate_agrees_with_the_dataset_at_any_x():
+    """The fitted gate sizes its easy share by the dataset's rule: at x = 1/3
+    over 300 problems of distinct hardness both leave the 200 easiest
+    fast-only, where a gate that took a percentile of x rounded to two
+    places would leave 198."""
+    grid = MazeGrid(1, 301)
+    # hardness (Manhattan distance) 1..300
+    problems = [PlanningProblem(domain="maze", start=(0, 0), goal=(0, d), grid=grid,
+                                gold_plan=("right",) * d) for d in range(1, 301)]
+    config = ControllerConfig(x=1 / 3, variant="no-subgoal", selector="maze-manhattan")
+    records = build_controller_dataset(problems, config)
+    assert sum(m[0].mode == SYS1 for _, m in records) == 200
+    ctl = HybridController(config).fit(problems)
+    assert ctl.threshold() == 201
+    assert sum(ctl.shape(p) == SYS1 for p in problems) == 200
+
+
 def assert_chained_or_single(problem, meta):
     assert meta[0].start == problem.start
     assert meta[-1].goal == problem.goal
@@ -275,10 +287,10 @@ def test_window_optimizer_properties(data):
     x = data.draw(st.floats(0.0, 1.0, exclude_min=True))
     variant = data.draw(st.sampled_from(("sliding-window", "edge-window")))
     hfn = hardness_fn(data.draw(st.sampled_from(SELECTORS[problem.domain])), problem)
-    meta = decompose_states(states, x, variant, hfn)
-
     n = len(states) - 1
     w = window_length(x, n)
+    meta = meta_plan(states, w, variant, hfn)
+
     assert meta[0].start == states[0] and meta[-1].goal == states[-1]
     for a, b in zip(meta, meta[1:]):
         assert a.goal == b.start

@@ -1,6 +1,7 @@
 """Layout rules of the package source."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +33,22 @@ def referenced_names(tree, skip=None):
 
 
 def referenced_attributes(tree, skip=None):
-    """Every attribute a module reads or calls outside the node skip."""
-    return {node.attr for node in nodes_outside(tree, skip) if isinstance(node, ast.Attribute)}
+    """Every attribute a module reads or calls outside the node skip: a
+    read through self as (enclosing class, name), since it reaches only
+    that class's own field or method, and any other read as its name."""
+    refs = set()
+    stack = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Attribute):
+            through_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            refs.add((cls, node.attr) if through_self and cls else node.attr)
+        stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+    return refs
 
 
 def sources():
@@ -43,17 +58,27 @@ def sources():
 
 
 def unreferenced(defs, trees, refs):
-    """The qualified names of the (path, qualname, node) triples whose
-    name, the last part of qualname, refs(tree, skip) finds in no module
-    outside the node itself."""
+    """The qualified names of the (path, qualname, node) triples that
+    refs(tree, skip) finds in no module outside the node itself, either by
+    name, the last part of qualname, or as (class, name) for a member."""
     found = {path: refs(tree) for path, tree in trees.items()}
     unused = []
     for path, qualname, node in defs:
-        name = qualname.rpartition(".")[2]
+        cls, _, name = qualname.rpartition(".")
+        keys = {name, (cls, name)}
         elsewhere = (found[other] for other in trees if other != path)
-        if name not in refs(trees[path], node) and not any(name in f for f in elsewhere):
+        if not keys & refs(trees[path], node) and not any(keys & f for f in elsewhere):
             unused.append(f"{path.stem}.{qualname}")
     return unused
+
+
+def field_defs(trees, paths):
+    """The (path, Class.field, node) triples of the annotated class fields
+    of the modules at paths."""
+    return [(path, f"{cls.name}.{node.target.id}", node) for path in paths
+            for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
@@ -85,9 +110,27 @@ def test_every_field_is_read_outside_the_tests():
     the package or the benchmark outside its own declaration (its class's
     methods count): no field is carried only for the tests."""
     trees = sources()
-    defs = [(path, f"{cls.name}.{node.target.id}", node) for path in sorted(PACKAGE.glob("*.py"))
-            for cls in trees[path].body if isinstance(cls, ast.ClassDef)
-            for node in cls.body
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    defs = field_defs(trees, sorted(PACKAGE.glob("*.py")))
     assert defs
     assert unreferenced(defs, trees, referenced_attributes) == []
+
+
+def test_a_self_read_counts_only_for_its_own_class():
+    """A field read only through self in another class is reported; a read
+    through any other receiver counts for every class."""
+    source = textwrap.dedent("""
+        class Box:
+            size: int
+
+        class Crate:
+            size: int
+
+            def volume(self):
+                return self.size ** 3
+        """)
+    path = Path("synthetic.py")
+    trees = {path: ast.parse(source)}
+    assert unreferenced(field_defs(trees, [path]), trees, referenced_attributes) == \
+        ["synthetic.Box.size"]
+    trees = {path: ast.parse(source + "\ndef area(crate):\n    return crate.size ** 2\n")}
+    assert unreferenced(field_defs(trees, [path]), trees, referenced_attributes) == []

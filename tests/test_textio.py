@@ -15,7 +15,8 @@ from hybridplan.controller import (
     ControllerConfig,
     SubGoal,
     build_controller_dataset,
-    decompose_states,
+    meta_plan,
+    window_length,
 )
 from hybridplan.domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.hardness import SELECTORS, hardness_fn
@@ -200,8 +201,9 @@ def test_parsed_metaplan_equals_the_one_pass_mirror(data):
         meta = (SubGoal(states[0], states[-1], data.draw(st.sampled_from((SYS1, SYS2)))),)
     else:
         hfn = hardness_fn(data.draw(st.sampled_from(SELECTORS[problem.domain])), problem)
-        meta = decompose_states(states, data.draw(st.floats(0.0, 1.0, exclude_min=True)),
-                                data.draw(st.sampled_from(("sliding-window", "edge-window"))), hfn)
+        w = window_length(data.draw(st.floats(0.0, 1.0, exclude_min=True)), len(states) - 1)
+        meta = meta_plan(states, w, data.draw(st.sampled_from(("sliding-window", "edge-window"))),
+                         hfn)
     text, mirror = metaplan_record(meta)
     assert parse_metaplan_text(text) == mirror
     assert metaplan_record(meta) == (text, mirror)
