@@ -1,9 +1,13 @@
 """Planning domains: grid-maze navigation and blocks stacking.
 
-States are plain hashable values: a maze state is a ``(row, col)`` tuple,
-a blocks state is a tuple of stacks, each stack a bottom-to-top tuple of
-block labels, with stacks sorted by their bottom block so equal
-configurations compare equal.
+Problem states are plain hashable values: a maze state is a ``(row, col)``
+tuple, a blocks state is a tuple of stacks, each stack a bottom-to-top
+tuple of block labels, with stacks sorted by their bottom block so equal
+configurations compare equal. valid_actions and heuristic_for take search
+states instead: encode leaves a maze cell as it is and gives a blocks state
+as its support vector, on[i] the sorted-universe index of the block under
+block i or -1 for the table; decode inverts it. Searches and oracles encode
+their start and goal once; every state they hand back is decoded.
 
 Every per-domain decision of the planners lives here: the step semantics,
 the successors that search engines and oracles expand (built for the valid
@@ -13,10 +17,10 @@ and the skeleton over which the controller places its search window.
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import ne
 
 MAZE_ACTIONS = ("up", "down", "left", "right")
 
@@ -181,25 +185,54 @@ def candidate_actions(problem):
     ones that will turn out invalid)."""
     if problem.domain == "maze":
         return list(MAZE_ACTIONS)
-    return [a for onto in _moves(problem.blocks).values() for a in onto.values()]
+    return [a for onto in _moves(problem.blocks) for a in onto if a[0] != a[1]]
 
 
 @lru_cache(maxsize=64)  # problem files may bring any number of universes
 def _moves(blocks):
-    """A block universe's moves in canonical order as {block: {destination:
-    action}}: by sorted label, the table last. Every search shares these
-    action tuples, so that the parent maps of long searches hold no copies."""
+    """A block universe's moves in canonical order, by sorted label with
+    the table last: _moves(blocks)[b][d] moves block index b onto block
+    index d, [b][-1] onto the table. Every search shares these action
+    tuples, so that the parent maps of long searches hold no copies."""
     labels = sorted(blocks)
-    return {b: {d: (b, d) for d in (*labels, TABLE) if d != b} for b in labels}
+    return tuple(tuple((b, d) for d in (*labels, TABLE)) for b in labels)
+
+
+def encode(problem, state):
+    """The search state of a problem state: a maze cell as it is, a blocks
+    state as its support vector."""
+    if problem.domain == "maze":
+        return state
+    index = {b: i for i, b in enumerate(sorted(problem.blocks))}
+    under = {top: index[below] for stack in state for below, top in zip(stack, stack[1:])}
+    return tuple(under.get(b, -1) for b in index)
+
+
+def decode(problem, state):
+    """The problem state of a search state; canonical, since stacks are
+    built bottom first in universe order."""
+    if problem.domain == "maze":
+        return state
+    labels = sorted(problem.blocks)
+    above = [None] * len(state)
+    for block, below in enumerate(state):
+        if below >= 0:
+            above[below] = block
+    stacks = []
+    for block, below in enumerate(state):
+        if below < 0:
+            stack = []
+            while block is not None:
+                stack.append(labels[block])
+                block = above[block]
+            stacks.append(tuple(stack))
+    return tuple(stacks)
 
 
 def valid_actions(problem, state):
     """(action, next_state) for every action whose step result is valid, in
-    canonical order; only the clear blocks' moves are built. Successors keep
-    the stacks sorted by bottom block without re-sorting: a move onto a stack
-    leaves every bottom in place, a move to the table inserts the new stack
-    at its bisected position. The state must be canonical, as a problem's
-    start and goal and every successor are."""
+    canonical order, over search states; only the clear blocks' moves are
+    built, each successor by replacing one support."""
     if problem.domain == "maze":
         out = []
         for action in MAZE_ACTIONS:
@@ -208,27 +241,17 @@ def valid_actions(problem, state):
                 out.append((action, nxt))
         return out
     moves = _moves(problem.blocks)
-    bottoms = [s[0] for s in state]
-    tops = sorted((s[-1], i) for i, s in enumerate(state))
+    supports = set(state)
+    clear = [b for b in range(len(state)) if b not in supports]
     out = []
-    for block, src in tops:
-        onto = moves[block]
-        rest = state[src][:-1]
-        for dest, dst in tops:
-            if dest == block:
-                continue
-            new = list(state)
-            new[dst] = state[dst] + (block,)
-            if rest:
-                new[src] = rest
-            else:
-                del new[src]
-            out.append((onto[dest], tuple(new)))
-        if rest:
-            new = list(state)
-            new[src] = rest
-            new.insert(bisect.bisect(bottoms, block), (block,))
-            out.append((onto[TABLE], tuple(new)))
+    for b in clear:
+        onto = moves[b]
+        head, tail = state[:b], state[b + 1:]
+        for d in clear:
+            if d != b:
+                out.append((onto[d], head + (d,) + tail))
+        if state[b] >= 0:
+            out.append((onto[-1], head + (-1,) + tail))
     return out
 
 
@@ -236,41 +259,13 @@ def _manhattan(a, b):
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _neighbor_maps(state):
-    """(below, above) of a blocks state: each block's neighbor under and
-    over it, None for the table and for a clear top."""
-    below, above = {}, {}
-    for stack in state:
-        prev = None
-        for block in stack:
-            below[block] = prev
-            if prev is not None:
-                above[prev] = block
-            prev = block
-        above[prev] = None
-    return below, above
-
-
 def heuristic_for(problem, goal):
-    """The domain's admissible, consistent distance estimate to `goal`, as
-    a function h(state): Manhattan distance for mazes, for blocks the
-    number of blocks whose supporting block (or table) differs from the
-    goal's. The goal's supports are read once, here."""
+    """The domain's admissible, consistent distance estimate to the search
+    state `goal`, as a function h(state): Manhattan distance for mazes, for
+    blocks the number of blocks whose support differs from the goal's."""
     if problem.domain == "maze":
         return lambda state: _manhattan(state, goal)
-    goal_below = _neighbor_maps(goal)[0]
-
-    def mismatch(state):
-        count = 0
-        for stack in state:
-            prev = None
-            for block in stack:
-                if goal_below.get(block) != prev:
-                    count += 1
-                prev = block
-        return count
-
-    return mismatch
+    return lambda on: sum(map(ne, on, goal))
 
 
 def greedy_walk(problem, start, goal, step_cap=None):
@@ -279,17 +274,17 @@ def greedy_walk(problem, start, goal, step_cap=None):
     ties break in canonical action order. Stops at the goal, at a dead end,
     or after step_cap moves (default 4 moves per maze cell, 8 per block).
 
-    Returns (actions, states), states running from start to where the walk
-    stopped."""
+    Returns (actions, states), the problem states running from start to
+    where the walk stopped."""
     if step_cap is None:
         if problem.domain == "maze":
             step_cap = 4 * problem.grid.rows * problem.grid.cols
         else:
             step_cap = 4 * 2 * len(problem.blocks)
+    cur, goal = encode(problem, start), encode(problem, goal)
     h = heuristic_for(problem, goal)
-    cur = start
-    states = [start]
-    seen = {start}
+    states = [cur]
+    seen = {cur}
     actions = []
     while cur != goal and len(actions) < step_cap:
         best = None
@@ -305,7 +300,7 @@ def greedy_walk(problem, start, goal, step_cap=None):
         seen.add(cur)
         actions.append(action)
         states.append(cur)
-    return tuple(actions), states
+    return tuple(actions), [decode(problem, s) for s in states]
 
 
 def skeleton(problem):

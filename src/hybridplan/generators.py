@@ -8,8 +8,9 @@ split is strictly longer-horizon than train/val.
 The oracles used here (plain BFS for mazes, a lean A* and an exhaustive
 BFS for blocks) run their own searches, apart from the engines in
 search.py, so generated optimal lengths check those engines' search. The
-blocks oracles share the engines' successors, domains.valid_actions; the
-lean A* updates its heuristic per move rather than scoring each state.
+blocks oracles share the engines' search states and successors,
+domains.encode and valid_actions; the lean A* updates its heuristic per
+move, which timed faster than scoring each state.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 from .domains import (
     MAZE_ACTIONS,
-    TABLE,
     MazeGrid,
     PlanningProblem,
     canonical_blocks,
+    encode,
     heuristic_for,
     maze_step,
     valid_actions,
@@ -151,12 +152,13 @@ def random_blocks_state(rng, blocks):
 
 def blocks_optimal_plan(problem):
     """Lean A* (mismatch heuristic, admissible and consistent) returning an
-    optimal plan, or None when unreachable. A move changes only its block's
-    support, so a successor's heuristic is its parent's corrected for it."""
-    start, goal = problem.start, problem.goal
-    if start == goal:
+    optimal plan, or None when unreachable. A move changes one entry of
+    the support vector, so a successor's heuristic is its parent's
+    corrected for that entry."""
+    if problem.start == problem.goal:
         return ()
-    goal_on = {s[i]: s[i - 1] if i else TABLE for s in goal for i in range(len(s))}
+    start, goal = encode(problem, problem.start), encode(problem, problem.goal)
+    index = {b: i for i, b in enumerate(sorted(problem.blocks))}
     g_score = {start: 0}
     came_from = {}
     counter = 0
@@ -169,7 +171,6 @@ def blocks_optimal_plan(problem):
             continue
         closed.add(current)
         tentative = g_score[current] + 1
-        on = {s[-1]: s[-2] if len(s) > 1 else TABLE for s in current}  # each clear block's support
         for action, nxt in valid_actions(problem, current):
             if nxt in g_score and tentative >= g_score[nxt]:
                 continue
@@ -177,8 +178,8 @@ def blocks_optimal_plan(problem):
             came_from[nxt] = (current, action)
             if nxt == goal:
                 return _reconstruct(came_from, goal, start)
-            block, dest = action
-            h_next = h - (goal_on[block] != on[block]) + (goal_on[block] != dest)
+            block, dest = index[action[0]], index.get(action[1], -1)  # -1: the table
+            h_next = h - (goal[block] != current[block]) + (goal[block] != dest)
             counter += 1
             heapq.heappush(frontier, (tentative + h_next, counter, nxt, h_next))
     return None
@@ -234,15 +235,16 @@ def blocks_bfs_length(problem):
     """Exhaustive BFS oracle length; independent of the A* route."""
     if problem.start == problem.goal:
         return 0
-    dist = {problem.start: 0}
-    queue = deque([problem.start])
+    start, goal = encode(problem, problem.start), encode(problem, problem.goal)
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
         for _, nxt in valid_actions(problem, cur):
             if nxt in dist:
                 continue
             dist[nxt] = dist[cur] + 1
-            if nxt == problem.goal:
+            if nxt == goal:
                 return dist[nxt]
             queue.append(nxt)
     return None

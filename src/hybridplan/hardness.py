@@ -8,13 +8,28 @@ misplaced block is buried in a stack.
 
 from __future__ import annotations
 
-from .domains import _manhattan, _neighbor_maps
+from .domains import _manhattan
 
 # The selectors that apply to each domain; the first is its default.
 SELECTORS = {
     "maze": ("maze-obstacles", "maze-manhattan"),
     "blocks": ("blocks-distance",),
 }
+
+
+def _neighbor_maps(state):
+    """(below, above) of a blocks state: each block's neighbor under and
+    over it, None for the table and for a clear top."""
+    below, above = {}, {}
+    for stack in state:
+        prev = None
+        for block in stack:
+            below[block] = prev
+            if prev is not None:
+                above[prev] = block
+            prev = block
+        above[prev] = None
+    return below, above
 
 
 def blocks_distance(a, b):

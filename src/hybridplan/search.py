@@ -17,7 +17,8 @@ and hands them to one of two accounts:
   of candidate_actions and labels only those, an invalid one with step's
   reason, as ExplorationEvents, the corpora's trace. An event holds only
   what the recorder knows; its step index, validity word and f = g + t
-  are worked out when textio renders it;
+  are worked out when textio renders it. Its states are problem states,
+  each decoded from its search state once per run;
 - the counter (explore, the scoring entry) takes the fixed probe count less
   the fresh successors as invalid, adds min(valid, valid cap) + min(invalid,
   invalid cap) and builds no probe, event or random sample. The caps choose
@@ -37,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .domains import candidate_actions, heuristic_for, step, valid_actions
+from .domains import candidate_actions, decode, encode, heuristic_for, step, valid_actions
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ExplorationEvent(NamedTuple):
     exactly when it has no reason; a valid one carries its g and, under A*,
     its heuristic t."""
 
-    state: object  # probed successor; None when the probe has no legal result
+    state: object  # probed successor as a problem state; None when the probe has no legal result
     parent_state: object
     action: object
     reason: str | None = None
@@ -108,6 +109,17 @@ def _frontier(algorithm, start, t):
     return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
 
 
+class _Decoded(dict):
+    """Each search state's problem state, decoded on first use."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __missing__(self, state):
+        value = self[state] = decode(self.problem, state)
+        return value
+
+
 def _recorder(problem, config, events):
     """The event account: appends each expansion's probes, those of
     candidate_actions, to events as ExplorationEvents under the recording
@@ -123,6 +135,8 @@ def _recorder(problem, config, events):
     rng = random.Random(config.seed)
     probes = candidate_actions(problem)
     position = {action: i for i, action in enumerate(probes)}
+    # a maze cell is its own problem state; no event pays to decode it
+    decoded = _Decoded(problem) if problem.domain == "blocks" else None
 
     def record(parent, g, successors, fresh):
         nexts = dict(successors)
@@ -137,12 +151,15 @@ def _recorder(problem, config, events):
                 keep = set(invalid)
             keep.update(sorted(valid, key=valid.get)[:valid_cap])
             kept = [probes[i] for i in sorted(keep)]
+        if decoded is not None:
+            parent = decoded[parent]
         for action in kept:
             nxt = nexts.get(action)
+            state = nxt if decoded is None or nxt is None else decoded[nxt]
             if nxt in fresh:
-                event = ExplorationEvent(nxt, parent, action, None, g, fresh[nxt])
+                event = ExplorationEvent(state, parent, action, None, g, fresh[nxt])
             elif nxt is not None:
-                event = ExplorationEvent(nxt, parent, action, "already-visited")
+                event = ExplorationEvent(state, parent, action, "already-visited")
             else:
                 event = ExplorationEvent(None, parent, action, step(problem, parent, action)[1])
             events.append(event)
@@ -183,6 +200,7 @@ def _search(problem, start, goal, algorithm, account):
     never found."""
     if start == goal:
         return (), 0
+    start, goal = encode(problem, start), encode(problem, goal)
     h = heuristic_for(problem, goal) if algorithm == "astar" else None
     frontier, pop, push = _frontier(algorithm, start, h(start) if h else None)
     explored = 0

@@ -4,7 +4,7 @@ import heapq
 from collections import Counter
 from dataclasses import replace
 
-from hybridplan.domains import heuristic_for, valid_actions
+from hybridplan.domains import encode, heuristic_for, valid_actions
 from hybridplan.search import _reconstruct
 
 
@@ -34,7 +34,7 @@ def capped_totals(sizes):
 def blocks_optimal_plan(problem):
     """Lean A* (mismatch heuristic, admissible and consistent) returning an
     optimal plan, or None when unreachable."""
-    start, goal = problem.start, problem.goal
+    start, goal = encode(problem, problem.start), encode(problem, problem.goal)
     if start == goal:
         return ()
     h = heuristic_for(problem, goal)

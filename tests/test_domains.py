@@ -9,10 +9,11 @@ from hybridplan.domains import (
     MazeGrid,
     PlanningProblem,
     _manhattan,
-    _neighbor_maps,
     blocks_step,
     candidate_actions,
     canonical_blocks,
+    decode,
+    encode,
     greedy_walk,
     heuristic_for,
     maze_step,
@@ -23,6 +24,7 @@ from hybridplan.domains import (
     validate_plan,
     valid_actions,
 )
+from hybridplan.hardness import _neighbor_maps
 from strategies import blocks_problems, maze_problems, states_of
 
 
@@ -104,7 +106,7 @@ class TestBlocksStep:
         state = canonical_blocks([["A", "B"], ["C", "D"], ["E"]])
         problem = blocks_problem(state, state, ("A", "B", "C", "D", "E"))
         for _ in range(100):
-            action, _ = rng.choice(valid_actions(problem, state))
+            action, _ = rng.choice(valid_actions(problem, encode(problem, state)))
             nxt, reason = blocks_step(state, action)
             assert reason is None
             assert sorted(b for s in nxt for b in s) == ["A", "B", "C", "D", "E"]
@@ -127,12 +129,13 @@ class TestValidActions:
         # both on table: table moves are no-ops and excluded
         state = canonical_blocks([["A"], ["B"]])
         p = blocks_problem(state, state, ("A", "B"))
-        assert [a for a, _ in valid_actions(p, state)] == [("A", "B"), ("B", "A")]
+        assert [a for a, _ in valid_actions(p, encode(p, state))] == [("A", "B"), ("B", "A")]
 
     def test_blocks_with_stack(self):
         state = canonical_blocks([["A", "B"], ["C"]])
         p = blocks_problem(state, state, ("A", "B", "C"))
-        assert [a for a, _ in valid_actions(p, state)] == [("B", "C"), ("B", "table"), ("C", "B")]
+        assert [a for a, _ in valid_actions(p, encode(p, state))] == [
+            ("B", "C"), ("B", "table"), ("C", "B")]
 
 
 class TestValidatePlan:
@@ -193,6 +196,16 @@ def test_blocks_states_are_canonical_at_construction():
     assert p.goal == (("A",), ("C", "B"))
 
 
+def test_small_universes_have_support_vectors():
+    """A one- or two-block support vector has a maze cell's shape; decode
+    gives the stacks back, not the cell."""
+    p = blocks_problem((("A", "B"),), (("A",), ("B",)), ("A", "B"))
+    assert encode(p, p.start) == (-1, 0) and decode(p, (-1, 0)) == (("A", "B"),)
+    assert encode(p, p.goal) == (-1, -1) and decode(p, (-1, -1)) == (("A",), ("B",))
+    single = blocks_problem((("A",),), (("A",),), ("A",))
+    assert encode(single, single.start) == (-1,) and decode(single, (-1,)) == (("A",),)
+
+
 def test_blocks_problem_needs_a_block():
     """A state of no blocks has no text that parse_state accepts, so such a
     problem could be saved but not loaded."""
@@ -219,7 +232,8 @@ def legal_state(problem, state):
 def test_valid_actions_are_the_legal_steps(problem, data):
     state = data.draw(states_of(problem))
     legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem)]
-    assert valid_actions(problem, state) == [(a, nxt) for a, nxt in legal if nxt is not None]
+    successors = [(a, decode(problem, nxt)) for a, nxt in valid_actions(problem, encode(problem, state))]
+    assert successors == [(a, nxt) for a, nxt in legal if nxt is not None]
 
 
 def pairwise_mismatch(a, b):
@@ -233,7 +247,8 @@ def pairwise_mismatch(a, b):
 def test_goal_bound_heuristic_is_the_pairwise_distance(problem, data):
     state, goal = data.draw(states_of(problem)), data.draw(states_of(problem))
     pairwise = _manhattan if problem.domain == "maze" else pairwise_mismatch
-    assert heuristic_for(problem, goal)(state) == pairwise(state, goal)
+    h = heuristic_for(problem, encode(problem, goal))
+    assert h(encode(problem, state)) == pairwise(state, goal)
 
 
 @PROPERTY
@@ -248,7 +263,7 @@ def test_skeleton_is_none_or_a_legal_chain(problem):
     assert all(a != b for a, b in zip(states, states[1:]))
     if problem.domain == "blocks":
         for a, b in zip(states, states[1:]):
-            assert b in [nxt for _, nxt in valid_actions(problem, a)]
+            assert encode(problem, b) in [nxt for _, nxt in valid_actions(problem, encode(problem, a))]
 
 
 @PROPERTY
@@ -260,3 +275,18 @@ def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
     if step_cap is not None:
         assert len(actions) <= step_cap
     assert plan_states(problem, actions) == states
+
+
+@PROPERTY
+@given(blocks_problems(max_blocks=7), st.data())
+def test_blocks_search_states_round_trip(problem, data):
+    """A blocks state survives encode and decode, and every successor of
+    its search state is blocks_step's state, encoded. Universes of one and
+    two blocks are drawn too: their support vectors, such as (-1, 0), have
+    a maze cell's shape."""
+    state = data.draw(states_of(problem))
+    on = encode(problem, state)
+    assert decode(problem, on) == state
+    for action, nxt in valid_actions(problem, on):
+        assert decode(problem, nxt) == blocks_step(state, action)[0]
+        assert encode(problem, decode(problem, nxt)) == nxt

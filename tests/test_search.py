@@ -14,6 +14,7 @@ from hybridplan.domains import (
     PlanningProblem,
     candidate_actions,
     canonical_blocks,
+    encode,
     heuristic_for,
     step,
     validate_plan,
@@ -48,7 +49,8 @@ def manhattan(a, b):
 
 def blocks_mismatch(a, b):
     blocks = tuple(sorted(x for stack in a for x in stack))
-    return heuristic_for(PlanningProblem(domain="blocks", start=a, goal=b, blocks=blocks), b)(a)
+    problem = PlanningProblem(domain="blocks", start=a, goal=b, blocks=blocks)
+    return heuristic_for(problem, encode(problem, b))(encode(problem, a))
 
 
 class TestHeuristics:
