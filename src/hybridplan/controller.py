@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from .domains import plan_states, skeleton
 from .hardness import hardness_fn, rank_problems
@@ -168,35 +168,36 @@ class HybridController:
             return random.Random(f"{self.config.seed}:{problem.problem_id}").random()
         return hardness_fn(self.config.selector, problem)(problem.start, problem.goal)
 
-    def shape(self, problem, memo=None):
-        """The shape of the problem's meta-plan: SYS1 (fast-only), SYS2 (one
-        Sys2 sub-goal) or the length of the Sys2 window over its skeleton.
-        With a SweepMemo, the gate input and the skeleton are computed once
-        per problem."""
+    def shape(self, gate, states):
+        """The gate rule: the shape of a problem's meta-plan, SYS1
+        (fast-only), SYS2 (one Sys2 sub-goal) or the length of the Sys2
+        window over its skeleton, from the problem's two inputs. gate()
+        gives its gate input and states() its skeleton; the rule calls each
+        only when it reads it, so x at 0 or 1 reads no gate input and only a
+        problem gated hard under a window variant reads its skeleton."""
         config, x = self.config, self.config.effective_x
         if x <= 0.0:
             return SYS1
         if x < 1.0:
-            key = ("gate", config.variant == "random", config.selector, config.seed,
-                   problem.problem_id, problem.geometry)
-            g = self.gate_input(problem) if memo is None else memo.kept(key, self.gate_input, problem)
+            g = gate()
             if not (g < x if config.variant == "random" else g >= self.threshold()):
                 return SYS1
         if config.variant in ("no-subgoal", "random"):
             return SYS2
-        states = skeleton(problem) if memo is None else memo.skeleton(problem)
+        states = states()
         if states is None or len(states) < 2:
             return SYS2
         return window_length(x, len(states) - 1)
 
-    def decompose(self, problem, memo=None, shape=None):
-        """The problem's meta-plan, of the shape that shape() gives it (or
-        gave it, when passed). With a SweepMemo, the skeleton is computed
-        once per problem."""
+    def decompose(self, problem, shape=None, states=None):
+        """The problem's meta-plan, of the shape the gate rule gives it (or
+        gave it, when passed). states() gives the skeleton a window is placed
+        over; when it is not passed, the problem's skeleton is computed on
+        first read, once for the rule and the window alike."""
+        if states is None:
+            states = cache(partial(skeleton, problem))
         if shape is None:
-            shape = self.shape(problem, memo)
-        states = (problem.start, problem.goal)
-        if shape not in (SYS1, SYS2):
-            states = skeleton(problem) if memo is None else memo.skeleton(problem)
-        return meta_plan(states, shape, self.config.variant,
+            shape = self.shape(partial(self.gate_input, problem), states)
+        path = (problem.start, problem.goal) if shape in (SYS1, SYS2) else states()
+        return meta_plan(path, shape, self.config.variant,
                          hardness_fn(self.config.selector, problem))

@@ -1,4 +1,5 @@
-"""Metrics, budget matching, and budget sweeps.
+"""Metrics, budget matching, and budget sweeps, whose passes share a
+SweepMemo.
 
 Rates are exact fractions internally; rendering rounds to one decimal
 place (percent) / three places (rates). Budget matching picks the largest
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .controller import SYS1, SYS2, HybridController, meta_plan
-from .domains import validate_plan
-from .hybrid import SweepMemo, cut_run, solve_hybrid
-from .search import TraceConfig
+from .domains import skeleton, validate_plan
+from .hybrid import cut_run, solve_hybrid
+from .search import ENGINES, TraceConfig
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,51 @@ class ScoredRun:
         return valid, valid and len(self.plan) == self.problem.optimal_length
 
 
+_MISSING = object()
+
+
+class SweepMemo(dict):
+    """What the passes of one budget sweep share: one table per
+    sweep-invariant part of the planner config (its kind, the controller's
+    variant, selector and seed, the engine and the trace config), which
+    maps each problem's (problem_id, geometry) to its ProblemRecord. A pass
+    looks its table up once, then each problem's record once.
+
+    No meta-plan, search run or event is kept. Problems are keyed on their
+    geometry as well as their id, so a record is never handed to another
+    maze or block universe under the same id."""
+
+    def table(self, key):
+        """The table kept under key, empty on first use."""
+        return self.setdefault(key, {})
+
+
+class ProblemRecord:
+    """What the passes of a sweep keep of one problem in one table: its gate
+    input and its skeleton, each computed on first read and at most once,
+    and in runs, per meta-plan shape, the unbudgeted Run and the ScoredRun
+    built from it. An unbudgeted pass hands back the ScoredRun; a budgeted
+    pass cuts the Run's outcomes with cut_run."""
+
+    __slots__ = ("problem", "runs", "_gate_input", "_gate", "_skeleton")
+
+    def __init__(self, problem, gate_input):
+        self.problem = problem
+        self.runs = {}
+        self._gate_input = gate_input  # problem -> gate input; None for a pure planner
+        self._gate = self._skeleton = _MISSING
+
+    def gate(self):
+        if self._gate is _MISSING:
+            self._gate = self._gate_input(self.problem)
+        return self._gate
+
+    def skeleton(self):
+        if self._skeleton is _MISSING:
+            self._skeleton = skeleton(self.problem)
+        return self._skeleton
+
+
 @dataclass(frozen=True)
 class BudgetRow:
     budget: object  # numeric target or "default"
@@ -60,14 +106,27 @@ class BudgetReport:
     rows: tuple
 
 
+KINDS = ("sys1", "sys2", "hybrid")
+PURE_SHAPES = {"sys1": SYS1, "sys2": SYS2}  # the one meta-plan shape of a pure planner
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
-    kind: str  # "sys1" | "sys2" | "hybrid"
+    kind: str  # one of KINDS
     engine: str = "astar"
     trace: TraceConfig = TraceConfig()
     controller: HybridController | None = None  # fitted; hybrid only
     # shared by the passes of one budget_sweep; no part of the config's value
     memo: SweepMemo | None = field(default=None, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown planner kind {self.kind!r}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown search engine {self.engine!r}")
+        if self.kind == "hybrid" and (self.controller is None
+                                      or self.controller.training_hardness is None):
+            raise ValueError("a hybrid planner needs a fitted controller")
 
     def label(self):
         if self.kind == "sys1":
@@ -107,45 +166,72 @@ def match_budget_cap(sizes, target):
     return max(1, sizes[-1])
 
 
-def solve_one(problem, config, budget=None):
-    """Run the configured planner on one problem; returns a ScoredRun.
-    The pure planners run as a hybrid episode with a single sub-goal.
-
-    With a SweepMemo, the unbudgeted run is solved once per meta-plan shape
-    (the controller's gate and window length), engine and trace config;
-    every later pass gets its plan and states explored back, or cuts it to
-    its budget."""
-    memo, controller = config.memo, config.controller
+def _meta_plan(problem, config, shape=None, states=None):
+    """The meta-plan the configured planner solves: the controller's (see
+    HybridController.decompose) for a hybrid, else one sub-goal of the pure
+    planner's mode."""
     if config.kind == "hybrid":
-        shape = controller.shape(problem, memo)
-        key = ("run", shape, controller.config.variant, controller.config.selector)
-    else:
-        shape = SYS1 if config.kind == "sys1" else SYS2
-        key = ("run", shape, None, None)
+        return config.controller.decompose(problem, shape, states)
+    return meta_plan((problem.start, problem.goal), PURE_SHAPES[config.kind], None, None)
 
-    def solve(budget):
-        meta = (controller.decompose(problem, memo, shape) if config.kind == "hybrid"
-                else meta_plan((problem.start, problem.goal), shape, None, None))
-        return solve_hybrid(problem, meta, config.engine, config.trace, budget)
 
-    if memo is None:
-        run = solve(budget)
-    else:
-        run = memo.kept(key + (config.engine, config.trace, problem.geometry), solve, None)
-        if budget is not None:
-            run = cut_run(run.outcomes, budget)
+def solve_one(problem, config, budget=None):
+    """Run the configured planner on one problem, fresh and cut to the
+    budget; returns a ScoredRun. The pure planners run as a hybrid episode
+    with a single sub-goal. It reads no memo: the passes of a sweep go
+    through run_planner's."""
+    run = solve_hybrid(problem, _meta_plan(problem, config), config.engine, config.trace, budget)
     return ScoredRun(problem, run.plan, run.states_explored)
 
 
 def run_planner(problems, config, budget=None, workers=1):
+    """The ScoredRun of each problem, in order.
+
+    With a SweepMemo, the pass looks up its table once and each problem's
+    record once. The gate rule reads the record's gate input and skeleton
+    for the problem's meta-plan shape; the unbudgeted run of each shape is
+    solved once, and a later unbudgeted pass hands back the very ScoredRun
+    built from it, while a budgeted pass cuts its outcomes with cut_run.
+    Without a memo, or in worker processes, which share none, each problem
+    is solved fresh by solve_one."""
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        config = replace(config, memo=None)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(solve_one, problems,
                                  [config] * len(problems), [budget] * len(problems),
                                  chunksize=max(1, len(problems) // (4 * workers))))
-    return [solve_one(p, config, budget) for p in problems]
+    if config.memo is None:
+        return [solve_one(p, config, budget) for p in problems]
+    controller = gate_input = None
+    shared = config.kind, config.engine, config.trace  # by every pass of a sweep
+    if config.kind == "hybrid":
+        controller, c = config.controller, config.controller.config
+        gate_input, shared = controller.gate_input, shared + (c.variant, c.selector, c.seed)
+    table = config.memo.table(shared)
+    shape = PURE_SHAPES.get(config.kind)
+    runs = []
+    for problem in problems:
+        key = problem.problem_id, problem.geometry
+        record = table.get(key)
+        if record is None:
+            record = table[key] = ProblemRecord(problem, gate_input)
+        if controller is not None:
+            shape = controller.shape(record.gate, record.skeleton)
+        kept = record.runs.get(shape)
+        if kept is None:
+            run = solve_hybrid(problem, _meta_plan(problem, config, shape, record.skeleton),
+                               config.engine, config.trace)
+            kept = record.runs[shape] = run, ScoredRun(problem, run.plan, run.states_explored)
+        run, scored = kept
+        if budget is not None:
+            run = cut_run(run.outcomes, budget)
+            scored = ScoredRun(problem, run.plan, run.states_explored)
+        elif scored.problem is not problem:  # another object of the same id and geometry
+            scored = ScoredRun(problem, scored.plan, scored.states_explored)
+        runs.append(scored)
+    return runs
 
 
 def score_runs(runs, budget="default", bias=None, cap=None):
@@ -172,8 +258,9 @@ def budget_sweep(problems, config, budgets, workers=1):
     keeping the largest bias whose average stays within the target.
 
     Every pass solves its problems from one SweepMemo, so each problem is
-    solved once per meta-plan shape and a truncation pass only cuts the
-    kept runs; the memo is emptied when the sweep returns.
+    solved once per meta-plan shape, a later unbudgeted pass hands back
+    the kept ScoredRuns and a truncation pass only cuts the kept runs; the
+    memo is emptied when the sweep returns.
     """
     memo = SweepMemo()
     try:

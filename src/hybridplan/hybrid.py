@@ -10,10 +10,6 @@ trace, so no outcome carries a search run. A run has one shape from
 solve_hybrid to the sweep memo: a Run of its plan, its states explored and
 one Outcome (mode, plan, states explored) per sub-goal it reached, which
 cut_run cuts to a budget.
-
-A SweepMemo lets the passes of a budget sweep solve each problem once per
-meta-plan shape, then cut the kept run to each pass's budget; it also
-keeps what the controller computes per problem.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .controller import SYS1
-from .domains import greedy_walk, skeleton
+from .domains import greedy_walk
 from .search import TraceConfig, explore
 
 
@@ -40,34 +36,6 @@ class Run(NamedTuple):
     plan: tuple | None
     states_explored: int
     outcomes: tuple
-
-
-_MISSING = object()
-
-
-class SweepMemo(dict):
-    """What the passes of one budget sweep share, each value computed on
-    first use and keyed on what it depends on:
-
-    - per problem, its skeleton and the controller's gate input;
-    - per (problem, meta-plan shape, controller variant and selector,
-      engine, trace config), the unbudgeted Run. An unbudgeted pass hands
-      back its plan tuple and states explored; a budgeted pass cuts its
-      outcomes with cut_run.
-
-    No meta-plan, search run or event is kept. Problems are keyed on their
-    geometry, so problems with the same grid, blocks and end states share
-    entries."""
-
-    def kept(self, key, compute, *args):
-        """The value kept under key; compute(*args) on first use."""
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = self[key] = compute(*args)
-        return value
-
-    def skeleton(self, problem):
-        return self.kept(("skeleton", problem.geometry), skeleton, problem)
 
 
 def cut_run(outcomes, budget):

@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -572,3 +576,14 @@ def test_any_field_value_loads_or_exits_3(fuzz_file, record, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["eval", "--problems", str(fuzz_file), "--planner", "system1x"])
     assert code == 0 or code == 3 and err.getvalue().startswith("data error:"), err.getvalue()
+
+
+def test_module_runs_the_cli():
+    """python -m hybridplan runs the command line from a checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "hybridplan", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: hybridplan")

@@ -263,7 +263,7 @@ def test_fitted_gate_agrees_with_the_dataset_at_any_x():
     assert sum(m[0].mode == SYS1 for _, m in records) == 200
     ctl = HybridController(config).fit(problems)
     assert ctl.threshold() == 201
-    assert sum(ctl.shape(p) == SYS1 for p in problems) == 200
+    assert sum(ctl.decompose(p)[0].mode == SYS1 for p in problems) == 200
 
 
 def assert_chained_or_single(problem, meta):

@@ -2,18 +2,19 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridplan import controller, evaluate
+from hybridplan import controller, domains, evaluate
 from hybridplan.controller import VARIANTS, ControllerConfig, HybridController
-from hybridplan.domains import MazeGrid, PlanningProblem
-from hybridplan.hybrid import SweepMemo
+from hybridplan.domains import MazeGrid, PlanningProblem, skeleton
 from hybridplan.evaluate import (
     PlannerConfig,
     ScoredRun,
+    SweepMemo,
     average_se,
     budget_sweep,
     match_budget_cap,
@@ -183,6 +184,19 @@ class TestRendering:
         assert data["series"][0]["points"][-1]["budget"] is None
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "hybird"}, {"kind": "SYS1"}, {"kind": "sys2", "engine": "ids"},
+    {"kind": "hybrid"}, {"kind": "hybrid", "controller": HybridController()},
+], ids=["typo-kind", "upper-kind", "engine", "no-controller", "unfitted"])
+def test_planner_config_rejects_bad_values(kwargs):
+    """A config that no planner runs fails where it is built, not in a
+    pass or in label()."""
+    with pytest.raises(ValueError):
+        PlannerConfig(**kwargs)
+    with pytest.raises(ValueError):
+        replace(PlannerConfig(kind="sys1"), **kwargs)
+
+
 def test_workers_match_serial(small_maze_dataset):
     config = PlannerConfig(kind="sys2", engine="astar")
     problems = small_maze_dataset["test"][:20]
@@ -195,7 +209,7 @@ def _hybrid_config(dataset):
 
 
 def test_sweep_workers_match_serial(small_maze_dataset):
-    # the memo pickled to the workers must not change a row
+    # worker processes, which share no memo, must not change a row
     config = _hybrid_config(small_maze_dataset)
     problems = small_maze_dataset["test"][:20]
     serial = budget_sweep(problems, config, [5, 20])
@@ -209,6 +223,19 @@ def _compact(value):
     return isinstance(value, (tuple, list)) and all(_compact(x) for x in value)
 
 
+def _kept(memo):
+    """Each value the memo keeps of a problem: its gate input and skeleton
+    once computed, and per meta-plan shape the Run, with the ScoredRun
+    built from it checked to hold the problem and share the Run's plan."""
+    for table in memo.values():
+        for record in table.values():
+            yield from (v for v in (record._gate, record._skeleton) if v is not evaluate._MISSING)
+            for run, scored in record.runs.values():
+                assert type(scored) is ScoredRun and scored.problem is record.problem
+                assert scored.plan is run.plan and scored.states_explored == run.states_explored
+                yield run
+
+
 def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
     memos, filled = [], []
     original = evaluate.run_planner
@@ -219,7 +246,7 @@ def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
         filled.append(len(config.memo))
         # numbers, states, plans, skeletons, hybrid Runs and tuples of them: no search
         # runs, events or meta-plans
-        assert all(_compact(value) for value in config.memo.values())
+        assert all(_compact(value) for value in _kept(config.memo))
         return runs
 
     monkeypatch.setattr(evaluate, "run_planner", run_planner)
@@ -256,7 +283,7 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
             budgeted_work.append(("window_start", w))
         return original_window(states, w, variant, hfn)
 
-    def solve_hybrid(problem, meta_plan, engine, trace, budget):
+    def solve_hybrid(problem, meta_plan, engine, trace, budget=None):
         if budget is None:
             unbudgeted.append(problem.problem_id)
         if in_budgeted_pass():
@@ -277,10 +304,45 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
     assert len(passes) > 10 and sum(budget is not None for _, budget in passes) == 1
     assert sorted(gates) == sorted(set(p.problem_id for p in problems))
     assert windows and len(windows) == len(set(windows))
-    shapes = {(p.geometry, ctl.shape(p)) for ctl, budget in passes if budget is None
-              for p in problems}
+    shapes = {(p.geometry, ctl.shape(partial(original_gate, ctl, p), partial(skeleton, p)))
+              for ctl, budget in passes if budget is None for p in problems}
     assert len(unbudgeted) <= len(shapes) < len(passes) * len(problems) // 4
     assert budgeted_work == []
+
+
+def test_a_pass_over_seen_shapes_does_no_work(small_maze_dataset, monkeypatch):
+    """Work counts, not times: once a memo has seen every problem's shape
+    at a bias, an unbudgeted pass at that bias computes no gate input or
+    skeleton, places no window and solves nothing, and hands back the very
+    ScoredRuns that first solved each shape; a budgeted pass solves
+    nothing either."""
+    work = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            work.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    for module, name in ((HybridController, "gate_input"), (domains, "skeleton"),
+                         (evaluate, "skeleton"), (controller, "skeleton"),
+                         (controller, "window_start"), (evaluate, "solve_hybrid")):
+        counted(module, name)
+    problems = small_maze_dataset["test"]
+    config = replace(_hybrid_config(small_maze_dataset), memo=SweepMemo())
+    saturated = replace(config, controller=config.controller.with_bias(0.5))
+    first = [run_planner(problems, c) for c in (config, saturated)]
+    assert {"gate_input", "skeleton", "window_start", "solve_hybrid"} <= set(work)
+    assert {len(table) for table in config.memo.values()} == {len(problems)}
+    work.clear()
+    for c, runs in zip((config, saturated, config), first + first[:1]):
+        again = run_planner(problems, c)
+        assert all(a is b for a, b in zip(again, runs, strict=True))
+    cut = run_planner(problems, config, budget=3)
+    assert work == []
+    assert cut == run_planner(problems, replace(config, memo=None), budget=3)
 
 
 biases = st.one_of(st.sampled_from((0.0, 0.05, 0.5)), st.floats(-0.3, 0.3))

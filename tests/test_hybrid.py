@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, validate_plan
-from hybridplan.evaluate import PlannerConfig, solve_one
-from hybridplan.hybrid import Run, SweepMemo, cut_run, solve_hybrid
+from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner, solve_one
+from hybridplan.hybrid import Run, cut_run, solve_hybrid
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
 from reference import truncate_run
@@ -155,42 +155,66 @@ def test_golden_greedy_digests(domain, small_maze_dataset, small_blocks_dataset)
     assert digest.hexdigest() == GOLDEN_GREEDY_DIGESTS[domain]
 
 
+def records(memo):
+    """The ProblemRecords of every table of the memo."""
+    return [record for table in memo.values() for record in table.values()]
+
+
 class TestSweepMemo:
     def test_outcome_is_the_compact_unbudgeted_run(self, small_maze_dataset):
-        """The memo keeps one compact unbudgeted run per problem: its plan,
-        its states explored and each sub-goal's (mode, plan, states
-        explored), the plan tuple shared with its one sub-goal's."""
+        """The memo keeps one compact unbudgeted run per problem and shape:
+        its plan, its states explored and each sub-goal's (mode, plan,
+        states explored), the plan tuple shared with its one sub-goal's and
+        with the ScoredRun built from it."""
         for p in small_maze_dataset["test"][:10]:
             run = run_engine("bfs", p)
             walk = greedy(p)
             for kind, expected in (("sys2", (run.plan, len(run.events), SYS2)),
                                    ("sys1", (walk, len(walk), SYS1))):
                 memo = SweepMemo()
-                solve_one(p, PlannerConfig(kind=kind, engine="bfs", memo=memo))
+                run_planner([p], PlannerConfig(kind=kind, engine="bfs", memo=memo))
                 plan, se, mode = expected
-                [kept] = memo.values()
-                assert type(kept) is Run
+                [record] = records(memo)
+                [(shape, (kept, scored))] = record.runs.items()
+                assert shape == mode and type(kept) is Run
                 assert kept == (plan, se, ((mode, plan, se),))
                 assert plan is None or kept[0] is kept[2][0][1]
+                assert scored.problem is p and scored.plan is kept.plan
+                assert scored.states_explored == se
 
     def test_keys_on_the_maze_not_only_the_subgoal(self):
         open_maze = maze_problem(3, 3, (), (0, 0), (0, 2))
         walled = maze_problem(3, 3, {(0, 1), (1, 1)}, (0, 0), (0, 2))
+        assert open_maze.problem_id == walled.problem_id
         config = PlannerConfig(kind="sys2")
         memo = SweepMemo()
         for budget in (None, 3, 100):
             for p in (open_maze, walled):
-                assert solve_one(p, replace(config, memo=memo), budget) == solve_one(p, config, budget)
-        assert solve_one(open_maze, replace(config, memo=memo)).plan != \
-            solve_one(walled, replace(config, memo=memo)).plan
-        assert len(memo) == 2
+                assert run_planner([p], replace(config, memo=memo), budget) == \
+                    [solve_one(p, config, budget)]
+        [open_run], [walled_run] = (run_planner([p], replace(config, memo=memo))
+                                    for p in (open_maze, walled))
+        assert open_run.plan != walled_run.plan
+        assert sorted(r.problem.geometry for r in records(memo)) == \
+            sorted((open_maze.geometry, walled.geometry))
+
+    def test_a_record_scores_each_problem_object_as_itself(self, small_maze_dataset):
+        """Two problem objects of one id and geometry share a record, and
+        so a solve, but each gets a ScoredRun of its own oracle length."""
+        p = small_maze_dataset["test"][0]
+        copy = replace(p, optimal_length=p.optimal_length + 1)
+        config = PlannerConfig(kind="sys2", memo=SweepMemo())
+        [first], [second] = (run_planner([q], config) for q in (p, copy))
+        assert first.problem is p and second.problem is copy
+        assert first.judge() == (True, True) and second.judge() == (True, False)
+        assert len(records(config.memo)) == 1
 
     def test_clear_empties(self, small_maze_dataset):
         memo = SweepMemo()
         p = small_maze_dataset["test"][0]
-        memo.skeleton(p)
-        solve_one(p, PlannerConfig(kind="sys2", memo=memo))
-        assert len(memo) == 2
+        for kind in ("sys1", "sys2"):
+            run_planner([p], PlannerConfig(kind=kind, memo=memo))
+        assert len(memo) == 2 and len(records(memo)) == 2
         memo.clear()
         assert len(memo) == 0
 

@@ -20,8 +20,8 @@ from hybridplan.domains import (
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
-from hybridplan.evaluate import PlannerConfig, ScoredRun, solve_one
-from hybridplan.hybrid import SweepMemo, cut_run, solve_hybrid
+from hybridplan.evaluate import PlannerConfig, ScoredRun, SweepMemo, run_planner, solve_one
+from hybridplan.hybrid import cut_run, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
 from reference import truncate_run
@@ -414,8 +414,8 @@ def test_explore_rejects_unknown_engine():
 
 
 def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_dataset):
-    """solve_hybrid, and solve_one fresh or from a sweep memo's kept run,
-    score by counting."""
+    """solve_hybrid, solve_one, and run_planner from a sweep memo's kept
+    run score by counting."""
     problems = [*small_maze_dataset["test"][:10], *small_blocks_dataset["test"][:3]]
     expected = {}
     for p in problems:
@@ -436,6 +436,6 @@ def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_
             run = solve_hybrid(p, meta, budget=budget)
             scored = ScoredRun(p, run.plan, run.states_explored)
             assert solve_one(p, config, budget) == scored
-            assert solve_one(p, replace(config, memo=memo), budget) == scored
+            assert run_planner([p], replace(config, memo=memo), budget) == [scored]
         run = solve_hybrid(p, meta)
         assert (run.plan, run.states_explored) == expected[p.problem_id]
