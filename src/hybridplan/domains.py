@@ -4,10 +4,11 @@ Problem states are plain hashable values: a maze state is a ``(row, col)``
 tuple, a blocks state is a tuple of stacks, each stack a bottom-to-top
 tuple of block labels, with stacks sorted by their bottom block so equal
 configurations compare equal. valid_actions and heuristic_for take search
-states instead: encode leaves a maze cell as it is and gives a blocks state
-as its support vector, on[i] the sorted-universe index of the block under
-block i or -1 for the table; decode inverts it. Searches and oracles encode
-their start and goal once; every state they hand back is decoded.
+states instead: encode leaves a maze cell as it is and packs a blocks state
+into one int, block i's field holding the sorted-universe index of the
+block under it plus one, 0 for the table; decode inverts it. Only this
+module reads the packing. Searches and oracles encode their start and goal
+once; every state they hand back is decoded.
 
 Every per-domain decision of the planners lives here: the step semantics,
 the successors that search engines and oracles expand (built for the valid
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import ne
+from typing import NamedTuple
 
 MAZE_ACTIONS = ("up", "down", "left", "right")
 
@@ -185,27 +186,52 @@ def candidate_actions(problem):
     ones that will turn out invalid)."""
     if problem.domain == "maze":
         return list(MAZE_ACTIONS)
-    return [a for onto in _moves(problem.blocks) for a in onto if a[0] != a[1]]
+    return [a for onto in _universe(problem.blocks).moves for a in onto if a[0] != a[1]]
+
+
+class _Universe(NamedTuple):
+    """A block universe's search-state layout: block b, by sorted label,
+    owns the field at bit shifts[b] of a search state, holding its
+    support's index + 1, 0 for the table. A field has n.bit_length() bits,
+    so that its largest value, n, fits."""
+
+    labels: tuple  # sorted block labels
+    index: dict  # label -> its index in labels
+    moves: tuple  # moves[b][d]: block b onto block d, [b][-1] onto the table
+    shifts: tuple  # bit offset of each block's field
+    place: tuple  # place[b][d] = (d + 1) << shifts[b]: b's field holding "on d"
+    mask: int  # one field's bits, unshifted
+    low: int  # the lowest bit of every field
 
 
 @lru_cache(maxsize=64)  # problem files may bring any number of universes
-def _moves(blocks):
-    """A block universe's moves in canonical order, by sorted label with
-    the table last: _moves(blocks)[b][d] moves block index b onto block
-    index d, [b][-1] onto the table. Every search shares these action
-    tuples, so that the parent maps of long searches hold no copies."""
-    labels = sorted(blocks)
-    return tuple(tuple((b, d) for d in (*labels, TABLE)) for b in labels)
+def _universe(blocks):
+    """The _Universe of a block universe. Every search shares its move
+    tuples, in canonical order (by sorted label, the table last), so that
+    the parent maps of long searches hold no copies."""
+    labels = tuple(sorted(blocks))
+    width = len(labels).bit_length()
+    shifts = tuple(range(0, width * len(labels), width))
+    return _Universe(
+        labels,
+        {b: i for i, b in enumerate(labels)},
+        tuple(tuple((b, d) for d in (*labels, TABLE)) for b in labels),
+        shifts,
+        tuple(tuple((d + 1) << s for d in range(len(labels))) for s in shifts),
+        (1 << width) - 1,
+        sum(1 << s for s in shifts),
+    )
 
 
 def encode(problem, state):
     """The search state of a problem state: a maze cell as it is, a blocks
-    state as its support vector."""
+    state as its packed supports."""
     if problem.domain == "maze":
         return state
-    index = {b: i for i, b in enumerate(sorted(problem.blocks))}
-    under = {top: index[below] for stack in state for below, top in zip(stack, stack[1:])}
-    return tuple(under.get(b, -1) for b in index)
+    universe = _universe(problem.blocks)
+    index, place = universe.index, universe.place
+    return sum(place[index[top]][index[below]]
+               for stack in state for below, top in zip(stack, stack[1:]))
 
 
 def decode(problem, state):
@@ -213,14 +239,16 @@ def decode(problem, state):
     built bottom first in universe order."""
     if problem.domain == "maze":
         return state
-    labels = sorted(problem.blocks)
-    above = [None] * len(state)
-    for block, below in enumerate(state):
-        if below >= 0:
-            above[below] = block
+    universe = _universe(problem.blocks)
+    labels, mask = universe.labels, universe.mask
+    on = [state >> s & mask for s in universe.shifts]
+    above = [None] * len(on)
+    for block, below in enumerate(on):
+        if below:
+            above[below - 1] = block
     stacks = []
-    for block, below in enumerate(state):
-        if below < 0:
+    for block, below in enumerate(on):
+        if not below:
             stack = []
             while block is not None:
                 stack.append(labels[block])
@@ -232,7 +260,7 @@ def decode(problem, state):
 def valid_actions(problem, state):
     """(action, next_state) for every action whose step result is valid, in
     canonical order, over search states; only the clear blocks' moves are
-    built, each successor by replacing one support."""
+    built, each successor by adding one field to its block's cleared state."""
     if problem.domain == "maze":
         out = []
         for action in MAZE_ACTIONS:
@@ -240,18 +268,20 @@ def valid_actions(problem, state):
             if nxt is not None:
                 out.append((action, nxt))
         return out
-    moves = _moves(problem.blocks)
-    supports = set(state)
-    clear = [b for b in range(len(state)) if b not in supports]
+    _, _, moves, shifts, place, mask, _ = _universe(problem.blocks)
+    on = [state >> s & mask for s in shifts]
+    held = set(on)
+    clear = [b for b in range(len(on)) if b + 1 not in held]
     out = []
     for b in clear:
-        onto = moves[b]
-        head, tail = state[:b], state[b + 1:]
+        onto, put = moves[b], place[b]
+        below = on[b]
+        base = state - (below << shifts[b])
         for d in clear:
             if d != b:
-                out.append((onto[d], head + (d,) + tail))
-        if state[b] >= 0:
-            out.append((onto[-1], head + (-1,) + tail))
+                out.append((onto[d], base + put[d]))
+        if below:
+            out.append((onto[-1], base))
     return out
 
 
@@ -262,10 +292,16 @@ def _manhattan(a, b):
 def heuristic_for(problem, goal):
     """The domain's admissible, consistent distance estimate to the search
     state `goal`, as a function h(state): Manhattan distance for mazes, for
-    blocks the number of blocks whose support differs from the goal's."""
+    blocks the number of blocks whose support differs from the goal's: the
+    fields of on ^ goal that are not zero. Adding each field's low bits to
+    all ones carries into its top bit exactly when one of them is set, and
+    never past it."""
     if problem.domain == "maze":
         return lambda state: _manhattan(state, goal)
-    return lambda on: sum(map(ne, on, goal))
+    universe = _universe(problem.blocks)
+    top = universe.low * (universe.mask + 1 >> 1)
+    rest = universe.low * (universe.mask >> 1)
+    return lambda on: ((((x := on ^ goal) & rest) + rest | x) & top).bit_count()
 
 
 def greedy_walk(problem, start, goal, step_cap=None):

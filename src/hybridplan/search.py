@@ -10,8 +10,10 @@ engine: per expansion, the valid cap keeps the lowest-t valid probes (probe
 order for BFS and DFS, which have no t), the invalid cap a seeded random
 sample of the invalid ones.
 
-The loop builds only the valid successors of each expansion (valid_actions)
-and hands them to one of two accounts:
+The loop runs on domains' search states (a maze cell, a blocks state
+packed into one int), which it only hashes and compares: it builds only
+the valid successors of each expansion (valid_actions) and hands them to
+one of two accounts:
 
 - the event recorder (astar, bfs, dfs, run_engine) chooses the kept probes
   of candidate_actions and labels only those, an invalid one with step's

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridplan.domains import (
@@ -196,14 +196,16 @@ def test_blocks_states_are_canonical_at_construction():
     assert p.goal == (("A",), ("C", "B"))
 
 
-def test_small_universes_have_support_vectors():
-    """A one- or two-block support vector has a maze cell's shape; decode
-    gives the stacks back, not the cell."""
+def test_small_universes_have_int_search_states():
+    """A blocks search state is an int, never a tuple, so that one of a
+    one- or two-block universe cannot look like a maze cell; decode gives
+    the stacks back."""
     p = blocks_problem((("A", "B"),), (("A",), ("B",)), ("A", "B"))
-    assert encode(p, p.start) == (-1, 0) and decode(p, (-1, 0)) == (("A", "B"),)
-    assert encode(p, p.goal) == (-1, -1) and decode(p, (-1, -1)) == (("A",), ("B",))
     single = blocks_problem((("A",),), (("A",),), ("A",))
-    assert encode(single, single.start) == (-1,) and decode(single, (-1,)) == (("A",),)
+    for problem in (p, single):
+        for state in (problem.start, problem.goal):
+            assert type(encode(problem, state)) is int
+            assert decode(problem, encode(problem, state)) == state
 
 
 def test_blocks_problem_needs_a_block():
@@ -217,6 +219,13 @@ def test_blocks_problem_needs_a_block():
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
+# 16 blocks take 5-bit fields in a search state; the drawn universes, of at
+# most 9 blocks, take 1 to 4
+SIXTEEN_BLOCKS = blocks_problem(
+    (("9", "0", "C", "3"), ("A", "_"), ("b", "1", "2", "a", "4"), ("5",), ("6", "B", "7", "8")),
+    (("0", "1", "2", "3", "4", "5", "6", "7", "8", "9"), ("A", "B", "C"), ("_", "a", "b")),
+    tuple("0123456789ABC_ab"))
+
 
 problems = st.one_of(maze_problems(), blocks_problems())
 
@@ -228,7 +237,7 @@ def legal_state(problem, state):
 
 
 @PROPERTY
-@given(problems, st.data())
+@given(st.one_of(maze_problems(), blocks_problems(max_blocks=9)), st.data())
 def test_valid_actions_are_the_legal_steps(problem, data):
     state = data.draw(states_of(problem))
     legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem)]
@@ -243,12 +252,12 @@ def pairwise_mismatch(a, b):
 
 
 @PROPERTY
-@given(st.one_of(maze_problems(), blocks_problems(max_blocks=7)), st.data())
-def test_goal_bound_heuristic_is_the_pairwise_distance(problem, data):
-    state, goal = data.draw(states_of(problem)), data.draw(states_of(problem))
+@given(st.one_of(maze_problems(), blocks_problems(max_blocks=9)))
+@example(SIXTEEN_BLOCKS)
+def test_goal_bound_heuristic_is_the_pairwise_distance(problem):
     pairwise = _manhattan if problem.domain == "maze" else pairwise_mismatch
-    h = heuristic_for(problem, encode(problem, goal))
-    assert h(encode(problem, state)) == pairwise(state, goal)
+    h = heuristic_for(problem, encode(problem, problem.goal))
+    assert h(encode(problem, problem.start)) == pairwise(problem.start, problem.goal)
 
 
 @PROPERTY
@@ -278,15 +287,15 @@ def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
 
 
 @PROPERTY
-@given(blocks_problems(max_blocks=7), st.data())
-def test_blocks_search_states_round_trip(problem, data):
+@given(blocks_problems(max_blocks=9))
+@example(SIXTEEN_BLOCKS)
+def test_blocks_search_states_round_trip(problem):
     """A blocks state survives encode and decode, and every successor of
-    its search state is blocks_step's state, encoded. Universes of one and
-    two blocks are drawn too: their support vectors, such as (-1, 0), have
-    a maze cell's shape."""
-    state = data.draw(states_of(problem))
-    on = encode(problem, state)
-    assert decode(problem, on) == state
-    for action, nxt in valid_actions(problem, on):
-        assert decode(problem, nxt) == blocks_step(state, action)[0]
-        assert encode(problem, decode(problem, nxt)) == nxt
+    its search state is blocks_step's state, encoded. Universes of 1 to 9
+    blocks are drawn, so fields of 1 to 4 bits, and one of 16."""
+    for state in (problem.start, problem.goal):
+        on = encode(problem, state)
+        assert decode(problem, on) == state
+        for action, nxt in valid_actions(problem, on):
+            assert decode(problem, nxt) == blocks_step(state, action)[0]
+            assert encode(problem, decode(problem, nxt)) == nxt
