@@ -19,6 +19,7 @@ from hybridplan.controller import (
     window_length,
 )
 from hybridplan.domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, canonical_blocks
+from hybridplan.generators import BlocksDatasetConfig, generate_blocks_dataset
 from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.search import TraceConfig, astar, bfs, run_engine
 from hybridplan.textio import (
@@ -300,22 +301,29 @@ class TestProblemSerialization:
         text = problem_input_text(p)
         assert "S" in text and "G" in text and "start" in text
 
-    # sha256 over the JSON records of every split of the small datasets;
-    # pins the generators' output and its serialization.
+    # sha256 over the JSON records of every split of the small datasets, and
+    # of 120 long-horizon blocks problems (5-6 blocks, 7-10 moves), where the
+    # blocks oracle does most of its work; pins the generators' output and
+    # its serialization.
     GOLDEN_PROBLEM_DIGESTS = {
         "maze": "a17894a8e73f8eb671139eabbe1ed766637cdd84b7fe3478f1581a95b7704fcb",
         "blocks": "57f865520f3bf5e69cedab33aa6984e8dcd3a349e1e0361c6580cf6d098b8ac6",
+        "blocks-long": "118d5787b29fc4b7a0f141e93a766b876c5d9f9719cf479982e628e6fe6273bc",
     }
 
-    @pytest.mark.parametrize("domain", sorted(GOLDEN_PROBLEM_DIGESTS))
-    def test_golden_problem_digests(self, domain, small_maze_dataset, small_blocks_dataset):
-        dataset = small_maze_dataset if domain == "maze" else small_blocks_dataset
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEM_DIGESTS))
+    def test_golden_problem_digests(self, name, request):
+        if name == "blocks-long":
+            dataset = generate_blocks_dataset(
+                0, BlocksDatasetConfig(max_blocks=6, split_sizes=(0, 0, 120)))
+        else:
+            dataset = request.getfixturevalue(f"small_{name}_dataset")
         digest = hashlib.sha256()
         for split in ("train", "val", "test"):
             for p in dataset[split]:
                 digest.update(json.dumps(problem_to_json(p), sort_keys=True).encode())
                 digest.update(b"\n")
-        assert digest.hexdigest() == self.GOLDEN_PROBLEM_DIGESTS[domain]
+        assert digest.hexdigest() == self.GOLDEN_PROBLEM_DIGESTS[name]
 
 
 class TestEmitDatasets:
