@@ -13,11 +13,16 @@ once; every state they hand back is decoded.
 Every per-domain decision of the planners lives here: the step semantics,
 the successors that search engines and oracles expand (built for the valid
 moves only), the search heuristic, the greedy walk behind the fast planner,
-and the skeleton over which the controller places its search window.
+and the skeleton over which the controller places its search window. So
+does the blocks optimal-plan oracle's A* (_blocks_astar), one loop that
+builds each successor in place and corrects its parent's heuristic per
+move rather than calling valid_actions and heuristic_for, and the path
+reconstruction that every search shares (_reconstruct).
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -199,7 +204,7 @@ class _Universe(NamedTuple):
     index: dict  # label -> its index in labels
     moves: tuple  # moves[b][d]: block b onto block d, [b][-1] onto the table
     shifts: tuple  # bit offset of each block's field
-    place: tuple  # place[b][d] = (d + 1) << shifts[b]: b's field holding "on d"
+    place: tuple  # place[b][d] = (d + 1) << shifts[b]: b's field holding "on d"; [b][-1] = 0
     mask: int  # one field's bits, unshifted
     low: int  # the lowest bit of every field
 
@@ -217,7 +222,7 @@ def _universe(blocks):
         {b: i for i, b in enumerate(labels)},
         tuple(tuple((b, d) for d in (*labels, TABLE)) for b in labels),
         shifts,
-        tuple(tuple((d + 1) << s for d in range(len(labels))) for s in shifts),
+        tuple((*((d + 1) << s for d in range(len(labels))), 0) for s in shifts),
         (1 << width) - 1,
         sum(1 << s for s in shifts),
     )
@@ -228,7 +233,12 @@ def encode(problem, state):
     state as its packed supports."""
     if problem.domain == "maze":
         return state
-    universe = _universe(problem.blocks)
+    return _pack(problem.blocks, state)
+
+
+def _pack(blocks, state):
+    """The search state of a state of the block universe `blocks`."""
+    universe = _universe(blocks)
     index, place = universe.index, universe.place
     return sum(place[index[top]][index[below]]
                for stack in state for below, top in zip(stack, stack[1:]))
@@ -285,6 +295,18 @@ def valid_actions(problem, state):
     return out
 
 
+def _reconstruct(came_from, state, start):
+    """The actions from start to state, following came_from's (parent,
+    action) links back from state."""
+    actions = []
+    while state != start:
+        parent, action = came_from[state]
+        actions.append(action)
+        state = parent
+    actions.reverse()
+    return tuple(actions)
+
+
 def _manhattan(a, b):
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
@@ -302,6 +324,58 @@ def heuristic_for(problem, goal):
     top = universe.low * (universe.mask + 1 >> 1)
     rest = universe.low * (universe.mask >> 1)
     return lambda on: ((((x := on ^ goal) & rest) + rest | x) & top).bit_count()
+
+
+def _blocks_astar(blocks, start, goal):
+    """Lean A* between two states of the block universe `blocks`, over
+    search states: an optimal plan, or None when the goal is unreachable.
+
+    Each expansion reads the state's fields once and builds its successors
+    in canonical order, clear block b onto each other clear block d and then
+    onto the table (d = -1) unless it is on it, as base + place[b][d]:
+    valid_actions' moves. Its mismatch heuristic, heuristic_for's count of
+    fields that differ from the goal's, is its parent's corrected for block
+    b alone, since no other field changed. The frontier holds (g + h,
+    insertion counter, state) and the search stops when it generates the
+    goal."""
+    start, goal = _pack(blocks, start), _pack(blocks, goal)
+    if start == goal:
+        return ()
+    _, _, moves, shifts, place, mask, _ = _universe(blocks)
+    want = [goal >> s & mask for s in shifts]
+    g_score = {start: 0}
+    came_from = {}
+    counter = 0
+    frontier = [(sum(start >> s & mask != w for s, w in zip(shifts, want)), counter, start)]
+    closed = set()
+    pop, push = heapq.heappop, heapq.heappush
+    while frontier:
+        f, _, state = pop(frontier)
+        if state in closed:
+            continue
+        closed.add(state)
+        tentative = g_score[state] + 1
+        on = [state >> s & mask for s in shifts]
+        clear = [b for b in range(len(on)) if b + 1 not in on]
+        dests = [*clear, -1]
+        for b in clear:
+            below, goal_b, onto, put = on[b], want[b], moves[b], place[b]
+            base = state - (below << shifts[b])
+            # a successor's g + h: one more move, b's mismatch corrected
+            f_b = f + 1 - (below != goal_b)
+            for d in dests if below else clear:
+                if d == b:
+                    continue
+                nxt = base + put[d]
+                if nxt in g_score and tentative >= g_score[nxt]:
+                    continue
+                g_score[nxt] = tentative
+                came_from[nxt] = (state, onto[d])
+                if nxt == goal:
+                    return _reconstruct(came_from, goal, start)
+                counter += 1
+                push(frontier, (f_b + (d + 1 != goal_b), counter, nxt))
+    return None
 
 
 def greedy_walk(problem, start, goal, step_cap=None):

@@ -40,7 +40,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .domains import candidate_actions, decode, encode, heuristic_for, step, valid_actions
+from .domains import (
+    _reconstruct,
+    candidate_actions,
+    decode,
+    encode,
+    heuristic_for,
+    step,
+    valid_actions,
+)
 
 
 @dataclass(frozen=True)
@@ -77,16 +85,6 @@ class SearchRun:
 
     events: tuple
     plan: tuple | None
-
-
-def _reconstruct(came_from, state, start):
-    actions = []
-    while state != start:
-        parent, action = came_from[state]
-        actions.append(action)
-        state = parent
-    actions.reverse()
-    return tuple(actions)
 
 
 def _frontier(algorithm, start, t):

@@ -4,8 +4,7 @@ import heapq
 from collections import Counter
 from dataclasses import replace
 
-from hybridplan.domains import encode, heuristic_for, valid_actions
-from hybridplan.search import _reconstruct
+from hybridplan.domains import _reconstruct, encode, heuristic_for, valid_actions
 
 
 def truncate_run(run, cap):
