@@ -13,11 +13,13 @@ once; every state they hand back is decoded.
 Every per-domain decision of the planners lives here: the step semantics,
 the successors that search engines and oracles expand (built for the valid
 moves only), the search heuristic, the greedy walk behind the fast planner,
-and the skeleton over which the controller places its search window. So
-does the blocks optimal-plan oracle's A* (_blocks_astar), one loop that
-builds each successor in place and corrects its parent's heuristic per
-move rather than calling valid_actions and heuristic_for, and the path
-reconstruction that every search shares (_reconstruct).
+and the skeleton over which the controller places its search window. The
+skeleton follows one rule on both domains: the greedy walk's states when
+the walk reaches the goal, else None. The blocks optimal-plan oracle's
+A* (_blocks_astar) lives here too, one loop that builds each successor in
+place and corrects its parent's heuristic per move rather than calling
+valid_actions and heuristic_for, as does the path reconstruction that
+every search shares (_reconstruct).
 """
 
 from __future__ import annotations
@@ -417,32 +419,13 @@ def skeleton(problem):
     """Search-free state sequence from start to goal over which the
     controller places its search window, or None when there is none.
 
-    Maze: greedy Manhattan descent ignoring obstacles; cells landing on
-    obstacles are snapped to the nearest free cell (ties: smallest row,
-    then column). Blocks: the greedy walk capped at 2 moves per block,
-    None unless it reaches the goal."""
-    if problem.domain == "blocks":
-        _, states = greedy_walk(problem, problem.start, problem.goal, 2 * len(problem.blocks))
-        return states if states[-1] == problem.goal else None
-    grid, goal = problem.grid, problem.goal
-    path = [problem.start]
-    cur = problem.start
-    while cur != goal:
-        # the first move, in action order, that gets closer; one always does
-        for dr, dc in _MAZE_DELTAS.values():
-            nxt = (cur[0] + dr, cur[1] + dc)
-            if grid.in_bounds(nxt) and _manhattan(nxt, goal) < _manhattan(cur, goal):
-                break
-        cur = nxt
-        path.append(cur)
-    free = grid.free_cells()
-    snapped = []
-    for cell in path:
-        if cell in grid.obstacles:
-            cell = min(free, key=lambda f: (_manhattan(f, cell), f[0], f[1]))
-        if not snapped or snapped[-1] != cell:
-            snapped.append(cell)
-    return snapped
+    One rule for both domains: the greedy walk's states when the walk
+    reaches the goal, else None. Only the walk's cap differs: 2 moves per
+    block on blocks, the walk's default on maze. The walk's moves are not
+    charged as states explored."""
+    cap = 2 * len(problem.blocks) if problem.domain == "blocks" else None
+    _, states = greedy_walk(problem, problem.start, problem.goal, cap)
+    return states if states[-1] == problem.goal else None
 
 
 def validate_plan(problem, plan):
