@@ -3,6 +3,7 @@ with pytest -s) and asserts at its stated tolerance."""
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,18 @@ from hybridplan.controller import (
     window_length,
 )
 from hybridplan.domains import greedy_walk, plan_states, validate_plan
-from hybridplan.evaluate import PlannerConfig, budget_sweep, match_budget_cap
+from hybridplan.evaluate import (
+    PlannerConfig,
+    SweepMemo,
+    budget_sweep,
+    match_budget_cap,
+    run_planner,
+    score_runs,
+)
 from hybridplan.generators import blocks_bfs_length
 from hybridplan.hybrid import solve_hybrid
 from hybridplan.hardness import hardness_fn
-from hybridplan.search import TraceConfig, astar, bfs, dfs
+from hybridplan.search import ENGINES, TraceConfig, astar, bfs, dfs
 from hybridplan.textio import (
     metaplan_record,
     parse_metaplan_text,
@@ -254,3 +262,55 @@ def test_criterion_9_saturation_equivalences(maze_dataset, fitted_controller):
     report("criterion 9 (saturation equivalences)", ok,
            f"x'=1 no-subgoal == bare A* per problem: {sys2_ok}; "
            f"x=0 == bare greedy per problem: {sys1_ok}")
+
+
+X_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.fixture(scope="module")
+def engine_margins(maze_dataset):
+    """Per engine and x in X_GRID on the maze test split: the hybrid's
+    report row, and the row of the engine truncated by match_budget_cap
+    (over its own unbudgeted sizes) to the hybrid's average SE."""
+    test = maze_dataset["test"]
+    fitted = HybridController().fit(maze_dataset["train"])
+    rows = {}
+    for engine in ENGINES:
+        plain = PlannerConfig(kind="sys2", engine=engine, memo=SweepMemo())
+        sizes = [r.states_explored for r in run_planner(test, plain)]
+        memo = SweepMemo()
+        for x in X_GRID:
+            controller = replace(fitted, config=ControllerConfig(x=x))
+            hybrid = score_runs(run_planner(test, PlannerConfig(
+                kind="hybrid", engine=engine, controller=controller, memo=memo)))
+            cap = match_budget_cap(sizes, hybrid.avg_se)
+            rows[engine, x] = hybrid, score_runs(run_planner(test, plain, budget=cap))
+    return rows
+
+
+def test_criterion_10_controllability(engine_margins):
+    """Maze half: for every engine, the hybrid's average SE rises strictly
+    over x. The blocks half waits for every blocks problem to have a
+    skeleton (ROADMAP item 1); today most blocks test problems have none,
+    so the blocks hybrid hands them whole to its engine at every x > 0."""
+    curves = {engine: [float(engine_margins[engine, x][0].avg_se) for x in X_GRID]
+              for engine in ENGINES}
+    ok = all(all(a < b for a, b in zip(se, se[1:])) for se in curves.values())
+    report("criterion 10 (controllability, maze)", ok,
+           "hybrid avg SE over x=" + "/".join(f"{x:g}" for x in X_GRID) + ": "
+           + "; ".join(f"{e} " + ", ".join(f"{v:.1f}" for v in se)
+                       for e, se in curves.items()) + " strictly rising")
+
+
+def test_criterion_11_generalizability(engine_margins):
+    """Maze part: for every engine and x in {.25, .5, .75}, the hybrid's
+    validity is at least 0.2 above that of its own engine truncated to the
+    hybrid's average SE. The blocks part waits for ROADMAP items 1 and 4."""
+    margins = {(engine, x): float(hybrid.validity - truncated.validity)
+               for (engine, x), (hybrid, truncated) in engine_margins.items()
+               if 0.0 < x < 1.0}
+    ok = all(m >= 0.2 for m in margins.values())
+    report("criterion 11 (generalizability, maze)", ok,
+           "validity margins (hybrid - truncated engine) at x=.25/.5/.75: "
+           + "; ".join(f"{e} " + " / ".join(f"{margins[e, x]:+.3f}" for x in X_GRID[1:-1])
+                       for e in ENGINES) + " (each >= 0.2)")
