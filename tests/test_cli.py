@@ -290,7 +290,7 @@ GOLDEN_CLI_DIGESTS = {
     ("maze", "build-controller-data", None):
         "ff4d772b7770639840666abcab024c77f2dfa5eccf03d917d02fa9fc6ff2df51",
     ("maze", "sweep", "system1x"):
-        "a20d7e9f2f0097182b28fc0b41a1c94150e8affa275b930609cb81becb089ffd",
+        "5e56261ef6848766a4bd939f087b4fcdf4d92ae176b5c4834489a47e062011e9",
     ("maze", "sweep", "system2"):
         "c13e087805fffab4ebb8f8d0950318539546e311077c6906f914132d6d4be7e8",
 }

@@ -330,8 +330,8 @@ class TestMazeSkeleton:
 # per domain and variant, for x in 0.25, 0.5 and 0.75. Any change to the
 # gate, the skeletons or the window optimizer changes a digest.
 GOLDEN_METAPLAN_DIGESTS = {
-    ("maze", "sliding-window"): "ff92e41d38d544b6123aed26aff6a24049289211cd031e7c2df100e984baff29",
-    ("maze", "edge-window"): "9dfd8bd79ffa6117fbb50da34df8842a012108a64750b5cee471934e616f2b41",
+    ("maze", "sliding-window"): "74b57386536b04d092e49f7f14695e6ca38c3d8854de23ad39ee985849f4a9cb",
+    ("maze", "edge-window"): "5a6c18b7cdce9a31b7e0298e8143afd71180af52f4aefa080caf6f9eacf932ab",
     ("blocks", "sliding-window"): "0278c3ebe7dfe788db5959850e9e789c494682819bcc092ee3858d805ec27eac",
     ("blocks", "edge-window"): "8f53a2d3aa2f140adb8201269c55992a91c3831f0949fdef294485be13c1bc99",
     ("maze", "no-subgoal"): "d0cd6d04c6daf2e8cc593c5b9a3edfba2670c644b8bb61ee9139519134e23006",

@@ -414,7 +414,7 @@ def test_solve_one_budget_none_vs_cap(small_maze_dataset):
 # default.
 GOLDEN_SWEEP_DIGESTS = {
     ("maze", "astar", "hybrid", "nocaps"):
-        "8a90a666cdeab2e5bd65bc0b94c76e997bc725366955c15ea969bfa9b0813283",
+        "7c6213b6d311470424872aa9ef59744e285d6e05f0622c8932bd38584455e4dd",
     ("maze", "astar", "sys2", "nocaps"):
         "3a092a2aa75696247e681aa5531bcbf76b55055f1dca56eed2e2f7be4d0ffb28",
     ("maze", "astar", "sys1", "nocaps"):
@@ -424,13 +424,13 @@ GOLDEN_SWEEP_DIGESTS = {
     ("blocks", "astar", "hybrid", "caps"):
         "3748d9ead826dfc4bf21dc762f1bcf8abc3c2ebd9832d38eaa9cf354f6614547",
     ("maze", "bfs", "hybrid", "nocaps"):
-        "8361c214b9c45c5baf7d77a184a7db6af185baaa22c75d47324036d93788ebb8",
+        "70747352d221829c54967ed123ff4a13a1d88c39970456deb4536ca05fbe54b0",
     ("maze", "bfs", "hybrid", "caps"):
-        "4d8a70ebdb0ad880925386cbe4f03cf38851228c8ae7a3d521e83010e71bfd32",
+        "b941f38a14ca482e6b5ac2824be0c1d71953362cf72530d1d6d91047f7de1ceb",
     ("maze", "dfs", "hybrid", "nocaps"):
-        "59fb73a4094cae7d2b5cc4e591a9303caf9cf14ffa8cfb3e4eebf8fd4b521d1d",
+        "6fc540ed866a35b9b0407f093288ecbd7fc4ddcdfe010f56df2e13726fd0b677",
     ("maze", "dfs", "hybrid", "caps"):
-        "6536f0a1df88715758b1b1acfa2e9e1ceaeab1c30ced140744fcd53a76fb1faa",
+        "33f0445766e9306ea5746be74c02194ed252d4beca99ac3e0727e04a2f9681c9",
     ("blocks", "bfs", "hybrid", "nocaps"):
         "e07043790f6296ea6e090eb5f1a558acacb035c714296d510afcec330d46698d",
     ("blocks", "bfs", "hybrid", "caps"):
