@@ -268,7 +268,7 @@ X_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @pytest.fixture(scope="module")
-def engine_margins(maze_dataset):
+def matched_rows(maze_dataset):
     """Per engine and x in X_GRID on the maze test split: the hybrid's
     report row, and the row of the engine truncated by match_budget_cap
     (over its own unbudgeted sizes) to the hybrid's average SE."""
@@ -288,12 +288,12 @@ def engine_margins(maze_dataset):
     return rows
 
 
-def test_criterion_10_controllability(engine_margins):
+def test_criterion_10_controllability(matched_rows):
     """Maze half: for every engine, the hybrid's average SE rises strictly
     over x. The blocks half waits for every blocks problem to have a
     skeleton (ROADMAP item 1); today most blocks test problems have none,
     so the blocks hybrid hands them whole to its engine at every x > 0."""
-    curves = {engine: [float(engine_margins[engine, x][0].avg_se) for x in X_GRID]
+    curves = {engine: [float(matched_rows[engine, x][0].avg_se) for x in X_GRID]
               for engine in ENGINES}
     ok = all(all(a < b for a, b in zip(se, se[1:])) for se in curves.values())
     report("criterion 10 (controllability, maze)", ok,
@@ -302,12 +302,12 @@ def test_criterion_10_controllability(engine_margins):
                        for e, se in curves.items()) + " strictly rising")
 
 
-def test_criterion_11_generalizability(engine_margins):
+def test_criterion_11_generalizability(matched_rows):
     """Maze part: for every engine and x in {.25, .5, .75}, the hybrid's
     validity is at least 0.2 above that of its own engine truncated to the
     hybrid's average SE. The blocks part waits for ROADMAP items 1 and 4."""
     margins = {(engine, x): float(hybrid.validity - truncated.validity)
-               for (engine, x), (hybrid, truncated) in engine_margins.items()
+               for (engine, x), (hybrid, truncated) in matched_rows.items()
                if 0.0 < x < 1.0}
     ok = all(m >= 0.2 for m in margins.values())
     report("criterion 11 (generalizability, maze)", ok,
