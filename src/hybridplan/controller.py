@@ -149,12 +149,9 @@ class HybridController:
     def with_bias(self, bias):
         return replace(self, config=replace(self.config, bias=bias))
 
+    @cached_property  # read per problem and pass in a sweep
     def threshold(self):
         """Hardness cutoff: instances at or above it are gated hard."""
-        return self._threshold
-
-    @cached_property  # read per problem and pass in a sweep
-    def _threshold(self):
         hardness = self.training_hardness
         if hardness is None:
             raise RuntimeError("controller is not calibrated; call fit() first")
@@ -180,7 +177,7 @@ class HybridController:
             return SYS1
         if x < 1.0:
             g = gate()
-            if not (g < x if config.variant == "random" else g >= self.threshold()):
+            if not (g < x if config.variant == "random" else g >= self.threshold):
                 return SYS1
         if config.variant in ("no-subgoal", "random"):
             return SYS2

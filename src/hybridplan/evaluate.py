@@ -1,6 +1,10 @@
 """Metrics, budget matching, and budget sweeps, whose passes share a
 SweepMemo.
 
+Every planner is a HybridController, whose meta-plan solve_hybrid solves
+into a hybrid.Run that judges its own plan; System 1 and System 2 are its
+ends, x=0 and x=1 under no-subgoal (PURE_CONTROLLERS).
+
 Rates are exact fractions internally; rendering rounds to one decimal
 place (percent) / three places (rates). Budget matching picks the largest
 truncation cap whose resulting average states-explored stays at or below
@@ -15,42 +19,18 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .controller import SYS1, SYS2, HybridController, meta_plan
-from .domains import skeleton, validate_plan
+from .controller import ControllerConfig, HybridController
+from .domains import skeleton
 from .hybrid import cut_run, solve_hybrid
 from .search import ENGINES, TraceConfig
-
-
-@dataclass(frozen=True)
-class ScoredRun:
-    """Planner-agnostic view of one solved problem."""
-
-    problem: object
-    plan: tuple | None
-    states_explored: int
-
-    @property
-    def valid(self):
-        if self.plan is None:
-            return False
-        ok, _ = validate_plan(self.problem, self.plan)
-        return ok
-
-    def judge(self):
-        """(valid, optimal), replaying the plan once."""
-        if self.problem.optimal_length is None:
-            raise ValueError(f"problem {self.problem.problem_id!r} has no oracle length")
-        valid = self.valid
-        return valid, valid and len(self.plan) == self.problem.optimal_length
-
 
 _MISSING = object()
 
 
 class SweepMemo(dict):
     """What the passes of one budget sweep share: one table per
-    sweep-invariant part of the planner config (its kind, the controller's
-    variant, selector and seed, the engine and the trace config), which
+    sweep-invariant part of the planner config (its kind, the engine, the
+    trace config and its controller's variant, selector and seed), which
     maps each problem's (problem_id, geometry) to its ProblemRecord. A pass
     looks its table up once, then each problem's record once.
 
@@ -66,16 +46,16 @@ class SweepMemo(dict):
 class ProblemRecord:
     """What the passes of a sweep keep of one problem in one table: its gate
     input and its skeleton, each computed on first read and at most once,
-    and in runs, per meta-plan shape, the unbudgeted Run and the ScoredRun
-    built from it. An unbudgeted pass hands back the ScoredRun; a budgeted
-    pass cuts the Run's outcomes with cut_run."""
+    and in runs, per meta-plan shape, the unbudgeted Run. An unbudgeted
+    pass hands back that Run; a budgeted pass cuts its outcomes with
+    cut_run."""
 
     __slots__ = ("problem", "runs", "_gate_input", "_gate", "_skeleton")
 
     def __init__(self, problem, gate_input):
         self.problem = problem
         self.runs = {}
-        self._gate_input = gate_input  # problem -> gate input; None for a pure planner
+        self._gate_input = gate_input  # problem -> gate input
         self._gate = self._skeleton = _MISSING
 
     def gate(self):
@@ -107,7 +87,9 @@ class BudgetReport:
 
 
 KINDS = ("sys1", "sys2", "hybrid")
-PURE_SHAPES = {"sys1": SYS1, "sys2": SYS2}  # the one meta-plan shape of a pure planner
+# the pure planners as the controller's ends; neither reads training hardness
+PURE_CONTROLLERS = {"sys1": HybridController(ControllerConfig(x=0.0)),
+                    "sys2": HybridController(ControllerConfig(x=1.0, variant="no-subgoal"))}
 
 
 @dataclass(frozen=True)
@@ -166,34 +148,26 @@ def match_budget_cap(sizes, target):
     return max(1, sizes[-1])
 
 
-def _meta_plan(problem, config, shape=None, states=None):
-    """The meta-plan the configured planner solves: the controller's (see
-    HybridController.decompose) for a hybrid, else one sub-goal of the pure
-    planner's mode."""
-    if config.kind == "hybrid":
-        return config.controller.decompose(problem, shape, states)
-    return meta_plan((problem.start, problem.goal), PURE_SHAPES[config.kind], None, None)
-
-
 def solve_one(problem, config, budget=None):
-    """Run the configured planner on one problem, fresh and cut to the
-    budget; returns a ScoredRun. The pure planners run as a hybrid episode
-    with a single sub-goal. It reads no memo: the passes of a sweep go
-    through run_planner's."""
-    run = solve_hybrid(problem, _meta_plan(problem, config), config.engine, config.trace, budget)
-    return ScoredRun(problem, run.plan, run.states_explored)
+    """The configured planner's Run of one problem, fresh and cut to the
+    budget: the meta-plan its controller (a pure planner's from
+    PURE_CONTROLLERS) decomposes the problem into, solved by solve_hybrid.
+    It reads no memo: the passes of a sweep go through run_planner's."""
+    controller = PURE_CONTROLLERS.get(config.kind, config.controller)
+    return solve_hybrid(problem, controller.decompose(problem), config.engine, config.trace,
+                        budget)
 
 
 def run_planner(problems, config, budget=None, workers=1):
-    """The ScoredRun of each problem, in order.
+    """The Run of each problem, in order, by solve_one's route.
 
     With a SweepMemo, the pass looks up its table once and each problem's
     record once. The gate rule reads the record's gate input and skeleton
     for the problem's meta-plan shape; the unbudgeted run of each shape is
-    solved once, and a later unbudgeted pass hands back the very ScoredRun
-    built from it, while a budgeted pass cuts its outcomes with cut_run.
-    Without a memo, or in worker processes, which share none, each problem
-    is solved fresh by solve_one."""
+    solved once, and a later unbudgeted pass hands back that very Run,
+    while a budgeted pass cuts its outcomes with cut_run. Without a memo,
+    or in worker processes, which share none, each problem is solved fresh
+    by solve_one."""
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -204,33 +178,27 @@ def run_planner(problems, config, budget=None, workers=1):
                                  chunksize=max(1, len(problems) // (4 * workers))))
     if config.memo is None:
         return [solve_one(p, config, budget) for p in problems]
-    controller = gate_input = None
-    shared = config.kind, config.engine, config.trace  # by every pass of a sweep
-    if config.kind == "hybrid":
-        controller, c = config.controller, config.controller.config
-        gate_input, shared = controller.gate_input, shared + (c.variant, c.selector, c.seed)
-    table = config.memo.table(shared)
-    shape = PURE_SHAPES.get(config.kind)
+    controller = PURE_CONTROLLERS.get(config.kind, config.controller)
+    c = controller.config  # the key holds what every pass of a sweep shares
+    table = config.memo.table((config.kind, config.engine, config.trace,
+                               c.variant, c.selector, c.seed))
     runs = []
     for problem in problems:
         key = problem.problem_id, problem.geometry
         record = table.get(key)
         if record is None:
-            record = table[key] = ProblemRecord(problem, gate_input)
-        if controller is not None:
-            shape = controller.shape(record.gate, record.skeleton)
-        kept = record.runs.get(shape)
-        if kept is None:
-            run = solve_hybrid(problem, _meta_plan(problem, config, shape, record.skeleton),
-                               config.engine, config.trace)
-            kept = record.runs[shape] = run, ScoredRun(problem, run.plan, run.states_explored)
-        run, scored = kept
+            record = table[key] = ProblemRecord(problem, controller.gate_input)
+        shape = controller.shape(record.gate, record.skeleton)
+        run = record.runs.get(shape)
+        if run is None:
+            run = record.runs[shape] = solve_hybrid(
+                problem, controller.decompose(problem, shape, record.skeleton),
+                config.engine, config.trace)
         if budget is not None:
-            run = cut_run(run.outcomes, budget)
-            scored = ScoredRun(problem, run.plan, run.states_explored)
-        elif scored.problem is not problem:  # another object of the same id and geometry
-            scored = ScoredRun(problem, scored.plan, scored.states_explored)
-        runs.append(scored)
+            run = cut_run(problem, run.outcomes, budget)
+        elif run.problem is not problem:  # another object of the same id and geometry
+            run = run._replace(problem=problem)
+        runs.append(run)
     return runs
 
 
@@ -259,7 +227,7 @@ def budget_sweep(problems, config, budgets, workers=1):
 
     Every pass solves its problems from one SweepMemo, so each problem is
     solved once per meta-plan shape, a later unbudgeted pass hands back
-    the kept ScoredRuns and a truncation pass only cuts the kept runs; the
+    the kept Runs and a truncation pass only cuts the kept runs; the
     memo is emptied when the sweep returns.
     """
     memo = SweepMemo()

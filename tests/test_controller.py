@@ -164,7 +164,7 @@ class TestRuntimeController:
 
     def test_easy_below_threshold(self, small_maze_dataset):
         ctl = self._fitted(small_maze_dataset, x=0.5)
-        tau = ctl.threshold()
+        tau = ctl.threshold
         for p in small_maze_dataset["test"]:
             meta = ctl.decompose(p)
             score = hardness_fn("maze-obstacles", p)(p.start, p.goal)
@@ -240,13 +240,13 @@ def test_decimal_x_gives_the_exact_easy_share():
         records = build_controller_dataset(problems, config)
         easy = [p.goal[1] for p, m in records if m[0].mode == SYS1]
         assert easy == list(range(1, 101 - k)), k
-        assert HybridController(config).fit(problems).threshold() == threshold(k), k
+        assert HybridController(config).fit(problems).threshold == threshold(k), k
     step = round(100 * BIAS_STEP)
     for x in (0.25, 0.5, 0.75):
         ctl = HybridController(ControllerConfig(x=x, selector="maze-manhattan")).fit(problems)
         for i in range(1, 100 // step + 1):
             k = min(100, round(100 * x) + i * step)
-            assert ctl.with_bias(min(1.0, i * BIAS_STEP)).threshold() == threshold(k), (x, i)
+            assert ctl.with_bias(min(1.0, i * BIAS_STEP)).threshold == threshold(k), (x, i)
 
 
 def test_fitted_gate_agrees_with_the_dataset_at_any_x():
@@ -262,7 +262,7 @@ def test_fitted_gate_agrees_with_the_dataset_at_any_x():
     records = build_controller_dataset(problems, config)
     assert sum(m[0].mode == SYS1 for _, m in records) == 200
     ctl = HybridController(config).fit(problems)
-    assert ctl.threshold() == 201
+    assert ctl.threshold == 201
     assert sum(ctl.decompose(p)[0].mode == SYS1 for p in problems) == 200
 
 

@@ -13,7 +13,6 @@ from hybridplan.controller import VARIANTS, ControllerConfig, HybridController
 from hybridplan.domains import MazeGrid, PlanningProblem, skeleton
 from hybridplan.evaluate import (
     PlannerConfig,
-    ScoredRun,
     SweepMemo,
     average_se,
     budget_sweep,
@@ -25,6 +24,7 @@ from hybridplan.evaluate import (
     score_runs,
     solve_one,
 )
+from hybridplan.hybrid import Run
 from hybridplan.search import ENGINES, TraceConfig
 from reference import capped_totals
 from strategies import blocks_problems, maze_problems
@@ -35,7 +35,7 @@ def make_run(valid=True, length=2, optimal=2):
     p = PlanningProblem(domain="maze", start=(0, 0), goal=(0, length), grid=grid,
                         optimal_length=optimal)
     plan = ("right",) * length if valid else None
-    return ScoredRun(p, plan, length)
+    return Run(p, plan, length, ())
 
 
 class TestRates:
@@ -59,7 +59,7 @@ class TestRates:
         p = PlanningProblem(domain="maze", start=(0, 0), goal=(0, 2), grid=grid,
                             optimal_length=2)
         detour = ("down", "right", "right", "up")
-        runs = [ScoredRun(p, detour, 4)]
+        runs = [Run(p, detour, 4, ())]
         row = score_runs(runs)
         assert row.validity == 1
         assert row.optimality == 0
@@ -67,7 +67,7 @@ class TestRates:
     def test_optimality_needs_oracle(self):
         p = PlanningProblem(domain="maze", start=(0, 0), goal=(0, 1), grid=MazeGrid(3, 3))
         with pytest.raises(ValueError):
-            score_runs([ScoredRun(p, ("right",), 1)])
+            score_runs([Run(p, ("right",), 1, ())])
 
     def test_optimality_le_validity(self, small_maze_dataset):
         ctl = HybridController(ControllerConfig(x=0.5)).fit(small_maze_dataset["train"])
@@ -225,15 +225,14 @@ def _compact(value):
 
 def _kept(memo):
     """Each value the memo keeps of a problem: its gate input and skeleton
-    once computed, and per meta-plan shape the Run, with the ScoredRun
-    built from it checked to hold the problem and share the Run's plan."""
+    once computed, and per meta-plan shape the Run, checked to hold the
+    record's problem, without that problem."""
     for table in memo.values():
         for record in table.values():
             yield from (v for v in (record._gate, record._skeleton) if v is not evaluate._MISSING)
-            for run, scored in record.runs.values():
-                assert type(scored) is ScoredRun and scored.problem is record.problem
-                assert scored.plan is run.plan and scored.states_explored == run.states_explored
-                yield run
+            for run in record.runs.values():
+                assert type(run) is Run and run.problem is record.problem
+                yield run[1:]
 
 
 def test_sweep_memo_lives_for_one_sweep(small_maze_dataset, monkeypatch):
@@ -314,7 +313,7 @@ def test_a_pass_over_seen_shapes_does_no_work(small_maze_dataset, monkeypatch):
     """Work counts, not times: once a memo has seen every problem's shape
     at a bias, an unbudgeted pass at that bias computes no gate input or
     skeleton, places no window and solves nothing, and hands back the very
-    ScoredRuns that first solved each shape; a budgeted pass solves
+    Runs that first solved each shape; a budgeted pass solves
     nothing either."""
     work = []
 
@@ -365,7 +364,7 @@ def planner_configs(draw, train):
 @given(data=st.data())
 def test_memo_passes_give_the_fresh_runs(data):
     """A sequence of run_planner passes that share one SweepMemo gives
-    exactly the ScoredRuns of the same passes without it. A pass either
+    exactly the Runs of the same passes without it. A pass either
     rebiases the last planner, as a sweep's bias scan does, or switches to
     another planner; it has a random budget or none. The problems have
     distinct ids, and the last shares its geometry with the first."""
@@ -395,6 +394,54 @@ def test_memo_shared_by_window_planners_gives_the_fresh_runs(small_maze_dataset)
             ctl = HybridController(ControllerConfig(x=x, variant=variant)).fit(train)
             config = PlannerConfig(kind="hybrid", controller=ctl)
             assert run_planner(test, replace(config, memo=memo)) == run_planner(test, config)
+
+
+@pytest.mark.parametrize("domain", ["maze", "blocks"])
+def test_pure_planners_are_the_controllers_ends(domain, small_maze_dataset, small_blocks_dataset,
+                                                monkeypatch):
+    """System 1 and System 2 are System-1.x at its two ends: a sys1 planner
+    gives exactly the Runs, outcomes included, of a hybrid fitted at x=0,
+    and a sys2 planner those of a hybrid fitted at x=1 under no-subgoal,
+    for every engine with caps on and off, budgeted or not, with and
+    without a SweepMemo. A pure planner computes no gate input and no
+    skeleton."""
+    if domain == "maze":
+        train, problems = small_maze_dataset["train"], small_maze_dataset["test"]
+    else:
+        train = small_blocks_dataset["train"]
+        problems = [p for p in train if len(p.blocks) <= 5]
+    ends = {"sys1": ControllerConfig(x=0.0),
+            "sys2": ControllerConfig(x=1.0, variant="no-subgoal")}
+    traces = (TraceConfig(), TraceConfig(valid_cap=3, invalid_cap=2, seed=0))
+    cases = [(kind, engine, trace) for kind in ends for engine in sorted(ENGINES) for trace in traces]
+    expected = {}
+    for kind, engine, trace in cases:
+        ctl = HybridController(ends[kind]).fit(train)
+        hybrid = PlannerConfig(kind="hybrid", engine=engine, trace=trace, controller=ctl)
+        for budget in (None, 5):
+            expected[kind, engine, trace, budget] = run_planner(problems, hybrid, budget)
+    work = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            work.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    for module, name in ((HybridController, "gate_input"), (domains, "skeleton"),
+                         (evaluate, "skeleton"), (controller, "skeleton")):
+        counted(module, name)
+    for kind, engine, trace in cases:
+        pure = PlannerConfig(kind=kind, engine=engine, trace=trace)
+        memo = SweepMemo()
+        for budget in (None, 5, None):
+            runs = expected[kind, engine, trace, budget]
+            assert any(run.outcomes for run in runs)
+            assert run_planner(problems, pure, budget) == runs
+            assert run_planner(problems, replace(pure, memo=memo), budget) == runs
+    assert work == []
 
 
 def test_solve_one_budget_none_vs_cap(small_maze_dataset):

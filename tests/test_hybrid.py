@@ -163,9 +163,9 @@ def records(memo):
 class TestSweepMemo:
     def test_outcome_is_the_compact_unbudgeted_run(self, small_maze_dataset):
         """The memo keeps one compact unbudgeted run per problem and shape:
-        its plan, its states explored and each sub-goal's (mode, plan,
-        states explored), the plan tuple shared with its one sub-goal's and
-        with the ScoredRun built from it."""
+        its problem, its plan, its states explored and each sub-goal's
+        (mode, plan, states explored), the plan tuple shared with its one
+        sub-goal's."""
         for p in small_maze_dataset["test"][:10]:
             run = run_engine("bfs", p)
             walk = greedy(p)
@@ -175,12 +175,11 @@ class TestSweepMemo:
                 run_planner([p], PlannerConfig(kind=kind, engine="bfs", memo=memo))
                 plan, se, mode = expected
                 [record] = records(memo)
-                [(shape, (kept, scored))] = record.runs.items()
+                [(shape, kept)] = record.runs.items()
                 assert shape == mode and type(kept) is Run
-                assert kept == (plan, se, ((mode, plan, se),))
-                assert plan is None or kept[0] is kept[2][0][1]
-                assert scored.problem is p and scored.plan is kept.plan
-                assert scored.states_explored == se
+                assert kept == (p, plan, se, ((mode, plan, se),))
+                assert kept.problem is p
+                assert plan is None or kept.plan is kept.outcomes[0].plan
 
     def test_keys_on_the_maze_not_only_the_subgoal(self):
         open_maze = maze_problem(3, 3, (), (0, 0), (0, 2))
@@ -200,7 +199,7 @@ class TestSweepMemo:
 
     def test_a_record_scores_each_problem_object_as_itself(self, small_maze_dataset):
         """Two problem objects of one id and geometry share a record, and
-        so a solve, but each gets a ScoredRun of its own oracle length."""
+        so a solve, but each gets a Run of its own oracle length."""
         p = small_maze_dataset["test"][0]
         copy = replace(p, optimal_length=p.optimal_length + 1)
         config = PlannerConfig(kind="sys2", memo=SweepMemo())
@@ -253,10 +252,10 @@ def test_memo_gives_the_fresh_outcomes(engine, caps, data):
     meta = data.draw(meta_plans(problem))
     budgets = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 80)), min_size=1, max_size=4))
     full = solve_hybrid(problem, meta, engine, CAPS[caps])
-    assert cut_run(full.outcomes, None) == full
+    assert cut_run(problem, full.outcomes, None) == full
     for budget in budgets:
         fresh = solve_hybrid(problem, meta, engine, CAPS[caps], budget)
-        assert cut_run(full.outcomes, budget) == fresh
+        assert cut_run(problem, full.outcomes, budget) == fresh
         assert len(fresh.outcomes) <= len(meta)
         assert [o.mode for o in fresh.outcomes] == [s.mode for s in meta[:len(fresh.outcomes)]]
         assert fresh.states_explored == sum(o.states_explored for o in fresh.outcomes)

@@ -91,6 +91,17 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert unreferenced(defs, trees, referenced_names) == []
 
 
+def test_every_class_is_referenced_outside_the_tests():
+    """A module-level class of the package is referenced in the package or
+    the benchmark outside its own definition: no class exists only for the
+    tests, and none is left behind when its last user goes."""
+    trees = sources()
+    defs = [(path, node.name, node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in trees[path].body if isinstance(node, ast.ClassDef)]
+    assert defs
+    assert unreferenced(defs, trees, referenced_names) == []
+
+
 def test_every_public_method_has_a_caller_outside_the_tests():
     """A public method or property of a package class is read as an
     attribute in the package or the benchmark outside its own def: no

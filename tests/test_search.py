@@ -20,7 +20,7 @@ from hybridplan.domains import (
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
-from hybridplan.evaluate import PlannerConfig, ScoredRun, SweepMemo, run_planner, solve_one
+from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner, solve_one
 from hybridplan.hybrid import cut_run, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
@@ -326,7 +326,7 @@ def test_truncation_gives_a_prefix(engine, caps, problem, cap):
     assert cut.events == run.events[:cap]
     assert cut.plan == (run.plan if cap >= len(run.events) else None)
     explored = explore(engine, problem, problem.start, problem.goal, config)
-    assert cut_run(((SYS2, *explored),), cap)[:2] == (cut.plan, len(cut.events))
+    assert cut_run(problem, ((SYS2, *explored),), cap)[1:3] == (cut.plan, len(cut.events))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -434,8 +434,7 @@ def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for budget in (None, 5):
             run = solve_hybrid(p, meta, budget=budget)
-            scored = ScoredRun(p, run.plan, run.states_explored)
-            assert solve_one(p, config, budget) == scored
-            assert run_planner([p], replace(config, memo=memo), budget) == [scored]
+            assert solve_one(p, config, budget) == run
+            assert run_planner([p], replace(config, memo=memo), budget) == [run]
         run = solve_hybrid(p, meta)
         assert (run.plan, run.states_explored) == expected[p.problem_id]
