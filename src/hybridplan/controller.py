@@ -195,6 +195,7 @@ class HybridController:
             states = cache(partial(skeleton, problem))
         if shape is None:
             shape = self.shape(partial(self.gate_input, problem), states)
-        path = (problem.start, problem.goal) if shape in (SYS1, SYS2) else states()
-        return meta_plan(path, shape, self.config.variant,
+        if shape in (SYS1, SYS2):  # one sub-goal, for which no hardness is read
+            return meta_plan((problem.start, problem.goal), shape, None, None)
+        return meta_plan(states(), shape, self.config.variant,
                          hardness_fn(self.config.selector, problem))

@@ -150,12 +150,14 @@ def match_budget_cap(sizes, target):
 
 def solve_one(problem, config, budget=None):
     """The configured planner's Run of one problem, fresh and cut to the
-    budget: the meta-plan its controller (a pure planner's from
-    PURE_CONTROLLERS) decomposes the problem into, solved by solve_hybrid.
-    It reads no memo: the passes of a sweep go through run_planner's."""
+    budget, by run_planner's route through a ProblemRecord of its own: the
+    shape its controller (a pure planner's from PURE_CONTROLLERS) gives it,
+    and the meta-plan of that shape solved by solve_hybrid. It reads no memo."""
     controller = PURE_CONTROLLERS.get(config.kind, config.controller)
-    return solve_hybrid(problem, controller.decompose(problem), config.engine, config.trace,
-                        budget)
+    record = ProblemRecord(problem, controller.gate_input)
+    shape = controller.shape(record.gate, record.skeleton)
+    return solve_hybrid(problem, controller.decompose(problem, shape, record.skeleton),
+                        config.engine, config.trace, budget)
 
 
 def run_planner(problems, config, budget=None, workers=1):

@@ -31,8 +31,8 @@ class Outcome(NamedTuple):
 
 
 class Run(NamedTuple):
-    """One solved problem: its sub-plans joined in order, their states
-    explored summed, and the outcome of each sub-goal the run reached."""
+    """One solved problem: the problem, its sub-plans joined in order, their
+    states explored summed, and the outcome of each sub-goal it reached."""
 
     problem: object
     plan: tuple | None

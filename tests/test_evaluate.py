@@ -309,12 +309,14 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
     assert budgeted_work == []
 
 
-def test_a_pass_over_seen_shapes_does_no_work(small_maze_dataset, monkeypatch):
-    """Work counts, not times: once a memo has seen every problem's shape
-    at a bias, an unbudgeted pass at that bias computes no gate input or
-    skeleton, places no window and solves nothing, and hands back the very
-    Runs that first solved each shape; a budgeted pass solves
-    nothing either."""
+# every name through which a pass can compute a gate input or a skeleton
+GATE_AND_SKELETON = ((HybridController, "gate_input"), (domains, "skeleton"),
+                     (evaluate, "skeleton"), (controller, "skeleton"))
+
+
+def counted_calls(monkeypatch, targets):
+    """Patch each (module, name) target, for the test's length, to append
+    its name to the returned list on every call."""
     work = []
 
     def counted(module, name):
@@ -325,10 +327,19 @@ def test_a_pass_over_seen_shapes_does_no_work(small_maze_dataset, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, count)
 
-    for module, name in ((HybridController, "gate_input"), (domains, "skeleton"),
-                         (evaluate, "skeleton"), (controller, "skeleton"),
-                         (controller, "window_start"), (evaluate, "solve_hybrid")):
+    for module, name in targets:
         counted(module, name)
+    return work
+
+
+def test_a_pass_over_seen_shapes_does_no_work(small_maze_dataset, monkeypatch):
+    """Work counts, not times: once a memo has seen every problem's shape
+    at a bias, an unbudgeted pass at that bias computes no gate input or
+    skeleton, places no window and solves nothing, and hands back the very
+    Runs that first solved each shape; a budgeted pass solves
+    nothing either."""
+    work = counted_calls(monkeypatch, GATE_AND_SKELETON + (
+        (controller, "window_start"), (evaluate, "solve_hybrid")))
     problems = small_maze_dataset["test"]
     config = replace(_hybrid_config(small_maze_dataset), memo=SweepMemo())
     saturated = replace(config, controller=config.controller.with_bias(0.5))
@@ -413,26 +424,15 @@ def test_pure_planners_are_the_controllers_ends(domain, small_maze_dataset, smal
     ends = {"sys1": ControllerConfig(x=0.0),
             "sys2": ControllerConfig(x=1.0, variant="no-subgoal")}
     traces = (TraceConfig(), TraceConfig(valid_cap=3, invalid_cap=2, seed=0))
-    cases = [(kind, engine, trace) for kind in ends for engine in sorted(ENGINES) for trace in traces]
+    cases = [(kind, engine, trace)
+             for kind in ends for engine in sorted(ENGINES) for trace in traces]
     expected = {}
     for kind, engine, trace in cases:
         ctl = HybridController(ends[kind]).fit(train)
         hybrid = PlannerConfig(kind="hybrid", engine=engine, trace=trace, controller=ctl)
         for budget in (None, 5):
             expected[kind, engine, trace, budget] = run_planner(problems, hybrid, budget)
-    work = []
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def count(*args, **kwargs):
-            work.append(name)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, count)
-
-    for module, name in ((HybridController, "gate_input"), (domains, "skeleton"),
-                         (evaluate, "skeleton"), (controller, "skeleton")):
-        counted(module, name)
+    work = counted_calls(monkeypatch, GATE_AND_SKELETON)
     for kind, engine, trace in cases:
         pure = PlannerConfig(kind=kind, engine=engine, trace=trace)
         memo = SweepMemo()
