@@ -393,13 +393,52 @@ class TestEmitDatasets:
             "e3cf3912ea861a7873bde06420f56ab07ffcf5b4184887c14a8b427028695146"),
     }
 
+    # sha256 of the three corpora emitted by BFS and DFS, whose valid events
+    # carry no t and no f, caps off and 3/2 (controller at x=0.5), from the
+    # problems of test_golden_trace_digests: the small maze test split and
+    # the small blocks train problems of at most 5 blocks.
+    GOLDEN_BFS_DFS_CORPUS_DIGESTS = {
+        ("bfs", "maze", "nocaps"): (
+            "cb8099d7fb25d5782e6825f3f15be26e20780a6d013435314fc9854e977fad39",
+            "0fafdf5997a251d4c84dddba833286a3e2fcf5fa740702a98aa2cd70bbca003b",
+            "5ed54f61877843e6b21cd35e76f8794a469d59f222440613a6f6db86f90c2f7c"),
+        ("bfs", "maze", "caps"): (
+            "cb8099d7fb25d5782e6825f3f15be26e20780a6d013435314fc9854e977fad39",
+            "f0962080e061d4842b4baa5b36dc2338e821f6d914a37b500890e5d5c5bf0c9f",
+            "5ed54f61877843e6b21cd35e76f8794a469d59f222440613a6f6db86f90c2f7c"),
+        ("bfs", "blocks", "nocaps"): (
+            "1dbae1c829bacd9bcfaac77da5d37b3d0594a16af1132ee74a049334d4042c72",
+            "6b7adcefc58daf933700b5ab08bb529fce50ad7ea604292f0341dbde50a6b8e4",
+            "9f43dc26d30b883c0e898d4ce01443fb584edeb4bb86f0befb44942e4505b6a1"),
+        ("bfs", "blocks", "caps"): (
+            "1dbae1c829bacd9bcfaac77da5d37b3d0594a16af1132ee74a049334d4042c72",
+            "ca61097b178c04747169c55afac66210ca6bb75347861556a953e79a12286652",
+            "9f43dc26d30b883c0e898d4ce01443fb584edeb4bb86f0befb44942e4505b6a1"),
+        ("dfs", "maze", "nocaps"): (
+            "cb8099d7fb25d5782e6825f3f15be26e20780a6d013435314fc9854e977fad39",
+            "3c53ea02d85ec5c5d82b5618b600b96276ced12c0e811f30f1aa3a9ab733bfe3",
+            "5ed54f61877843e6b21cd35e76f8794a469d59f222440613a6f6db86f90c2f7c"),
+        ("dfs", "maze", "caps"): (
+            "cb8099d7fb25d5782e6825f3f15be26e20780a6d013435314fc9854e977fad39",
+            "0e238c4448b8847ee5f1138d4400e07d45406f6103219c0eae0c07f9142eca6b",
+            "5ed54f61877843e6b21cd35e76f8794a469d59f222440613a6f6db86f90c2f7c"),
+        ("dfs", "blocks", "nocaps"): (
+            "1dbae1c829bacd9bcfaac77da5d37b3d0594a16af1132ee74a049334d4042c72",
+            "dd3db21517a07136384550398184322bfab4f425ba7661569c06ca8d3e2fae97",
+            "9f43dc26d30b883c0e898d4ce01443fb584edeb4bb86f0befb44942e4505b6a1"),
+        ("dfs", "blocks", "caps"): (
+            "1dbae1c829bacd9bcfaac77da5d37b3d0594a16af1132ee74a049334d4042c72",
+            "1960e033fc80cea2f6f1f5b29ce4c34f3370680f36dded521c62a6b8da8edc5a",
+            "9f43dc26d30b883c0e898d4ce01443fb584edeb4bb86f0befb44942e4505b6a1"),
+    }
+
     @staticmethod
-    def _corpus_digests(out, train, caps):
+    def _corpus_digests(out, train, caps, engine="astar"):
         trace = TraceConfig(seed=0)
         if caps == "caps":
             trace = TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
         records = build_controller_dataset(train, ControllerConfig(x=0.5))
-        emit_datasets(train, records, "astar", trace, str(out))
+        emit_datasets(train, records, engine, trace, str(out))
         return tuple(hashlib.sha256((out / f"{kind}.jsonl").read_bytes()).hexdigest()
                      for kind in ("sys1", "sys2", "controller"))
 
@@ -409,6 +448,16 @@ class TestEmitDatasets:
         train = (small_maze_dataset if domain == "maze" else small_blocks_dataset)["train"]
         assert self._corpus_digests(tmp_path, train, caps) == \
                self.GOLDEN_CORPUS_DIGESTS[(domain, caps)]
+
+    @pytest.mark.parametrize("engine,domain,caps", sorted(GOLDEN_BFS_DFS_CORPUS_DIGESTS))
+    def test_golden_bfs_dfs_corpus_digests(self, tmp_path, engine, domain, caps,
+                                           small_maze_dataset, small_blocks_dataset):
+        if domain == "maze":
+            problems = small_maze_dataset["test"]
+        else:
+            problems = [p for p in small_blocks_dataset["train"] if len(p.blocks) <= 5]
+        assert self._corpus_digests(tmp_path, problems, caps, engine) == \
+               self.GOLDEN_BFS_DFS_CORPUS_DIGESTS[(engine, domain, caps)]
 
     def test_emit_never_parses(self, tmp_path, monkeypatch, small_maze_dataset,
                                small_blocks_dataset):
