@@ -129,12 +129,13 @@ def _recorder(problem, config, events):
     order for engines without t); the invalid cap keeps a seeded random
     sample of the positions of the others. Only the kept probes
     are labelled, in probe order: a probe whose successor is not fresh is
-    already-visited, one without a successor gets step's reason."""
+    already-visited, one without a successor gets step's reason. The
+    seeded sample, and so config.seed, exists only under an invalid cap."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
     capped = valid_cap is not None or invalid_cap is not None
-    rng = random.Random(config.seed)
+    rng = random.Random(config.seed) if invalid_cap is not None else None
     probes = candidate_actions(problem)
-    position = {action: i for i, action in enumerate(probes)}
+    position = {action: i for i, action in enumerate(probes)} if capped else None
     # a maze cell is its own problem state; no event pays to decode it
     decoded = _Decoded(problem) if problem.domain == "blocks" else None
 

@@ -4,7 +4,10 @@ emitter.
 
 The verbalization grammar is versioned; every emitted record embeds the
 version string and a structured mirror of its target text, and the
-parsers reproduce that mirror exactly (round-trip identity).
+parsers reproduce that mirror exactly (round-trip identity). The emitter
+writes each record's JSON line itself, byte for byte what
+json.dumps(record, sort_keys=True) writes: a trace's mirror is JSON text
+made in the pass that verbalizes the trace, and no mirror dict is built.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import json
 import os
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .domains import DOMAINS, MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
 from .search import run_engine
@@ -107,43 +111,55 @@ def parse_plan_text(text):
 # ---------------------------------------------------------------- traces
 
 def trace_record(run):
-    """The verbalized trace and its structured mirror, {"events": [...],
-    "plan": [...] | None}, from one pass over run.events. Each distinct
-    state is rendered once per run and each action once per event. Every
-    mirror field is read off, or worked out from, the event its line is
-    written from: the index is the event's position, an event without a
-    reason is valid, and f = g + t. So parse_trace_text(text) == mirror
-    without parsing."""
-    names = {}
+    """(text, structured): the verbalized trace, and its structured mirror
+    {"events": [...], "plan": [...] | None} as the JSON text that
+    json.dumps(mirror, sort_keys=True) writes, from one pass over
+    run.events. Each distinct state and action is rendered and quoted once
+    per run, and each event is written with its keys in sorted order.
+    Every mirror field is read off, or worked out from, the event its line
+    is written from: the index is the event's position, an event without a
+    reason is valid, and f = g + t. So parse_trace_text(text) ==
+    json.loads(structured) without parsing."""
+    names, actions = {}, {}
     lines = []
     events = []
     for index, e in enumerate(run.events):
         src = names.get(e.parent_state)
         if src is None:
-            src = names[e.parent_state] = render_state(e.parent_state)
-        action = render_action(e.action)
+            src = names[e.parent_state] = _named(render_state(e.parent_state))
+        action = actions.get(e.action)
+        if action is None:
+            action = actions[e.action] = _named(render_action(e.action))
         if e.reason is None:
             to = names.get(e.state)
             if to is None:
-                to = names[e.state] = render_state(e.state)
+                to = names[e.state] = _named(render_state(e.state))
             g, t = e.g, e.t
-            f = None if t is None else g + t
-            scores = f"g={g}" if t is None else f"g={g} t={t} f={f}"
-            lines.append(f"step {index} | from {src} | action {action} | valid -> {to} | {scores}")
-            events.append({"index": index, "from": src, "action": action, "validity": "valid",
-                           "to": to, "g": g, "t": t, "f": f})
+            if t is None:
+                scores, f, t = f"g={g}", "null", "null"
+            else:
+                f = g + t
+                scores = f"g={g} t={t} f={f}"
+            lines.append(f"step {index} | from {src[0]} | action {action[0]} | valid -> {to[0]} "
+                         f"| {scores}")
+            events.append(f'{{"action": {action[1]}, "f": {f}, "from": {src[1]}, "g": {g}, '
+                          f'"index": {index}, "t": {t}, "to": {to[1]}, "validity": "valid"}}')
         else:
             validity = f"invalid:{e.reason}"
-            lines.append(f"step {index} | from {src} | action {action} | {validity}")
-            events.append({"index": index, "from": src, "action": action,
-                           "validity": validity})
+            lines.append(f"step {index} | from {src[0]} | action {action[0]} | {validity}")
+            events.append(f'{{"action": {action[1]}, "from": {src[1]}, "index": {index}, '
+                          f'"validity": {_quote(validity)}}}')
     if run.plan is None:
         lines.append("NO PLAN")
-        plan = None
+        plan = "null"
     else:
         lines.append(verbalize_plan(run.plan))
-        plan = [render_action(a) for a in run.plan]
-    return "\n".join(lines), {"events": events, "plan": plan}
+        plan = json.dumps([render_action(a) for a in run.plan])
+    return "\n".join(lines), f'{{"events": [{", ".join(events)}], "plan": {plan}}}'
+
+
+def _named(text):
+    return text, _quote(text)
 
 
 _VALID_EVENT_RE = re.compile(
@@ -399,48 +415,44 @@ def emit_datasets(problems, controller_records, engine, trace, out_dir, seed=0):
     """
     os.makedirs(out_dir, exist_ok=True)
 
-    input_texts = {}  # problem -> its input text, shared by its three records
+    heads = {}  # problem -> its line's quoted id and input text, shared by its three records
+    tail = f', "template_version": {_quote(TEMPLATE_VERSION)}}}\n'
 
-    def record(problem, kind, target_text, structured):
-        input_text = input_texts.get(problem)
-        if input_text is None:
-            input_text = input_texts[problem] = problem_input_text(problem)
-        return {
-            "id": problem.problem_id,
-            "kind": kind,
-            "template_version": TEMPLATE_VERSION,
-            "input_text": input_text,
-            "target_text": target_text,
-            "structured": structured,
-        }
+    def line(problem, kind, target_text, structured):
+        """The record's JSON line, byte for byte what json.dumps(record,
+        sort_keys=True) writes; structured is JSON text."""
+        head = heads.get(problem)
+        if head is None:
+            head = heads[problem] = (f'{{"id": {_quote(problem.problem_id)}, '
+                                     f'"input_text": {_quote(problem_input_text(problem))}')
+        return (f'{head}, "kind": "{kind}", "structured": {structured}, '
+                f'"target_text": {_quote(target_text)}{tail}')
 
-    def trace_out(problem):
-        run = run_engine(engine, problem, trace)
-        return record(problem, "sys2", *trace_record(run))
-
-    sys1_records = []
+    sys1_lines = []
     for p in problems:
         if p.gold_plan is None:
             raise ValueError(f"problem {p.problem_id!r} has no gold plan")
-        plan_text = verbalize_plan(p.gold_plan)
-        sys1_records.append(record(p, "sys1", plan_text,
-                                   {"actions": [render_action(a) for a in p.gold_plan]}))
+        actions = json.dumps({"actions": [render_action(a) for a in p.gold_plan]})
+        sys1_lines.append(line(p, "sys1", verbalize_plan(p.gold_plan), actions))
 
-    controller_out = [record(p, "controller", *metaplan_record(meta))
-                      for p, meta in controller_records]
+    controller_lines = []
+    for p, meta in controller_records:
+        text, mirror = metaplan_record(meta)
+        controller_lines.append(line(p, "controller", text, json.dumps(mirror, sort_keys=True)))
 
     paths = {
         "sys1": os.path.join(out_dir, "sys1.jsonl"),
         "sys2": os.path.join(out_dir, "sys2.jsonl"),
         "controller": os.path.join(out_dir, "controller.jsonl"),
     }
-    counts = {"sys1": len(sys1_records), "sys2": len(sys1_records),
-              "controller": len(controller_out)}
-    write_jsonl_atomic(paths["sys1"], sys1_records)
-    write_jsonl_atomic(paths["controller"], controller_out)
+    counts = {"sys1": len(sys1_lines), "sys2": len(sys1_lines),
+              "controller": len(controller_lines)}
+    write_atomic(paths["sys1"], sys1_lines)
+    write_atomic(paths["controller"], controller_lines)
     # the traces are the bulk of the corpus: each is written as it is made,
     # so that only one is held at a time
-    write_jsonl_atomic(paths["sys2"], map(trace_out, problems))
+    write_atomic(paths["sys2"], (line(p, "sys2", *trace_record(run_engine(engine, p, trace)))
+                                 for p in problems))
 
     config_text = json.dumps({
         "engine": engine,

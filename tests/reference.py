@@ -1,10 +1,21 @@
 """Reference implementations that the tests hold the package against."""
 
 import heapq
+import json
 from collections import Counter
 from dataclasses import replace
 
 from hybridplan.domains import _reconstruct, encode, heuristic_for, valid_actions
+from hybridplan.search import run_engine
+from hybridplan.textio import (
+    TEMPLATE_VERSION,
+    metaplan_record,
+    problem_input_text,
+    render_action,
+    render_state,
+    trace_record,
+    verbalize_plan,
+)
 
 
 def truncate_run(run, cap):
@@ -58,3 +69,42 @@ def blocks_optimal_plan(problem):
             counter += 1
             heapq.heappush(frontier, (tentative + h(nxt), counter, nxt))
     return None
+
+
+def trace_mirror(run):
+    """A run's structured trace mirror as a dict, {"events": [...],
+    "plan": [...] | None}, one dict per event."""
+    events = []
+    for index, e in enumerate(run.events):
+        event = {"index": index, "from": render_state(e.parent_state),
+                 "action": render_action(e.action)}
+        if e.reason is None:
+            f = None if e.t is None else e.g + e.t
+            event.update(validity="valid", to=render_state(e.state), g=e.g, t=e.t, f=f)
+        else:
+            event["validity"] = f"invalid:{e.reason}"
+        events.append(event)
+    plan = None if run.plan is None else [render_action(a) for a in run.plan]
+    return {"events": events, "plan": plan}
+
+
+def corpus_lines(problems, controller_records, engine, trace):
+    """{kind: lines} of the three corpora that emit_datasets writes, each
+    line a record dict dumped with sorted keys, its mirror a dict."""
+    def line(problem, kind, target_text, structured):
+        record = {"id": problem.problem_id, "kind": kind, "template_version": TEMPLATE_VERSION,
+                  "input_text": problem_input_text(problem), "target_text": target_text,
+                  "structured": structured}
+        return json.dumps(record, sort_keys=True) + "\n"
+
+    sys2 = []
+    for p in problems:
+        run = run_engine(engine, p, trace)
+        sys2.append(line(p, "sys2", trace_record(run)[0], trace_mirror(run)))
+    return {
+        "sys1": [line(p, "sys1", verbalize_plan(p.gold_plan),
+                      {"actions": [render_action(a) for a in p.gold_plan]}) for p in problems],
+        "sys2": sys2,
+        "controller": [line(p, "controller", *metaplan_record(meta))
+                       for p, meta in controller_records],
+    }

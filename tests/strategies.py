@@ -33,10 +33,14 @@ def blocks_states(draw, blocks):
 # length, number or character class
 BLOCK_LABELS = st.text("0123456789ABCabc_", min_size=1, max_size=2)
 
+# word labels beyond ASCII, which JSON text escapes: é, ß, Ω, 名 and the
+# digit ٣ all match \w
+WORD_LABELS = st.text("Abé_ßΩ名٣", min_size=1, max_size=2)
+
 
 @st.composite
-def blocks_problems(draw, max_blocks=6):
-    blocks = tuple(sorted(draw(st.lists(BLOCK_LABELS, min_size=1, max_size=max_blocks,
+def blocks_problems(draw, max_blocks=6, labels=BLOCK_LABELS):
+    blocks = tuple(sorted(draw(st.lists(labels, min_size=1, max_size=max_blocks,
                                         unique=True))))
     return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
                            goal=draw(blocks_states(blocks)), blocks=blocks)

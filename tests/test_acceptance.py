@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line (visible
 with pytest -s) and asserts at its stated tolerance."""
 
+import json
 import random
 import time
 from dataclasses import replace
@@ -186,7 +187,7 @@ def test_criterion_7_dataset_round_trip(maze_dataset, blocks_dataset, tmp_path):
         for p in rng.sample(maze_dataset["train"], 1000))
     trace_sample = rng.sample(maze_dataset["train"], 1000)
     traces_ok = all(
-        parse_trace_text(trace_record(astar(p))[0]) == trace_record(astar(p))[1]
+        parse_trace_text(trace_record(astar(p))[0]) == json.loads(trace_record(astar(p))[1])
         for p in trace_sample)
     records = build_controller_dataset(maze_dataset["train"], ControllerConfig(x=0.5))
     meta_sample = rng.sample(records, 1000)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -115,7 +116,8 @@ class TestAstar:
         for problem in (maze, blocks):
             for engine in ("astar", "bfs", "dfs"):
                 run = run_engine(engine, problem)
-                text, mirror = trace_record(run)
+                text, structured = trace_record(run)
+                mirror = json.loads(structured)
                 steps = [ln.split(" | ")[0] for ln in text.splitlines() if ln.startswith("step ")]
                 assert steps == [f"step {i}" for i in range(len(run.events))]
                 assert [e["index"] for e in mirror["events"]] == list(range(len(run.events)))
@@ -405,6 +407,20 @@ def test_goal_is_generated_in_the_last_expansion(engine, domain, data):
     assert last == list(run.events[len(run.events) - len(last):])
     generated = [i for i, e in enumerate(run.events) if e.reason is None and e.state == goal]
     assert len(generated) == 1 and generated[0] >= len(run.events) - len(last)
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("domain", ["maze", "blocks"])
+@pytest.mark.parametrize("valid_cap", [None, 2])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_run_without_an_invalid_cap_ignores_the_seed(engine, domain, valid_cap, data):
+    """The seed drives only the invalid cap's sample, so without that cap
+    every seed records the same run."""
+    problem = data.draw(maze_problems() if domain == "maze" else blocks_problems(max_blocks=4))
+    seed = data.draw(st.integers(1, 2 ** 64))
+    assert run_engine(engine, problem, TraceConfig(valid_cap=valid_cap, seed=seed)) == \
+           run_engine(engine, problem, TraceConfig(valid_cap=valid_cap))
 
 
 def test_explore_rejects_unknown_engine():

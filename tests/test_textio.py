@@ -41,7 +41,8 @@ from hybridplan.textio import (
     trace_record,
     verbalize_plan,
 )
-from strategies import blocks_problems, blocks_states, maze_problems, states_of
+from reference import corpus_lines, trace_mirror
+from strategies import WORD_LABELS, blocks_problems, blocks_states, maze_problems, states_of
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -125,8 +126,8 @@ class TestTraceRoundTrip:
 
     def test_round_trip(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:50]:
-            text, mirror = trace_record(astar(p))
-            assert parse_trace_text(text) == mirror
+            text, structured = trace_record(astar(p))
+            assert parse_trace_text(text) == json.loads(structured)
 
     def test_bfs_trace_has_no_heuristic_scores(self, small_maze_dataset):
         run = bfs(small_maze_dataset["test"][0])
@@ -159,9 +160,10 @@ def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
     scores only where A* has them, and no plan for a failed run."""
     config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
     run = run_engine(engine, problem, config)
-    text, mirror = trace_record(run)
+    text, structured = trace_record(run)
+    mirror = json.loads(structured)
     assert parse_trace_text(text) == mirror
-    assert trace_record(run) == (text, mirror)
+    assert trace_record(run) == (text, structured)
     assert len(mirror["events"]) == len(run.events)
     for event in mirror["events"]:
         if event["validity"] == "valid" and engine != "astar":
@@ -172,6 +174,40 @@ def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
         assert text.splitlines()[-1] == "NO PLAN" and mirror["plan"] is None
     else:
         assert mirror["plan"] == [render_action(a) for a in run.plan]
+
+
+# ids that JSON text escapes: a quote, a backslash, a newline, non-ASCII
+# characters and a lone surrogate
+AWKWARD_IDS = ('say "hi"', "back\\slash", "two\nlines", "é名", "lone \ud800 surrogate")
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("caps", ["nocaps", "caps"])
+@PROPERTY
+@given(problem=st.one_of(maze_problems(), blocks_problems(max_blocks=4),
+                         blocks_problems(max_blocks=4, labels=WORD_LABELS)),
+       problem_id=st.one_of(st.sampled_from(AWKWARD_IDS), st.text(max_size=4)),
+       x=st.sampled_from((0.0, 0.5, 1.0)))
+@example(problem=PlanningProblem(domain="blocks", start=(("é", "名"),), goal=(("名", "é"),),
+                                 blocks=("é", "名")),
+         problem_id="".join(AWKWARD_IDS), x=0.5)
+def test_emitted_lines_are_the_sorted_key_dumps(tmp_path_factory, engine, caps, problem,
+                                                problem_id, x):
+    """Each corpus line is what json.dumps(record, sort_keys=True) writes of
+    the record built with dict mirrors, and each trace's JSON text is that
+    of its dict mirror, a failed run's included."""
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+    run = run_engine(engine, problem, config)
+    assert trace_record(run)[1] == json.dumps(trace_mirror(run), sort_keys=True)
+    plan = astar(problem).plan
+    assume(plan is not None)
+    problem = replace(problem, problem_id=problem_id, gold_plan=plan, optimal_length=len(plan))
+    records = build_controller_dataset([problem], ControllerConfig(x=x))
+    out = tmp_path_factory.mktemp("corpus")
+    emit_datasets([problem], records, engine, config, str(out))
+    for kind, lines in corpus_lines([problem], records, engine, config).items():
+        with open(out / f"{kind}.jsonl", encoding="utf-8") as fh:
+            assert fh.readlines() == lines
 
 
 @PROPERTY
@@ -187,8 +223,8 @@ def test_block_labels_are_rejected_or_round_trip(labels):
                                   goal=(tuple(reversed(labels)),), blocks=tuple(labels))
     except ValueError:
         return
-    text, mirror = trace_record(run_engine("astar", problem, TraceConfig()))
-    assert parse_trace_text(text) == mirror
+    text, structured = trace_record(run_engine("astar", problem, TraceConfig()))
+    assert parse_trace_text(text) == json.loads(structured)
 
 
 @PROPERTY
