@@ -21,7 +21,7 @@ from hybridplan.controller import (
 from hybridplan.domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.generators import BlocksDatasetConfig, generate_blocks_dataset
 from hybridplan.hardness import SELECTORS, hardness_fn
-from hybridplan.search import TraceConfig, astar, bfs, run_engine
+from hybridplan.search import ENGINES, TraceConfig, astar, bfs, run_engine
 from hybridplan.textio import (
     ParseError,
     emit_datasets,
@@ -181,8 +181,6 @@ def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
 AWKWARD_IDS = ('say "hi"', "back\\slash", "two\nlines", "é名", "lone \ud800 surrogate")
 
 
-@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
-@pytest.mark.parametrize("caps", ["nocaps", "caps"])
 @PROPERTY
 @given(problem=st.one_of(maze_problems(), blocks_problems(max_blocks=4),
                          blocks_problems(max_blocks=4, labels=WORD_LABELS)),
@@ -191,23 +189,26 @@ AWKWARD_IDS = ('say "hi"', "back\\slash", "two\nlines", "é名", "lone \ud800 su
 @example(problem=PlanningProblem(domain="blocks", start=(("é", "名"),), goal=(("名", "é"),),
                                  blocks=("é", "名")),
          problem_id="".join(AWKWARD_IDS), x=0.5)
-def test_emitted_lines_are_the_sorted_key_dumps(tmp_path_factory, engine, caps, problem,
-                                                problem_id, x):
-    """Each corpus line is what json.dumps(record, sort_keys=True) writes of
-    the record built with dict mirrors, and each trace's JSON text is that
-    of its dict mirror, a failed run's included."""
-    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
-    run = run_engine(engine, problem, config)
-    assert trace_record(run)[1] == json.dumps(trace_mirror(run), sort_keys=True)
+def test_emitted_lines_are_the_sorted_key_dumps(tmp_path_factory, problem, problem_id, x):
+    """For every engine, caps off and on, each corpus line is what
+    json.dumps(record, sort_keys=True) writes of the record built with dict
+    mirrors, and each trace's JSON text is that of its dict mirror, a
+    failed run's included."""
     plan = astar(problem).plan
-    assume(plan is not None)
-    problem = replace(problem, problem_id=problem_id, gold_plan=plan, optimal_length=len(plan))
-    records = build_controller_dataset([problem], ControllerConfig(x=x))
-    out = tmp_path_factory.mktemp("corpus")
-    emit_datasets([problem], records, engine, config, str(out))
-    for kind, lines in corpus_lines([problem], records, engine, config).items():
-        with open(out / f"{kind}.jsonl", encoding="utf-8") as fh:
-            assert fh.readlines() == lines
+    if plan is not None:
+        problem = replace(problem, problem_id=problem_id, gold_plan=plan, optimal_length=len(plan))
+        records = build_controller_dataset([problem], ControllerConfig(x=x))
+        out = tmp_path_factory.mktemp("corpus")
+    for engine in ENGINES:
+        for config in (TraceConfig(), TraceConfig(valid_cap=3, invalid_cap=2, seed=0)):
+            run = run_engine(engine, problem, config)
+            assert trace_record(run)[1] == json.dumps(trace_mirror(run), sort_keys=True)
+            if plan is None:
+                continue
+            emit_datasets([problem], records, engine, config, str(out))
+            for kind, lines in corpus_lines([problem], records, engine, config).items():
+                with open(out / f"{kind}.jsonl", encoding="utf-8") as fh:
+                    assert fh.readlines() == lines
 
 
 @PROPERTY
