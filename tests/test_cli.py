@@ -47,6 +47,8 @@ class TestGenMaze:
         splits = load_problems(str(out))
         assert {k: len(v) for k, v in splits.items()} == \
                {"train": 3200, "val": 400, "test": 400}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+               "92cd538c9c606b8b191885f1438bde36e2991b0208e6c9d0074bf5fe5516d1e9"
 
     def test_identical_seeds_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
