@@ -20,6 +20,14 @@ A* (_blocks_astar) lives here too, one loop that builds each successor in
 place and corrects its parent's heuristic per move rather than calling
 valid_actions and heuristic_for, as does the path reconstruction that
 every search shares (_reconstruct).
+
+A maze move goes one cell up, down, left or right (up decreases the row
+index) and is valid when it lands on a cell of the grid that is not an
+obstacle. One helper, _maze_moves, lists the valid moves from a cell by
+that rule, testing the four neighbours inline: it gives the successors of
+every maze search, of the greedy walk and of the generator's BFS.
+maze_step applies the rule to a single action and names why an invalid one
+fails, for step, plan checks and the trace's invalid probes.
 """
 
 from __future__ import annotations
@@ -51,12 +59,12 @@ class MazeGrid:
     obstacles: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if type(self.rows) is not int or type(self.cols) is not int \
-                or self.rows <= 0 or self.cols <= 0:
+        rows, cols = self.rows, self.cols
+        if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:
             raise ValueError("grid dimensions must be positive integers")
         for (r, c) in self.obstacles:
             if type(r) is not int or type(c) is not int \
-                    or not (0 <= r < self.rows and 0 <= c < self.cols):
+                    or not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"obstacle {(r, c)} is not a cell of the grid")
 
     def in_bounds(self, state):
@@ -137,12 +145,31 @@ def canonical_blocks(stacks):
 def maze_step(grid, state, action):
     """Apply a maze action. Returns (next_state, None) or (None, reason)."""
     dr, dc = _MAZE_DELTAS[action]
-    nxt = (state[0] + dr, state[1] + dc)
-    if not grid.in_bounds(nxt):
+    r, c = state[0] + dr, state[1] + dc
+    if not (0 <= r < grid.rows and 0 <= c < grid.cols):
         return None, "out-of-bounds"
+    nxt = (r, c)
     if nxt in grid.obstacles:
         return None, "obstacle"
     return nxt, None
+
+
+def _maze_moves(grid, cell):
+    """(action, next cell) for every valid move from a cell of the grid, in
+    canonical order: the moves for which maze_step gives a next cell, its
+    four neighbours tested inline."""
+    r, c = cell
+    obstacles = grid.obstacles
+    out = []
+    if r > 0 and (nxt := (r - 1, c)) not in obstacles:
+        out.append(("up", nxt))
+    if r + 1 < grid.rows and (nxt := (r + 1, c)) not in obstacles:
+        out.append(("down", nxt))
+    if c > 0 and (nxt := (r, c - 1)) not in obstacles:
+        out.append(("left", nxt))
+    if c + 1 < grid.cols and (nxt := (r, c + 1)) not in obstacles:
+        out.append(("right", nxt))
+    return out
 
 
 def blocks_step(state, action):
@@ -274,12 +301,7 @@ def valid_actions(problem, state):
     canonical order, over search states; only the clear blocks' moves are
     built, each successor by adding one field to its block's cleared state."""
     if problem.domain == "maze":
-        out = []
-        for action in MAZE_ACTIONS:
-            nxt, _ = maze_step(problem.grid, state, action)
-            if nxt is not None:
-                out.append((action, nxt))
-        return out
+        return _maze_moves(problem.grid, state)
     _, _, moves, shifts, place, mask, _ = _universe(problem.blocks)
     on = [state >> s & mask for s in shifts]
     held = set(on)

@@ -8,7 +8,9 @@ split is strictly longer-horizon than train/val.
 The oracles used here (plain BFS for mazes, a lean A* and an exhaustive
 BFS for blocks) run their own searches, apart from the engines in
 search.py, so generated optimal lengths check those engines' search. The
-exhaustive BFS expands the engines' successors (domains.valid_actions).
+maze BFS and the exhaustive blocks BFS expand the engines' successors
+(domains._maze_moves and domains.valid_actions); tests/reference.py holds
+the maze BFS equal to one over maze_step.
 The lean A* shares only the engines' search states and block universe
 table (domains.encode's packing and its move and field tables): its loop,
 domains._blocks_astar, builds each successor in place and corrects its
@@ -30,14 +32,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .domains import (
-    MAZE_ACTIONS,
     MazeGrid,
     PlanningProblem,
     _blocks_astar,
+    _maze_moves,
     _reconstruct,
     canonical_blocks,
     encode,
-    maze_step,
     valid_actions,
 )
 
@@ -75,15 +76,15 @@ SPLITS = ("train", "val", "test")
 
 
 def maze_distances(grid, start):
-    """BFS distances and parents from start over free cells."""
+    """BFS distances and parents from start over free cells, expanding the
+    maze moves that search expands (domains._maze_moves)."""
     dist = {start: 0}
     parent = {}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for action in MAZE_ACTIONS:
-            nxt, _ = maze_step(grid, cur, action)
-            if nxt is not None and nxt not in dist:
+        for action, nxt in _maze_moves(grid, cur):
+            if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 parent[nxt] = (cur, action)
                 queue.append(nxt)

@@ -48,9 +48,20 @@ def blocks_distance(a, b):
 
 
 def obstacle_count(grid, a, b):
-    r0, r1 = sorted((a[0], b[0]))
-    c0, c1 = sorted((a[1], b[1]))
-    return sum(1 for (r, c) in grid.obstacles if r0 <= r <= r1 and c0 <= c <= c1)
+    """The number of the grid's obstacle cells in the rectangle that has
+    cells a and b at opposite corners, its border rows and columns
+    included; symmetric in a and b."""
+    r0, r1 = a[0], b[0]
+    if r0 > r1:
+        r0, r1 = r1, r0
+    c0, c1 = a[1], b[1]
+    if c0 > c1:
+        c0, c1 = c1, c0
+    count = 0
+    for r, c in grid.obstacles:
+        if r0 <= r <= r1 and c0 <= c <= c1:
+            count += 1
+    return count
 
 
 def hardness_fn(selector, problem):

@@ -274,18 +274,22 @@ def problem_to_json(problem):
     return rec
 
 
-def problem_from_json(rec):
+def problem_from_json(rec, states=None):
     """A problem from its record. Its id and split must be strings. An
     optimal length must be a non-negative integer that agrees with the
-    gold plan's length and is 0 only when start is the goal."""
+    gold plan's length and is 0 only when start is the goal. states, when
+    given, maps state texts to their parsed states; a text found there is
+    not parsed again, and one parsed here is added."""
     domain = rec["domain"]
-    start, goal = parse_state(rec["start"]), parse_state(rec["goal"])
+    if states is None:
+        states = {}
+    start, goal = _parsed_state(rec["start"], states), _parsed_state(rec["goal"], states)
     problem_id, split = rec.get("id", ""), rec.get("split", "")
     if type(problem_id) is not str or type(split) is not str:
         raise ValueError("id and split must be strings")
     gold_plan, length = rec.get("gold_plan"), rec.get("optimal_length")
     if gold_plan is not None:
-        gold_plan = tuple(parse_action(a) for a in gold_plan)
+        gold_plan = tuple(a if a in MAZE_ACTIONS else parse_action(a) for a in gold_plan)
     kwargs = dict(
         domain=domain,
         start=start,
@@ -314,6 +318,18 @@ def problem_from_json(rec):
     return problem
 
 
+def _parsed_state(text, states):
+    """parse_state(text), looked up in or added to the dict states. A text
+    that is not a str is parsed each time, so that it fails as it would in
+    parse_state."""
+    if type(text) is not str:
+        return parse_state(text)
+    state = states.get(text)
+    if state is None:
+        state = states[text] = parse_state(text)
+    return state
+
+
 def problem_input_text(problem):
     if problem.domain == "maze":
         return (f"maze {problem.grid.rows}x{problem.grid.cols}\n{render_maze(problem)}\n"
@@ -335,8 +351,11 @@ def load_problems(path, splits=None):
     domain; a record without a split is in split "all". Given a set of
     splits, only their records are built into problems and every other
     split of the file maps to None: a record of such a split is checked
-    only to be a JSON object with a string split and the file's domain."""
+    only to be a JSON object with a string split and the file's domain.
+    Each distinct state text is parsed once per call; no parse outlives
+    the call."""
     out = {}
+    states = {}  # state text -> parsed state, shared by this file's records
     domain = None
     try:
         with open(path, encoding="utf-8") as fh:
@@ -353,7 +372,7 @@ def load_problems(path, splits=None):
                     split = split or "all"
                     problem = None
                     if splits is None or split in splits:
-                        problem = problem_from_json(rec)
+                        problem = problem_from_json(rec, states)
                     elif rec_domain not in DOMAINS:
                         raise ValueError(f"unknown domain {rec_domain!r}")
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:

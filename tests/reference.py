@@ -2,10 +2,10 @@
 
 import heapq
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
-from hybridplan.domains import _reconstruct, encode, heuristic_for, valid_actions
+from hybridplan.domains import MAZE_ACTIONS, _reconstruct, encode, heuristic_for, valid_actions
 from hybridplan.search import run_engine
 from hybridplan.textio import (
     TEMPLATE_VERSION,
@@ -108,3 +108,66 @@ def corpus_lines(problems, controller_records, engine, trace):
         "controller": [line(p, "controller", *metaplan_record(meta))
                        for p, meta in controller_records],
     }
+
+
+# up decreases the row index
+MAZE_DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
+
+
+def maze_grid_error(rows, cols, obstacles):
+    """The message of the ValueError that MazeGrid(rows, cols, obstacles)
+    raises, or None when the grid is well formed: the obstacle loop, naming
+    the first bad obstacle in iteration order."""
+    if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:
+        return "grid dimensions must be positive integers"
+    for (r, c) in obstacles:
+        if type(r) is not int or type(c) is not int or not (0 <= r < rows and 0 <= c < cols):
+            return f"obstacle {(r, c)} is not a cell of the grid"
+    return None
+
+
+def maze_step(grid, state, action):
+    """One maze action through the grid's bounds test: (next_state, None)
+    or (None, reason)."""
+    dr, dc = MAZE_DELTAS[action]
+    nxt = (state[0] + dr, state[1] + dc)
+    if not grid.in_bounds(nxt):
+        return None, "out-of-bounds"
+    if nxt in grid.obstacles:
+        return None, "obstacle"
+    return nxt, None
+
+
+def maze_moves(grid, cell):
+    """(action, next cell) for each action of MAZE_ACTIONS that maze_step
+    takes somewhere."""
+    out = []
+    for action in MAZE_ACTIONS:
+        nxt, _ = maze_step(grid, cell, action)
+        if nxt is not None:
+            out.append((action, nxt))
+    return out
+
+
+def maze_distances(grid, start):
+    """BFS distances and parents from start, probing maze_step four times
+    per cell."""
+    dist = {start: 0}
+    parent = {}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for action, nxt in maze_moves(grid, cur):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                parent[nxt] = (cur, action)
+                queue.append(nxt)
+    return dist, parent
+
+
+def obstacle_count(grid, a, b):
+    """The obstacles among the cells of the rectangle with corners a and b,
+    found by visiting every cell of it."""
+    rows = range(min(a[0], b[0]), max(a[0], b[0]) + 1)
+    cols = range(min(a[1], b[1]), max(a[1], b[1]) + 1)
+    return sum((r, c) in grid.obstacles for r in rows for c in cols)

@@ -8,6 +8,15 @@ from hybridplan.generators import maze_distances
 
 
 @st.composite
+def maze_grids(draw, max_side=9):
+    """A grid of 1x1 to max_side x max_side cells with random obstacles,
+    border cells among them."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    return MazeGrid(rows, cols, draw(st.frozensets(st.sampled_from(cells))))
+
+
+@st.composite
 def maze_problems(draw, max_side=6):
     rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     cells = [(r, c) for r in range(rows) for c in range(cols)]

@@ -25,7 +25,8 @@ from hybridplan.domains import (
     valid_actions,
 )
 from hybridplan.hardness import _neighbor_maps
-from strategies import blocks_problems, maze_problems, states_of
+import reference
+from strategies import blocks_problems, maze_grids, maze_problems, states_of
 
 
 def maze_problem(rows=5, cols=5, obstacles=(), start=(0, 0), goal=(4, 4)):
@@ -243,6 +244,46 @@ def test_valid_actions_are_the_legal_steps(problem, data):
     legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem)]
     successors = [(a, decode(problem, nxt)) for a, nxt in valid_actions(problem, encode(problem, state))]
     assert successors == [(a, nxt) for a, nxt in legal if nxt is not None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(maze_grids())
+def test_maze_moves_are_the_reference_steps(grid):
+    """From every free cell of a 1x1 to 9x9 grid, maze_step gives the
+    reference step for every action, out-of-bounds and obstacle probes
+    included, and valid_actions gives the reference filter of maze_step
+    over MAZE_ACTIONS."""
+    free = grid.free_cells()
+    if not free:
+        return
+    problem = PlanningProblem(domain="maze", start=free[0], goal=free[0], grid=grid)
+    for cell in free:
+        for action in MAZE_ACTIONS:
+            assert maze_step(grid, cell, action) == reference.maze_step(grid, cell, action)
+        assert valid_actions(problem, cell) == reference.maze_moves(grid, cell)
+
+
+# coordinates that are cells of small grids, out of range or negative, and
+# bools and floats that equal ints
+COORDINATES = st.one_of(st.integers(-2, 10), st.booleans(), st.sampled_from((0.0, 1.0, 2.5, -1.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.integers(1, 9),
+       st.frozensets(st.tuples(COORDINATES, COORDINATES), max_size=12))
+@example(3, 3, frozenset({(True, 0)}))
+@example(3, 3, frozenset({(0, 1.0)}))
+@example(3, 3, frozenset({(0, 0), (2, 2)}))
+def test_maze_grid_builds_or_names_the_bad_obstacle(rows, cols, obstacles):
+    """A grid either builds or raises the ValueError whose message the
+    reference obstacle loop gives."""
+    expected = reference.maze_grid_error(rows, cols, obstacles)
+    if expected is None:
+        assert MazeGrid(rows, cols, obstacles).obstacles == obstacles
+    else:
+        with pytest.raises(ValueError) as info:
+            MazeGrid(rows, cols, obstacles)
+        assert str(info.value) == expected
 
 
 def pairwise_mismatch(a, b):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridplan.domains import PlanningProblem, validate_plan
 from hybridplan.generators import (
@@ -16,7 +17,7 @@ from hybridplan.generators import (
 )
 from hybridplan.textio import problem_to_json
 import reference
-from strategies import blocks_problems
+from strategies import blocks_problems, maze_grids
 
 SMALL_MAZE = MazeDatasetConfig(split_sizes=(80, 16, 16))
 SMALL_BLOCKS = BlocksDatasetConfig(split_sizes=(40, 10, 10))
@@ -140,3 +141,15 @@ def test_blocks_oracle_gives_the_reference_plan(problem):
     the same plan as the reference, which scores every state afresh."""
     assert blocks_optimal_plan(problem.blocks, problem.start, problem.goal) == \
         reference.blocks_optimal_plan(problem)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(maze_grids(), st.data())
+def test_maze_bfs_is_the_reference_bfs(grid, data):
+    """The maze oracle, which expands the moves that search expands, gives
+    the distances and parents of a BFS over maze_step, on 1x1 to 9x9 grids."""
+    free = grid.free_cells()
+    if not free:
+        return
+    start = data.draw(st.sampled_from(free))
+    assert maze_distances(grid, start) == reference.maze_distances(grid, start)

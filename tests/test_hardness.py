@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.domains import MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.hardness import (
@@ -9,6 +11,8 @@ from hybridplan.hardness import (
     obstacle_count,
     rank_problems,
 )
+import reference
+from strategies import maze_grids
 
 
 def hardness(selector, problem, a, b):
@@ -43,6 +47,17 @@ class TestMazeObstacles:
     def test_degenerate_pair_is_zero(self):
         p = maze_problem({(1, 1)})
         assert hardness("maze-obstacles", p, (2, 2), (2, 2)) == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(maze_grids(), st.data())
+def test_obstacle_count_is_the_brute_force_count(grid, data):
+    """Either order of the corners counts the obstacles that a visit of
+    every cell of the rectangle finds, on 1x1 to 9x9 grids."""
+    cells = st.tuples(st.integers(0, grid.rows - 1), st.integers(0, grid.cols - 1))
+    a, b = data.draw(cells), data.draw(cells)
+    assert obstacle_count(grid, a, b) == obstacle_count(grid, b, a) == \
+        reference.obstacle_count(grid, a, b)
 
 
 class TestMazeManhattan:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import string
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -326,6 +327,19 @@ class TestProblemSerialization:
         assert {k: len(v) for k, v in loaded.items()} == \
                {k: len(v) for k, v in small_maze_dataset.items()}
         assert loaded["test"] == small_maze_dataset["test"]
+
+    def test_load_parses_each_state_text_once_per_call(self, tmp_path, monkeypatch,
+                                                       small_maze_dataset):
+        path = tmp_path / "problems.jsonl"
+        save_problems(path, small_maze_dataset)
+        parsed = []
+        real = textio.parse_state
+        monkeypatch.setattr(textio, "parse_state",
+                            lambda text, line_no=None: parsed.append(text) or real(text, line_no))
+        first, second = load_problems(path), load_problems(path)
+        assert first == second
+        texts = {render_state(s) for split in first.values() for p in split for s in (p.start, p.goal)}
+        assert Counter(parsed) == {text: 2 for text in texts}
 
     def test_load_corrupt(self, tmp_path):
         path = tmp_path / "bad.jsonl"
