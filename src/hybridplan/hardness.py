@@ -8,6 +8,8 @@ misplaced block is buried in a stack.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .domains import _manhattan
 
 # The selectors that apply to each domain; the first is its default.
@@ -69,10 +71,7 @@ def hardness_fn(selector, problem):
     the domain's default when selector is None; h(a, a) is 0."""
     name = selector or SELECTORS[problem.domain][0]
     if name == "maze-obstacles":
-        grid = problem.grid
-
-        def measure(a, b):
-            return obstacle_count(grid, a, b)
+        measure = partial(obstacle_count, problem.grid)
     elif name == "maze-manhattan":
         measure = _manhattan
     elif name == "blocks-distance":
