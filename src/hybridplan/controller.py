@@ -11,15 +11,16 @@ Runtime side: a deterministic controller fitted on training-set
 hardness. An instance is gated hard when its hardness reaches that of the
 first problem the training side would label hard at the effective x';
 hard instances get a search-free skeleton state sequence over which the
-same window optimizer runs. Both sides build their meta-plans from a
-shape with meta_plan.
+same window optimizer runs. Both sides turn a shape into a meta-plan
+with HybridController.decompose, the one caller of meta_plan; the runtime
+reads a problem's gate input and skeleton through a ProblemRecord.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 from .domains import plan_states, skeleton
 from .hardness import hardness_fn, rank_problems
@@ -28,6 +29,8 @@ SYS1 = "sys1"
 SYS2 = "sys2"
 
 VARIANTS = ("sliding-window", "edge-window", "no-subgoal", "random")
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,11 @@ def build_controller_dataset(problems, config):
         raise ValueError("the random variant has no controller dataset")
     ranked = rank_problems(problems, config.selector)
     n_easy = easy_count(config.x, len(ranked))
+    decompose = HybridController(config).decompose
     records = []
     for i, problem in enumerate(ranked):
         if problem.gold_plan is None:
             raise ValueError(f"problem {problem.problem_id!r} has no gold plan")
-        states = (problem.start, problem.goal)
         if i < n_easy:
             shape = SYS1
         elif config.variant == "no-subgoal" or not problem.gold_plan:
@@ -119,9 +122,33 @@ def build_controller_dataset(problems, config):
         else:
             states = plan_states(problem, problem.gold_plan)
             shape = window_length(config.x, len(states) - 1)
-        hfn = hardness_fn(config.selector, problem)
-        records.append((problem, meta_plan(states, shape, config.variant, hfn)))
+        # the window, when there is one, is placed over the gold plan's states
+        records.append((problem, decompose(problem, shape, lambda: states)))
     return records
+
+
+class ProblemRecord:
+    """The lazy holder of a problem's two inputs to the gate rule: its gate
+    input and its skeleton, each computed on first read and at most once.
+    In a SweepMemo, runs also keeps per meta-plan shape the unbudgeted Run."""
+
+    __slots__ = ("problem", "runs", "_gate_input", "_gate", "_skeleton")
+
+    def __init__(self, problem, gate_input):
+        self.problem = problem
+        self.runs = {}
+        self._gate_input = gate_input  # problem -> gate input
+        self._gate = self._skeleton = _MISSING
+
+    def gate(self):
+        if self._gate is _MISSING:
+            self._gate = self._gate_input(self.problem)
+        return self._gate
+
+    def skeleton(self):
+        if self._skeleton is _MISSING:
+            self._skeleton = skeleton(self.problem)
+        return self._skeleton
 
 
 @dataclass(frozen=True)
@@ -188,13 +215,15 @@ class HybridController:
 
     def decompose(self, problem, shape=None, states=None):
         """The problem's meta-plan, of the shape the gate rule gives it (or
-        gave it, when passed). states() gives the skeleton a window is placed
-        over; when it is not passed, the problem's skeleton is computed on
-        first read, once for the rule and the window alike."""
-        if states is None:
-            states = cache(partial(skeleton, problem))
+        gave it, when passed). states(), passed with the shape, gives the
+        states a window is placed over: the problem's skeleton at run time,
+        or its gold plan's states for the controller dataset. When no shape
+        is passed, the rule reads a ProblemRecord of the problem, whose
+        skeleton, computed on first read, serves the rule and the window
+        alike."""
         if shape is None:
-            shape = self.shape(partial(self.gate_input, problem), states)
+            record = ProblemRecord(problem, self.gate_input)
+            shape, states = self.shape(record.gate, record.skeleton), record.skeleton
         if shape in (SYS1, SYS2):  # one sub-goal, for which no hardness is read
             return meta_plan((problem.start, problem.goal), shape, None, None)
         return meta_plan(states(), shape, self.config.variant,

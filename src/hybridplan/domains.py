@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -406,15 +407,13 @@ def greedy_walk(problem, start, goal, step_cap=None):
     """Search-free walk: repeatedly take the valid action whose successor
     minimizes the domain heuristic to the goal, never revisiting a state;
     ties break in canonical action order. Stops at the goal, at a dead end,
-    or after step_cap moves (default 4 moves per maze cell, 8 per block).
+    or after step_cap moves (default: 8 per block on blocks, none on maze,
+    where a walk that never revisits a cell stops within its free cells).
 
     Returns (actions, states), the problem states running from start to
     where the walk stopped."""
     if step_cap is None:
-        if problem.domain == "maze":
-            step_cap = 4 * problem.grid.rows * problem.grid.cols
-        else:
-            step_cap = 4 * 2 * len(problem.blocks)
+        step_cap = 8 * len(problem.blocks) if problem.domain == "blocks" else sys.maxsize
     cur, goal = encode(problem, start), encode(problem, goal)
     h = heuristic_for(problem, goal)
     states = [cur]
@@ -443,7 +442,7 @@ def skeleton(problem):
 
     One rule for both domains: the greedy walk's states when the walk
     reaches the goal, else None. Only the walk's cap differs: 2 moves per
-    block on blocks, the walk's default on maze. The walk's moves are not
+    block on blocks, none on maze. The walk's moves are not
     charged as states explored."""
     cap = 2 * len(problem.blocks) if problem.domain == "blocks" else None
     _, states = greedy_walk(problem, problem.start, problem.goal, cap)

@@ -3,7 +3,10 @@ SweepMemo.
 
 Every planner is a HybridController, whose meta-plan solve_hybrid solves
 into a hybrid.Run that judges its own plan; System 1 and System 2 are its
-ends, x=0 and x=1 under no-subgoal (PURE_CONTROLLERS).
+ends, x=0 and x=1 under no-subgoal (PURE_CONTROLLERS). run_planner gives
+a pass one of two routes: without a memo, or over worker processes, one
+map of the controller's decompose and solve_hybrid; with a SweepMemo, a
+loop over the controller.ProblemRecord the memo keeps of each problem.
 
 Rates are exact fractions internally; rendering rounds to one decimal
 place (percent) / three places (rates). Budget matching picks the largest
@@ -18,13 +21,11 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
-from .controller import ControllerConfig, HybridController
-from .domains import skeleton
+from .controller import ControllerConfig, HybridController, ProblemRecord
 from .hybrid import cut_run, solve_hybrid
 from .search import ENGINES, TraceConfig
-
-_MISSING = object()
 
 
 class SweepMemo(dict):
@@ -41,32 +42,6 @@ class SweepMemo(dict):
     def table(self, key):
         """The table kept under key, empty on first use."""
         return self.setdefault(key, {})
-
-
-class ProblemRecord:
-    """What the passes of a sweep keep of one problem in one table: its gate
-    input and its skeleton, each computed on first read and at most once,
-    and in runs, per meta-plan shape, the unbudgeted Run. An unbudgeted
-    pass hands back that Run; a budgeted pass cuts its outcomes with
-    cut_run."""
-
-    __slots__ = ("problem", "runs", "_gate_input", "_gate", "_skeleton")
-
-    def __init__(self, problem, gate_input):
-        self.problem = problem
-        self.runs = {}
-        self._gate_input = gate_input  # problem -> gate input
-        self._gate = self._skeleton = _MISSING
-
-    def gate(self):
-        if self._gate is _MISSING:
-            self._gate = self._gate_input(self.problem)
-        return self._gate
-
-    def skeleton(self):
-        if self._skeleton is _MISSING:
-            self._skeleton = skeleton(self.problem)
-        return self._skeleton
 
 
 @dataclass(frozen=True)
@@ -148,39 +123,30 @@ def match_budget_cap(sizes, target):
     return max(1, sizes[-1])
 
 
-def solve_one(problem, config, budget=None):
-    """The configured planner's Run of one problem, fresh and cut to the
-    budget, by run_planner's route through a ProblemRecord of its own: the
-    shape its controller (a pure planner's from PURE_CONTROLLERS) gives it,
-    and the meta-plan of that shape solved by solve_hybrid. It reads no memo."""
-    controller = PURE_CONTROLLERS.get(config.kind, config.controller)
-    record = ProblemRecord(problem, controller.gate_input)
-    shape = controller.shape(record.gate, record.skeleton)
-    return solve_hybrid(problem, controller.decompose(problem, shape, record.skeleton),
-                        config.engine, config.trace, budget)
-
-
 def run_planner(problems, config, budget=None, workers=1):
-    """The Run of each problem, in order, by solve_one's route.
+    """The Run of each problem, in order: the meta-plan its controller (a
+    pure planner's from PURE_CONTROLLERS) decomposes it into, solved by
+    solve_hybrid and cut to the budget.
 
-    With a SweepMemo, the pass looks up its table once and each problem's
-    record once. The gate rule reads the record's gate input and skeleton
-    for the problem's meta-plan shape; the unbudgeted run of each shape is
-    solved once, and a later unbudgeted pass hands back that very Run,
-    while a budgeted pass cuts its outcomes with cut_run. Without a memo,
-    or in worker processes, which share none, each problem is solved fresh
-    by solve_one."""
-    if workers > 1:
+    Without a memo, or in worker processes, which share none, the pass is
+    one map: decompose gives each problem's meta-plan in this process, and
+    solve_hybrid solves it here or in the pool. With a SweepMemo, the pass
+    looks up its table once and each problem's ProblemRecord once. The
+    gate rule reads the record's gate input and skeleton for the problem's
+    meta-plan shape; the unbudgeted run of each shape is solved once, and
+    a later unbudgeted pass hands back that very Run, while a budgeted pass
+    cuts its outcomes with cut_run."""
+    controller = PURE_CONTROLLERS.get(config.kind, config.controller)
+    if config.memo is None or workers > 1:
+        solve = partial(solve_hybrid, engine=config.engine, trace=config.trace, budget=budget)
+        meta_plans = map(controller.decompose, problems)
+        if workers == 1:
+            return list(map(solve, problems, meta_plans))
         from concurrent.futures import ProcessPoolExecutor
 
-        config = replace(config, memo=None)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve_one, problems,
-                                 [config] * len(problems), [budget] * len(problems),
+            return list(pool.map(solve, problems, meta_plans,
                                  chunksize=max(1, len(problems) // (4 * workers))))
-    if config.memo is None:
-        return [solve_one(p, config, budget) for p in problems]
-    controller = PURE_CONTROLLERS.get(config.kind, config.controller)
     c = controller.config  # the key holds what every pass of a sweep shares
     table = config.memo.table((config.kind, config.engine, config.trace,
                                c.variant, c.selector, c.seed))

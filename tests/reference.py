@@ -5,7 +5,16 @@ import json
 from collections import Counter, deque
 from dataclasses import replace
 
-from hybridplan.domains import MAZE_ACTIONS, _reconstruct, encode, heuristic_for, valid_actions
+from hybridplan.controller import SYS1, SYS2, easy_count, meta_plan, window_length
+from hybridplan.domains import (
+    MAZE_ACTIONS,
+    _reconstruct,
+    encode,
+    heuristic_for,
+    plan_states,
+    valid_actions,
+)
+from hybridplan.hardness import hardness_fn, rank_problems
 from hybridplan.search import run_engine
 from hybridplan.textio import (
     TEMPLATE_VERSION,
@@ -39,6 +48,30 @@ def capped_totals(sizes):
         totals.append(totals[-1] + reaching)
         reaching -= at[c]
     return totals
+
+
+def controller_dataset(problems, config):
+    """The controller dataset as one loop over the ranked problems that
+    picks each record's shape and builds its meta-plan with meta_plan and
+    the selector's hardness function: the floor((1-x)*N) easiest are one
+    Sys1 sub-goal; a hard problem with no step, or under no-subgoal, is one
+    Sys2 sub-goal; any other gets a window of window_length(x, n) steps
+    over its gold plan's states."""
+    ranked = rank_problems(problems, config.selector)
+    n_easy = easy_count(config.x, len(ranked))
+    records = []
+    for i, problem in enumerate(ranked):
+        states = (problem.start, problem.goal)
+        if i < n_easy:
+            shape = SYS1
+        elif config.variant == "no-subgoal" or not problem.gold_plan:
+            shape = SYS2
+        else:
+            states = plan_states(problem, problem.gold_plan)
+            shape = window_length(config.x, len(states) - 1)
+        hfn = hardness_fn(config.selector, problem)
+        records.append((problem, meta_plan(states, shape, config.variant, hfn)))
+    return records
 
 
 def blocks_optimal_plan(problem):

@@ -41,20 +41,26 @@ def blocks_file(tmp_path_factory, small_blocks_dataset):
 
 
 class TestGenMaze:
-    def test_writes_full_dataset(self, tmp_path):
-        out = tmp_path / "maze.jsonl"
+    @pytest.fixture(scope="class")
+    def seed1_maze_file(self, tmp_path_factory):
+        """The problem file of one gen-maze run at seed 1."""
+        out = tmp_path_factory.mktemp("gen") / "maze.jsonl"
         assert main(["gen-maze", "--seed", "1", "--out", str(out)]) == 0
-        splits = load_problems(str(out))
+        return out
+
+    def test_writes_full_dataset(self, seed1_maze_file):
+        splits = load_problems(str(seed1_maze_file))
         assert {k: len(v) for k, v in splits.items()} == \
                {"train": 3200, "val": 400, "test": 400}
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        assert hashlib.sha256(seed1_maze_file.read_bytes()).hexdigest() == \
                "92cd538c9c606b8b191885f1438bde36e2991b0208e6c9d0074bf5fe5516d1e9"
 
-    def test_identical_seeds_identical_artifacts(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        main(["gen-maze", "--seed", "7", "--out", str(a)])
-        main(["gen-maze", "--seed", "7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_identical_seeds_identical_artifacts(self, seed1_maze_file, maze_dataset, tmp_path):
+        """The CLI's file is the one that the session's own generation at
+        seed 1 saves."""
+        saved = tmp_path / "saved.jsonl"
+        save_problems(str(saved), maze_dataset)
+        assert seed1_maze_file.read_bytes() == saved.read_bytes()
 
 
 @pytest.mark.parametrize("command,config", [("gen-maze", "MazeDatasetConfig"),

@@ -1,12 +1,14 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridplan.controller import (
     SYS1,
     SYS2,
+    VARIANTS,
     ControllerConfig,
     HybridController,
     SubGoal,
@@ -14,10 +16,20 @@ from hybridplan.controller import (
     meta_plan,
     window_length,
 )
-from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, plan_states, skeleton
+from hybridplan.domains import (
+    MazeGrid,
+    PlanningProblem,
+    decode,
+    encode,
+    greedy_walk,
+    plan_states,
+    skeleton,
+    valid_actions,
+)
 from hybridplan.evaluate import BIAS_STEP
 from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.textio import metaplan_record
+from reference import controller_dataset
 from strategies import blocks_problems, maze_problems, states_of
 
 
@@ -151,6 +163,51 @@ class TestBuildControllerDataset:
         with pytest.raises(ValueError, match="random"):
             build_controller_dataset(small_maze_dataset["train"][:10],
                                      ControllerConfig(variant="random"))
+
+
+@st.composite
+def walked_problems(draw, problems):
+    """A problem whose gold plan is a random walk of 0 to 8 valid moves from
+    its start and whose goal is where the walk ends; the empty walk gives
+    start == goal and an empty gold plan."""
+    problem = draw(problems)
+    state, plan = encode(problem, problem.start), []
+    for _ in range(draw(st.integers(0, 8))):
+        moves = list(valid_actions(problem, state))
+        if not moves:
+            break
+        action, state = draw(st.sampled_from(moves))
+        plan.append(action)
+    return replace(problem, goal=decode(problem, state), gold_plan=tuple(plan),
+                   optimal_length=len(plan))
+
+
+DATASET_XS = (0.0, 0.05, 0.25, 1 / 3, 0.5, 0.75, 0.8, 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(walked_problems(maze_problems()), min_size=1, max_size=6),
+                 st.lists(walked_problems(blocks_problems(max_blocks=5)), min_size=1,
+                          max_size=6)))
+@example([PlanningProblem(domain="maze", start=(0, 1), goal=(0, 1), grid=MazeGrid(2, 2),
+                          gold_plan=(), optimal_length=0)])
+@example([PlanningProblem(domain="blocks", start=(("A",), ("B",)), goal=(("A",), ("B",)),
+                          blocks=("A", "B"), gold_plan=(), optimal_length=0)])
+def test_dataset_is_the_reference_loop(problems):
+    """build_controller_dataset, which turns each shape into a meta-plan
+    through decompose, gives the records of the reference loop that calls
+    meta_plan with a hardness function itself, for every dataset variant,
+    each selector of the domain and each x."""
+    for variant in VARIANTS:
+        for selector in SELECTORS[problems[0].domain]:
+            for x in DATASET_XS:
+                config = ControllerConfig(x=x, variant=variant, selector=selector)
+                if variant == "random":
+                    with pytest.raises(ValueError, match="random"):
+                        build_controller_dataset(problems, config)
+                    continue
+                assert build_controller_dataset(problems, config) == \
+                    controller_dataset(problems, config)
 
 
 class TestRuntimeController:

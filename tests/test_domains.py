@@ -324,6 +324,12 @@ def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
     assert len(set(states)) == len(states)
     if step_cap is not None:
         assert len(actions) <= step_cap
+    elif problem.domain == "blocks":
+        assert len(actions) <= 8 * len(problem.blocks)
+    if problem.domain == "maze":
+        # no maze cap: the distinct states are free cells, fewer than 4 per cell
+        cells = problem.grid.rows * problem.grid.cols
+        assert len(actions) < cells - len(problem.grid.obstacles) < 4 * cells
     assert plan_states(problem, actions) == states
 
 

@@ -22,7 +22,6 @@ from hybridplan.evaluate import (
     report_to_plot_data,
     run_planner,
     score_runs,
-    solve_one,
 )
 from hybridplan.hybrid import Run
 from hybridplan.search import ENGINES, TraceConfig
@@ -197,15 +196,23 @@ def test_planner_config_rejects_bad_values(kwargs):
         replace(PlannerConfig(kind="sys1"), **kwargs)
 
 
-def test_workers_match_serial(small_maze_dataset):
-    config = PlannerConfig(kind="sys2", engine="astar")
-    problems = small_maze_dataset["test"][:20]
-    assert run_planner(problems, config, workers=2) == run_planner(problems, config)
-
-
 def _hybrid_config(dataset):
     ctl = HybridController(ControllerConfig(x=0.5)).fit(dataset["train"])
     return PlannerConfig(kind="hybrid", controller=ctl)
+
+
+def test_workers_match_serial(small_maze_dataset):
+    """For sys1, sys2 and the hybrid, with no budget or a cut, a pass over
+    two worker processes gives the Runs of the serial memo-less pass and of
+    a pass from a SweepMemo."""
+    problems = small_maze_dataset["test"][:20]
+    for config in (PlannerConfig(kind="sys1"), PlannerConfig(kind="sys2"),
+                   _hybrid_config(small_maze_dataset)):
+        memo = SweepMemo()
+        for budget in (None, 5):
+            serial = run_planner(problems, config, budget)
+            assert run_planner(problems, replace(config, memo=memo), budget) == serial
+            assert run_planner(problems, config, budget, workers=2) == serial
 
 
 def test_sweep_workers_match_serial(small_maze_dataset):
@@ -229,7 +236,7 @@ def _kept(memo):
     record's problem, without that problem."""
     for table in memo.values():
         for record in table.values():
-            yield from (v for v in (record._gate, record._skeleton) if v is not evaluate._MISSING)
+            yield from (v for v in (record._gate, record._skeleton) if v is not controller._MISSING)
             for run in record.runs.values():
                 assert type(run) is Run and run.problem is record.problem
                 yield run[1:]
@@ -311,7 +318,7 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
 
 # every name through which a pass can compute a gate input or a skeleton
 GATE_AND_SKELETON = ((HybridController, "gate_input"), (domains, "skeleton"),
-                     (evaluate, "skeleton"), (controller, "skeleton"))
+                     (controller, "skeleton"))
 
 
 def counted_calls(monkeypatch, targets):
@@ -444,11 +451,11 @@ def test_pure_planners_are_the_controllers_ends(domain, small_maze_dataset, smal
     assert work == []
 
 
-def test_solve_one_budget_none_vs_cap(small_maze_dataset):
+def test_run_planner_budget_none_vs_cap(small_maze_dataset):
     config = PlannerConfig(kind="sys2", engine="astar")
     p = small_maze_dataset["test"][0]
-    free = solve_one(p, config)
-    capped = solve_one(p, config, budget=1)
+    [free] = run_planner([p], config)
+    [capped] = run_planner([p], config, budget=1)
     assert capped.states_explored == 1
     assert free.states_explored >= capped.states_explored
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, validate_plan
-from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner, solve_one
+from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner
 from hybridplan.hybrid import Run, cut_run, solve_hybrid
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
@@ -190,7 +190,7 @@ class TestSweepMemo:
         for budget in (None, 3, 100):
             for p in (open_maze, walled):
                 assert run_planner([p], replace(config, memo=memo), budget) == \
-                    [solve_one(p, config, budget)]
+                    run_planner([p], config, budget)
         [open_run], [walled_run] = (run_planner([p], replace(config, memo=memo))
                                     for p in (open_maze, walled))
         assert open_run.plan != walled_run.plan

@@ -21,7 +21,7 @@ from hybridplan.domains import (
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
-from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner, solve_one
+from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner
 from hybridplan.hybrid import cut_run, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
@@ -430,8 +430,8 @@ def test_explore_rejects_unknown_engine():
 
 
 def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_dataset):
-    """solve_hybrid, solve_one, and run_planner from a sweep memo's kept
-    run score by counting."""
+    """solve_hybrid, and run_planner with no memo and from a sweep memo's
+    kept run, score by counting."""
     problems = [*small_maze_dataset["test"][:10], *small_blocks_dataset["test"][:3]]
     expected = {}
     for p in problems:
@@ -450,7 +450,7 @@ def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for budget in (None, 5):
             run = solve_hybrid(p, meta, budget=budget)
-            assert solve_one(p, config, budget) == run
+            assert run_planner([p], config, budget) == [run]
             assert run_planner([p], replace(config, memo=memo), budget) == [run]
         run = solve_hybrid(p, meta)
         assert (run.plan, run.states_explored) == expected[p.problem_id]
