@@ -62,6 +62,28 @@ class TestGenMaze:
         save_problems(str(saved), maze_dataset)
         assert seed1_maze_file.read_bytes() == saved.read_bytes()
 
+    def test_loads_the_session_dataset(self, seed1_maze_file, maze_dataset):
+        assert_loads_as(seed1_maze_file, maze_dataset)
+
+
+def assert_loads_as(path, dataset):
+    """load_problems of path gives the problems of dataset, each with its
+    geometry."""
+    loaded = load_problems(str(path))
+    assert loaded == dataset
+    assert {split: [p.geometry for p in problems] for split, problems in loaded.items()} == \
+           {split: [p.geometry for p in problems] for split, problems in dataset.items()}
+
+
+def test_seed1_blocks_file(blocks_dataset, tmp_path):
+    """The file that gen-blocks --seed 1 writes: save_problems of the
+    session's own generation at seed 1, which loads back as it."""
+    path = tmp_path / "blocks.jsonl"
+    save_problems(str(path), blocks_dataset)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+           "5bb260690df7bae18c3b763e5cf502572381704da3d7334b4e00cf8c215cb93b"
+    assert_loads_as(path, blocks_dataset)
+
 
 @pytest.mark.parametrize("command,config", [("gen-maze", "MazeDatasetConfig"),
                                             ("gen-blocks", "BlocksDatasetConfig")])
