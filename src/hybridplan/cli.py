@@ -85,8 +85,11 @@ def _positive_int(text):
 
 
 def _budget_list(text):
-    """argparse type of comma-separated budgets."""
-    return [_positive_int(b) for b in text.split(",") if b]
+    """argparse type of comma-separated budgets, at least one of them."""
+    budgets = [_positive_int(b) for b in text.split(",") if b]
+    if not budgets:
+        raise argparse.ArgumentTypeError(f"expected at least one budget, got {text!r}")
+    return budgets
 
 
 def _controller_config(args, problems):

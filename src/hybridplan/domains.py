@@ -36,7 +36,7 @@ import heapq
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 MAZE_ACTIONS = ("up", "down", "left", "right")
@@ -53,7 +53,7 @@ TABLE = "table"
 _BLOCK_LABEL = re.compile(r"\w+")  # the labels that move(...) text can name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MazeGrid:
     rows: int
     cols: int
@@ -68,10 +68,6 @@ class MazeGrid:
                     or not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"obstacle {(r, c)} is not a cell of the grid")
 
-    def in_bounds(self, state):
-        r, c = state
-        return 0 <= r < self.rows and 0 <= c < self.cols
-
     def free_cells(self):
         return [
             (r, c)
@@ -84,7 +80,7 @@ class MazeGrid:
 DOMAINS = ("maze", "blocks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanningProblem:
     domain: str  # one of DOMAINS
     start: object
@@ -95,47 +91,49 @@ class PlanningProblem:
     optimal_length: int | None = None
     problem_id: str = ""
     split: str = ""
+    # What the problem's plans and searches depend on: its domain, grid or
+    # block universe, start and goal, not its id, split or gold plan. The
+    # grid enters by its fields, whose frozenset of obstacles keeps its hash.
+    geometry: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Checks the problem against its grid or block universe. Blocks
-        states are canonicalized, so a state written with its stacks out of
-        bottom order equals its canonical form."""
-        if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
-        if self.domain == "maze":
-            if self.grid is None:
+        """Checks the problem against its grid or block universe and sets
+        its geometry. Blocks states are canonicalized, so a state written
+        with its stacks out of bottom order equals its canonical form."""
+        domain = self.domain
+        if domain == "maze":
+            grid = self.grid
+            if grid is None:
                 raise ValueError("maze problem needs a grid")
-            for name, s in (("start", self.start), ("goal", self.goal)):
-                if not self.grid.in_bounds(s):
+            rows, cols, obstacles = grid.rows, grid.cols, grid.obstacles
+            start, goal = self.start, self.goal
+            for name, s in (("start", start), ("goal", goal)):
+                r, c = s
+                if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"{name} {s} out of bounds")
-                if s in self.grid.obstacles:
+                if s in obstacles:
                     raise ValueError(f"{name} {s} is an obstacle")
-        else:
-            if not self.blocks:
+            geometry = domain, rows, cols, obstacles, start, goal
+        elif domain == "blocks":
+            blocks = self.blocks
+            if not blocks:
                 raise ValueError("blocks problem needs at least one block")
-            if len(set(self.blocks)) != len(self.blocks):
+            if len(set(blocks)) != len(blocks):
                 raise ValueError("block labels must be distinct")
-            if TABLE in self.blocks:
+            if TABLE in blocks:
                 raise ValueError(f"a block may not be named {TABLE!r}")
-            if not all(type(b) is str and _BLOCK_LABEL.fullmatch(b) for b in self.blocks):
+            if not all(type(b) is str and _BLOCK_LABEL.fullmatch(b) for b in blocks):
                 raise ValueError("block labels must be words of letters, digits and _")
-            universe = sorted(self.blocks)
+            universe = sorted(blocks)
             for name in ("start", "goal"):
                 state = canonical_blocks(getattr(self, name))
                 if sorted(b for stack in state for b in stack) != universe:
                     raise ValueError(f"{name} does not use the block universe exactly once each")
                 object.__setattr__(self, name, state)
-
-    @cached_property
-    def geometry(self):
-        """What the problem's plans and searches depend on: its domain, grid
-        or block universe, start and goal, not its id, split or gold plan.
-        The grid enters by its fields, whose frozenset of obstacles keeps
-        its hash."""
-        grid = self.grid
-        if grid is None:
-            return self.domain, self.blocks, self.start, self.goal
-        return self.domain, grid.rows, grid.cols, grid.obstacles, self.start, self.goal
+            geometry = domain, blocks, self.start, self.goal
+        else:
+            raise ValueError(f"unknown domain {domain!r}")
+        object.__setattr__(self, "geometry", geometry)
 
 
 def canonical_blocks(stacks):

@@ -274,40 +274,38 @@ def problem_to_json(problem):
     return rec
 
 
-def problem_from_json(rec, states=None):
+def problem_from_json(rec, states=None, actions=None):
     """A problem from its record. Its id and split must be strings. An
     optimal length must be a non-negative integer that agrees with the
-    gold plan's length and is 0 only when start is the goal. states, when
-    given, maps state texts to their parsed states; a text found there is
-    not parsed again, and one parsed here is added."""
+    gold plan's length and is 0 only when start is the goal. states and
+    actions, when given, map state texts and gold-plan action texts to
+    their parses; a text found there is not parsed again, and one parsed
+    here is added. A maze action is taken as it is."""
     domain = rec["domain"]
     if states is None:
         states = {}
-    start, goal = _parsed_state(rec["start"], states), _parsed_state(rec["goal"], states)
+    start = _parsed(rec["start"], states, parse_state)
+    goal = _parsed(rec["goal"], states, parse_state)
     problem_id, split = rec.get("id", ""), rec.get("split", "")
     if type(problem_id) is not str or type(split) is not str:
         raise ValueError("id and split must be strings")
     gold_plan, length = rec.get("gold_plan"), rec.get("optimal_length")
     if gold_plan is not None:
-        gold_plan = tuple(a if a in MAZE_ACTIONS else parse_action(a) for a in gold_plan)
-    kwargs = dict(
-        domain=domain,
-        start=start,
-        goal=goal,
-        gold_plan=gold_plan,
-        optimal_length=length,
-        problem_id=problem_id,
-        split=split,
-    )
+        if actions is None:
+            actions = {}
+        gold_plan = tuple(a if a in MAZE_ACTIONS else _parsed(a, actions, parse_action)
+                          for a in gold_plan)
     if domain == "maze":
         g = rec["grid"]
-        kwargs["grid"] = MazeGrid(g["rows"], g["cols"], frozenset(map(tuple, g["obstacles"])))
+        grid = MazeGrid(g["rows"], g["cols"], frozenset(map(tuple, g["obstacles"])))
+        problem = PlanningProblem(domain, start, goal, grid, gold_plan=gold_plan,
+                                  optimal_length=length, problem_id=problem_id, split=split)
     else:
         blocks = rec["blocks"]
         if not isinstance(blocks, list):
             raise ValueError(f"blocks must be a list of labels, not {type(blocks).__name__}")
-        kwargs["blocks"] = tuple(blocks)
-    problem = PlanningProblem(**kwargs)
+        problem = PlanningProblem(domain, start, goal, blocks=tuple(blocks), gold_plan=gold_plan,
+                                  optimal_length=length, problem_id=problem_id, split=split)
     if length is not None:
         if type(length) is not int or length < 0:
             raise ValueError(f"optimal_length {length!r} is not a non-negative integer")
@@ -318,16 +316,16 @@ def problem_from_json(rec, states=None):
     return problem
 
 
-def _parsed_state(text, states):
-    """parse_state(text), looked up in or added to the dict states. A text
-    that is not a str is parsed each time, so that it fails as it would in
-    parse_state."""
+def _parsed(text, parsed, parse):
+    """parse(text), looked up in or added to the dict parsed. A text that
+    is not a str is parsed each time, so that it fails as it would in
+    parse."""
     if type(text) is not str:
-        return parse_state(text)
-    state = states.get(text)
-    if state is None:
-        state = states[text] = parse_state(text)
-    return state
+        return parse(text)
+    value = parsed.get(text)
+    if value is None:
+        value = parsed[text] = parse(text)
+    return value
 
 
 def problem_input_text(problem):
@@ -346,6 +344,10 @@ def save_problems(path, problems_by_split):
     write_jsonl_atomic(path, records)
 
 
+_JSON_SPACE = " \t\n\r"  # the whitespace that JSON allows around a value
+_decode = json.JSONDecoder().raw_decode
+
+
 def load_problems(path, splits=None):
     """{split: [problem]} of a problem file, whose records all name one
     domain; a record without a split is in split "all". Given a set of
@@ -355,15 +357,18 @@ def load_problems(path, splits=None):
     Each distinct state text is parsed once per call; no parse outlives
     the call."""
     out = {}
-    states = {}  # state text -> parsed state, shared by this file's records
+    states, actions = {}, {}  # text -> its parse, shared by this file's records
     domain = None
     try:
         with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
-                if not line.strip():
+                text = line.strip(_JSON_SPACE)
+                if not text or text.isspace():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec, end = _decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
                     if not isinstance(rec, dict):
                         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
                     split, rec_domain = rec.get("split", ""), rec["domain"]
@@ -372,7 +377,7 @@ def load_problems(path, splits=None):
                     split = split or "all"
                     problem = None
                     if splits is None or split in splits:
-                        problem = problem_from_json(rec, states)
+                        problem = problem_from_json(rec, states, actions)
                     elif rec_domain not in DOMAINS:
                         raise ValueError(f"unknown domain {rec_domain!r}")
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -19,6 +19,7 @@ from hybridplan.search import run_engine
 from hybridplan.textio import (
     TEMPLATE_VERSION,
     metaplan_record,
+    problem_from_json,
     problem_input_text,
     render_action,
     render_state,
@@ -147,6 +148,32 @@ def corpus_lines(problems, controller_records, engine, trace):
 MAZE_DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 
 
+def load_problem_lines(path):
+    """What load_problems(path) gives for a file of one domain, each line
+    decoded by json.loads: ({split: [problem]}, None), or (None, the number
+    of the first line that json.loads or problem_from_json rejects)."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                problem = problem_from_json(json.loads(line))
+            except (AttributeError, KeyError, TypeError, ValueError):
+                return None, i
+            out.setdefault(problem.split or "all", []).append(problem)
+    return out, None
+
+
+def geometry(problem):
+    """What a problem's plans and searches depend on, read off its fields:
+    its domain, grid fields or block universe, start and goal."""
+    grid = problem.grid
+    if grid is None:
+        return problem.domain, problem.blocks, problem.start, problem.goal
+    return problem.domain, grid.rows, grid.cols, grid.obstacles, problem.start, problem.goal
+
+
 def maze_grid_error(rows, cols, obstacles):
     """The message of the ValueError that MazeGrid(rows, cols, obstacles)
     raises, or None when the grid is well formed: the obstacle loop, naming
@@ -164,7 +191,7 @@ def maze_step(grid, state, action):
     or (None, reason)."""
     dr, dc = MAZE_DELTAS[action]
     nxt = (state[0] + dr, state[1] + dc)
-    if not grid.in_bounds(nxt):
+    if not (0 <= nxt[0] < grid.rows and 0 <= nxt[1] < grid.cols):
         return None, "out-of-bounds"
     if nxt in grid.obstacles:
         return None, "obstacle"

@@ -182,6 +182,8 @@ class TestValidation:
         ["eval", "--planner", "system2", "--budget", "0"],
         ["eval", "--planner", "system1x", "--budget", "-3"],
         ["sweep", "--planner", "system2", "--budgets", "0,5"],
+        ["sweep", "--planner", "system2", "--budgets", ","],
+        ["sweep", "--planner", "system2", "--budgets", ""],
     ])
     def test_bad_budget_exits_2(self, problems_file, argv, capsys):
         assert main(argv + ["--problems", problems_file]) == 2

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,8 +236,33 @@ problems = st.one_of(maze_problems(), blocks_problems())
 
 def legal_state(problem, state):
     if problem.domain == "maze":
-        return problem.grid.in_bounds(state) and state not in problem.grid.obstacles
+        (r, c), grid = state, problem.grid
+        return 0 <= r < grid.rows and 0 <= c < grid.cols and state not in grid.obstacles
     return sorted(b for stack in state for b in stack) == sorted(problem.blocks)
+
+
+@PROPERTY
+@given(problems, st.data())
+def test_slotted_problems_keep_their_contracts(problem, data):
+    """A problem's geometry is set at construction, survives the pickle
+    round trip that the process pool makes, is set again by replace, and
+    takes no part in ==, hash or repr. Problems and grids are frozen and
+    carry no __dict__."""
+    assert problem.geometry == reference.geometry(problem)
+    unpickled = pickle.loads(pickle.dumps(problem))
+    assert unpickled == problem and unpickled.geometry == problem.geometry
+    moved = replace(problem, start=data.draw(states_of(problem)),
+                    goal=data.draw(states_of(problem)), problem_id="moved")
+    assert moved.geometry == reference.geometry(moved)
+    odd = copy.copy(problem)
+    object.__setattr__(odd, "geometry", None)
+    assert odd == problem and hash(odd) == hash(problem) and repr(odd) == repr(problem)
+    assert "geometry" not in repr(problem)
+    for obj, name in ((problem, "start"), (problem, "geometry"), (problem.grid, "rows")):
+        if obj is not None:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            assert not hasattr(obj, "__dict__")
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import string
 from collections import Counter
 from dataclasses import replace
@@ -42,7 +43,7 @@ from hybridplan.textio import (
     trace_record,
     verbalize_plan,
 )
-from reference import corpus_lines, trace_mirror
+from reference import corpus_lines, load_problem_lines, trace_mirror
 from strategies import WORD_LABELS, blocks_problems, blocks_states, maze_problems, states_of
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -311,6 +312,54 @@ def test_loading_some_splits_is_the_full_load_restricted(tmp_path_factory, data)
            {split: built if split in wanted else None for split, built in full.items()}
 
 
+JSON_SPACE = " \t\n\r"
+JSON_NUMBER = re.compile(r"(?<=[\[ ])-?\d+(?=[,\]}])")  # a number value, not one in a string
+LINE_EDITS = ("json-space", "other-space", "bom", "trailing", "constant")
+
+
+@st.composite
+def edited_lines(draw, line):
+    """A record line changed by one to three edits: JSON-whitespace
+    padding, a non-JSON whitespace character at an end, a leading byte
+    order mark, trailing data, or a number value made NaN or Infinity."""
+    for edit in draw(st.lists(st.sampled_from(LINE_EDITS), min_size=1, max_size=3)):
+        if edit == "json-space":
+            line = draw(st.text(JSON_SPACE, max_size=3)) + line + draw(st.text(JSON_SPACE, max_size=3))
+        elif edit == "other-space":
+            space = draw(st.sampled_from("\x0c\xa0"))
+            line = draw(st.sampled_from((space + line, line + space)))
+        elif edit == "bom":
+            line = "\ufeff" + line
+        elif edit == "trailing":
+            line += draw(st.sampled_from(("x", "{}", "1", " 0", "]", ",", " null", "\t{")))
+        elif numbers := list(JSON_NUMBER.finditer(line)):
+            number = draw(st.sampled_from(numbers))
+            line = (line[:number.start()] + draw(st.sampled_from(("NaN", "Infinity", "-Infinity")))
+                    + line[number.end():])
+    return line
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loader_accepts_the_lines_that_json_loads_accepts(tmp_path_factory, small_maze_dataset,
+                                                          small_blocks_dataset, data):
+    """A file of record lines, some edited, loads as the json.loads-based
+    reference loads it, or fails with a ParseError naming the line on
+    which the reference fails."""
+    dataset = data.draw(st.sampled_from((small_maze_dataset, small_blocks_dataset)))
+    lines = [json.dumps(problem_to_json(p), sort_keys=True) for p in dataset["test"][:4]]
+    lines = [data.draw(edited_lines(line)) if data.draw(st.booleans()) else line for line in lines]
+    path = tmp_path_factory.getbasetemp() / "edited.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected, bad_line = load_problem_lines(path)
+    if bad_line is None:
+        assert load_problems(path) == expected
+    else:
+        with pytest.raises(ParseError) as failure:
+            load_problems(path)
+        assert failure.value.line_no == bad_line
+
+
 class TestProblemSerialization:
     def test_round_trip_maze(self, small_maze_dataset):
         for p in small_maze_dataset["test"][:20]:
@@ -329,17 +378,28 @@ class TestProblemSerialization:
         assert loaded["test"] == small_maze_dataset["test"]
 
     def test_load_parses_each_state_text_once_per_call(self, tmp_path, monkeypatch,
-                                                       small_maze_dataset):
-        path = tmp_path / "problems.jsonl"
-        save_problems(path, small_maze_dataset)
-        parsed = []
-        real = textio.parse_state
-        monkeypatch.setattr(textio, "parse_state",
-                            lambda text, line_no=None: parsed.append(text) or real(text, line_no))
-        first, second = load_problems(path), load_problems(path)
-        assert first == second
-        texts = {render_state(s) for split in first.values() for p in split for s in (p.start, p.goal)}
-        assert Counter(parsed) == {text: 2 for text in texts}
+                                                       small_maze_dataset, small_blocks_dataset):
+        """Each distinct state text, and each gold-plan action text that is
+        not a maze action, is parsed once per load_problems call."""
+        parsed = {"parse_state": [], "parse_action": []}
+        for name, texts in parsed.items():
+            real = getattr(textio, name)
+            monkeypatch.setattr(textio, name, lambda text, line_no=None, real=real, texts=texts:
+                                texts.append(text) or real(text, line_no))
+        for dataset in (small_maze_dataset, small_blocks_dataset):
+            path = tmp_path / "problems.jsonl"
+            save_problems(path, dataset)
+            for texts in parsed.values():
+                texts.clear()
+            first, second = load_problems(path), load_problems(path)
+            assert first == second == dataset
+            problems = [p for split in first.values() for p in split]
+            states = {render_state(s) for p in problems for s in (p.start, p.goal)}
+            actions = {render_action(a) for p in problems for a in p.gold_plan
+                       if a not in MAZE_ACTIONS}
+            assert Counter(parsed["parse_state"]) == {text: 2 for text in states}
+            assert Counter(parsed["parse_action"]) == {text: 2 for text in actions}
+            assert bool(actions) == (dataset is small_blocks_dataset)
 
     def test_load_corrupt(self, tmp_path):
         path = tmp_path / "bad.jsonl"
