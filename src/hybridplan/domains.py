@@ -21,6 +21,12 @@ place and corrects its parent's heuristic per move rather than calling
 valid_actions and heuristic_for, as does the path reconstruction that
 every search shares (_reconstruct).
 
+MazeGrid and PlanningProblem are frozen, slotted dataclasses. A problem's
+geometry (its domain, grid fields or block universe, start and goal, the
+key of the sweep memo) is a field that __post_init__ sets once, alongside
+its checks; it takes no part in ==, hash or repr, and replace sets it
+again.
+
 A maze move goes one cell up, down, left or right (up decreases the row
 index) and is valid when it lands on a cell of the grid that is not an
 obstacle. One helper, _maze_moves, lists the valid moves from a cell by

@@ -8,6 +8,12 @@ parsers reproduce that mirror exactly (round-trip identity). The emitter
 writes each record's JSON line itself, byte for byte what
 json.dumps(record, sort_keys=True) writes: a trace's mirror is JSON text
 made in the pass that verbalizes the trace, and no mirror dict is built.
+
+The problem loader decodes each line with one JSONDecoder.raw_decode on
+the line stripped of JSON whitespace, rejecting trailing data, so that it
+accepts exactly the lines that json.loads accepts. Within one call it
+parses each distinct state text and gold-plan action text once, and
+problem_from_json builds each problem with one direct constructor call.
 """
 
 from __future__ import annotations
@@ -354,8 +360,11 @@ def load_problems(path, splits=None):
     splits, only their records are built into problems and every other
     split of the file maps to None: a record of such a split is checked
     only to be a JSON object with a string split and the file's domain.
-    Each distinct state text is parsed once per call; no parse outlives
-    the call."""
+    A line is decoded as json.loads decodes it, by raw_decode on the line
+    stripped of JSON whitespace; trailing data fails the line. Each
+    distinct state text, and each gold-plan action text that is not a maze
+    action, is parsed once per call; no parse outlives the call. The
+    problems are slotted, their geometry set at construction."""
     out = {}
     states, actions = {}, {}  # text -> its parse, shared by this file's records
     domain = None
