@@ -1,7 +1,9 @@
 """Reference implementations that the tests hold the package against."""
 
 import heapq
+import itertools
 import json
+import sys
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -9,9 +11,12 @@ from hybridplan.controller import SYS1, SYS2, easy_count, meta_plan, window_leng
 from hybridplan.domains import (
     MAZE_ACTIONS,
     _reconstruct,
+    candidate_actions,
+    decode,
     encode,
     heuristic_for,
     plan_states,
+    step,
     valid_actions,
 )
 from hybridplan.hardness import hardness_fn, rank_problems
@@ -231,3 +236,108 @@ def obstacle_count(grid, a, b):
     rows = range(min(a[0], b[0]), max(a[0], b[0]) + 1)
     cols = range(min(a[1], b[1]), max(a[1], b[1]) + 1)
     return sum((r, c) in grid.obstacles for r in rows for c in cols)
+
+
+def valid_successors(problem, state):
+    """(action, successor) for every action of candidate_actions that step
+    takes somewhere from the search state `state`, in that order, over
+    search states."""
+    here = decode(problem, state)
+    out = []
+    for action in candidate_actions(problem):
+        nxt, _ = step(problem, here, action)
+        if nxt is not None:
+            out.append((action, encode(problem, nxt)))
+    return out
+
+
+def frontier(algorithm, start, t):
+    """(items, pop, push) for an engine's frontier. push takes one
+    expansion's children as (state, g, t) tuples in probe order.
+
+    A* pops the lowest (f, t, insertion order); BFS is a FIFO queue; DFS is
+    a LIFO stack that gets each expansion's children in reverse, so the
+    first canonical action is explored first."""
+    if algorithm == "astar":
+        items = [(t, t, 0, start)]
+        tie = itertools.count(1)
+
+        def push(children):
+            for state, g, t in children:
+                heapq.heappush(items, (g + t, t, next(tie), state))
+
+        return items, lambda: heapq.heappop(items)[3], push
+    items = deque([start])
+    if algorithm == "bfs":
+        return items, items.popleft, lambda children: items.extend(c[0] for c in children)
+    return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
+
+
+def search(problem, start, goal, algorithm, account):
+    """The search loop of every engine, one frontier per engine: each
+    expansion's valid successors, scored from scratch with heuristic_for
+    under A*, are handed to account(parent, g, successors, fresh), fresh
+    mapping each newly generated state to its t; the loop stops after the
+    expansion that generates the goal. Returns (plan, states explored)."""
+    if start == goal:
+        return (), 0
+    start, goal = encode(problem, start), encode(problem, goal)
+    h = heuristic_for(problem, goal) if algorithm == "astar" else None
+    items, pop, push = frontier(algorithm, start, h(start) if h else None)
+    explored = 0
+    g_score = {start: 0}
+    came_from = {}
+    closed = set()
+    while items:
+        current = pop()
+        if current in closed:
+            continue
+        closed.add(current)
+        g = g_score[current] + 1
+        successors = valid_successors(problem, current)
+        fresh, children = {}, []
+        for action, nxt in successors:
+            if nxt in g_score:
+                if h and g < g_score[nxt] and nxt not in closed:
+                    g_score[nxt] = g
+                    came_from[nxt] = (current, action)
+                    children.append((nxt, g, h(nxt)))
+                continue
+            g_score[nxt] = g
+            came_from[nxt] = (current, action)
+            t = fresh[nxt] = h(nxt) if h else None
+            children.append((nxt, g, t))
+        explored += account(current, g, successors, fresh)
+        if goal in fresh:
+            return _reconstruct(came_from, goal, start), explored
+        push(children)
+    return None, explored
+
+
+def greedy_walk(problem, start, goal, step_cap=None):
+    """The walk that takes the valid action whose successor has the lowest
+    heuristic_for score, first in canonical order on ties, never revisiting
+    a state, until the goal, a dead end or step_cap moves (default 8 per
+    block on blocks, none on maze): (actions, problem states)."""
+    if step_cap is None:
+        step_cap = 8 * len(problem.blocks) if problem.domain == "blocks" else sys.maxsize
+    cur, goal = encode(problem, start), encode(problem, goal)
+    h = heuristic_for(problem, goal)
+    states = [cur]
+    seen = {cur}
+    actions = []
+    while cur != goal and len(actions) < step_cap:
+        best = None
+        for action, nxt in valid_successors(problem, cur):
+            if nxt in seen:
+                continue
+            score = h(nxt)
+            if best is None or score < best[0]:
+                best = (score, action, nxt)
+        if best is None:
+            break
+        _, action, cur = best
+        seen.add(cur)
+        actions.append(action)
+        states.append(cur)
+    return tuple(actions), [decode(problem, s) for s in states]

@@ -362,6 +362,15 @@ def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
 
 
 @PROPERTY
+@given(st.one_of(maze_problems(), blocks_problems()), st.sampled_from((0, 1, None)))
+def test_greedy_walk_is_the_reference_walk(problem, step_cap):
+    """The walk takes the reference walk's moves, heuristic_for scoring
+    each successor, with caps of 0 and 1 moves and the default."""
+    assert greedy_walk(problem, problem.start, problem.goal, step_cap) == \
+        reference.greedy_walk(problem, problem.start, problem.goal, step_cap)
+
+
+@PROPERTY
 @given(blocks_problems(max_blocks=9))
 @example(SIXTEEN_BLOCKS)
 def test_blocks_search_states_round_trip(problem):

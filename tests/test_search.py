@@ -17,6 +17,7 @@ from hybridplan.domains import (
     canonical_blocks,
     encode,
     heuristic_for,
+    plan_states,
     step,
     validate_plan,
 )
@@ -25,6 +26,7 @@ from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner
 from hybridplan.hybrid import cut_run, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
+import reference
 from reference import truncate_run
 from strategies import blocks_problems, maze_problems, reachable_states
 
@@ -374,6 +376,40 @@ def test_count_equals_the_recorded_trace(engine, caps, data):
     for _, expansion in itertools.groupby(run.events, lambda e: e.parent_state):
         probes = [position[e.action] for e in expansion]
         assert probes == sorted(set(probes))
+
+
+@pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
+@pytest.mark.parametrize("caps", ["nocaps", "caps"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_loop_expands_as_the_reference_loop(engine, caps, data):
+    """The search loop hands its account the reference loop's expansions,
+    (parent, g, [(action, successor)], fresh) in order, and returns the
+    same plan and count, as does the recorded run between the same
+    endpoints. The endpoints are the problem's own, or two states of its
+    BFS plan, in either order."""
+    problem = data.draw(st.one_of(maze_problems(), blocks_problems(max_blocks=5)))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=seed)
+    start, goal = problem.start, problem.goal
+    plan, _ = reference.search(problem, start, goal, "bfs", lambda *expansion: 0)
+    if plan and data.draw(st.booleans()):
+        states = plan_states(problem, plan)
+        start, goal = data.draw(st.sampled_from(states)), data.draw(st.sampled_from(states))
+    count = search._counter(problem, config)
+
+    def account(calls):
+        def record(parent, g, successors, fresh):
+            calls.append((parent, g, [s[:2] for s in successors], dict(fresh)))
+            return count(parent, g, successors, fresh)
+        return record
+
+    ours, theirs = [], []
+    result = search._search(problem, start, goal, engine, account(ours))
+    assert result == reference.search(problem, start, goal, engine, account(theirs))
+    assert ours == theirs
+    run = run_engine(engine, replace(problem, start=start, goal=goal), config)
+    assert (run.plan, len(run.events)) == result
 
 
 def test_sample_draws_positions_from_length_and_k():
