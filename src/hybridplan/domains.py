@@ -3,7 +3,7 @@
 Problem states are plain hashable values: a maze state is a ``(row, col)``
 tuple, a blocks state is a tuple of stacks, each stack a bottom-to-top
 tuple of block labels, with stacks sorted by their bottom block so equal
-configurations compare equal. valid_actions and heuristic_for take search
+configurations compare equal. expander and heuristic_for take search
 states instead: encode leaves a maze cell as it is and packs a blocks state
 into one int, block i's field holding the sorted-universe index of the
 block under it plus one, 0 for the table; decode inverts it. Only this
@@ -11,15 +11,19 @@ module reads the packing. Searches and oracles encode their start and goal
 once; every state they hand back is decoded.
 
 Every per-domain decision of the planners lives here: the step semantics,
-the successors that search engines and oracles expand (built for the valid
-moves only), the search heuristic, the greedy walk behind the fast planner,
-and the skeleton over which the controller places its search window. The
-skeleton follows one rule on both domains: the greedy walk's states when
-the walk reaches the goal, else None. The blocks optimal-plan oracle's
-A* (_blocks_astar) lives here too, one loop that builds each successor in
-place and corrects its parent's heuristic per move rather than calling
-valid_actions and heuristic_for, as does the path reconstruction that
-every search shares (_reconstruct).
+the search heuristic, the expansion kernel, the greedy walk behind the
+fast planner, and the skeleton over which the controller places its
+search window. The kernel (expander) is the one source of successors for
+the search engines, the greedy walk and the exhaustive BFS oracle: it
+builds the valid moves only, each with its successor's heuristic value,
+worked out from its parent's (one field's correction on blocks, the
+successor's Manhattan distance on maze), so no caller scores a successor
+from scratch. The skeleton follows one rule on both domains: the greedy
+walk's states when the walk reaches the goal, else None. The blocks
+optimal-plan oracle's A* (_blocks_astar) lives here too, one loop that
+inlines the kernel's blocks moves and heuristic correction (its plans are
+gen-blocks' pinned output, and through the kernel it ran 1.28x slower),
+as does the path reconstruction that every search shares (_reconstruct).
 
 MazeGrid and PlanningProblem are frozen, slotted dataclasses. A problem's
 geometry (its domain, grid fields or block universe, start and goal, the
@@ -30,8 +34,8 @@ again.
 A maze move goes one cell up, down, left or right (up decreases the row
 index) and is valid when it lands on a cell of the grid that is not an
 obstacle. One helper, _maze_moves, lists the valid moves from a cell by
-that rule, testing the four neighbours inline: it gives the successors of
-every maze search, of the greedy walk and of the generator's BFS.
+that rule, testing the four neighbours inline: it gives the kernel's maze
+successors and the generator's BFS.
 maze_step applies the rule to a single action and names why an invalid one
 fails, for step, plan checks and the trace's invalid probes.
 """
@@ -301,29 +305,6 @@ def decode(problem, state):
     return tuple(stacks)
 
 
-def valid_actions(problem, state):
-    """(action, next_state) for every action whose step result is valid, in
-    canonical order, over search states; only the clear blocks' moves are
-    built, each successor by adding one field to its block's cleared state."""
-    if problem.domain == "maze":
-        return _maze_moves(problem.grid, state)
-    _, _, moves, shifts, place, mask, _ = _universe(problem.blocks)
-    on = [state >> s & mask for s in shifts]
-    held = set(on)
-    clear = [b for b in range(len(on)) if b + 1 not in held]
-    out = []
-    for b in clear:
-        onto, put = moves[b], place[b]
-        below = on[b]
-        base = state - (below << shifts[b])
-        for d in clear:
-            if d != b:
-                out.append((onto[d], base + put[d]))
-        if below:
-            out.append((onto[-1], base))
-    return out
-
-
 def _reconstruct(came_from, state, start):
     """The actions from start to state, following came_from's (parent,
     action) links back from state."""
@@ -355,6 +336,52 @@ def heuristic_for(problem, goal):
     return lambda on: ((((x := on ^ goal) & rest) + rest | x) & top).bit_count()
 
 
+def expander(problem, goal=None):
+    """The expansion kernel of a problem's search toward the search state
+    goal: expand(state, t) gives (action, successor, t') for every valid
+    action from state, in canonical order, t being state's heuristic_for
+    value and t' its successor's. A maze t' is the successor's Manhattan
+    distance; a blocks t' is t corrected for the moved block's field alone,
+    since no other field changed. With no goal, every t' is None.
+
+    A blocks expansion reads the state's fields once and builds only the
+    clear blocks' moves, clear block b onto each other clear block d and
+    then onto the table (d = -1) unless it is on it, each successor as b's
+    cleared state plus place[b][d]."""
+    if problem.domain == "maze":
+        grid = problem.grid
+        if goal is None:
+            return lambda cell, t: [(a, nxt, None) for a, nxt in _maze_moves(grid, cell)]
+        gr, gc = goal
+        return lambda cell, t: [(a, nxt, abs(nxt[0] - gr) + abs(nxt[1] - gc))
+                                for a, nxt in _maze_moves(grid, cell)]
+    _, _, moves, shifts, place, mask, _ = _universe(problem.blocks)
+    want = None if goal is None else [goal >> s & mask for s in shifts]
+
+    def expand(state, t):
+        on = [state >> s & mask for s in shifts]
+        clear = [b for b in range(len(on)) if b + 1 not in on]
+        dests = [*clear, -1]
+        out = []
+        append = out.append
+        for b in clear:
+            below, onto, put = on[b], moves[b], place[b]
+            base = state - (below << shifts[b])
+            if want is None:
+                for d in dests if below else clear:
+                    if d != b:
+                        append((onto[d], base + put[d], None))
+            else:
+                w = want[b]
+                t_b = t - (below != w)
+                for d in dests if below else clear:
+                    if d != b:
+                        append((onto[d], base + put[d], t_b + (d + 1 != w)))
+        return out
+
+    return expand
+
+
 def _blocks_astar(blocks, start, goal):
     """Lean A* between two states of the block universe `blocks`, over
     search states: an optimal plan, or None when the goal is unreachable.
@@ -362,7 +389,7 @@ def _blocks_astar(blocks, start, goal):
     Each expansion reads the state's fields once and builds its successors
     in canonical order, clear block b onto each other clear block d and then
     onto the table (d = -1) unless it is on it, as base + place[b][d]:
-    valid_actions' moves. Its mismatch heuristic, heuristic_for's count of
+    the expansion kernel's moves. Its mismatch heuristic, heuristic_for's count of
     fields that differ from the goal's, is its parent's corrected for block
     b alone, since no other field changed. The frontier holds (g + h,
     insertion counter, state) and the search stops when it generates the
@@ -419,21 +446,21 @@ def greedy_walk(problem, start, goal, step_cap=None):
     if step_cap is None:
         step_cap = 8 * len(problem.blocks) if problem.domain == "blocks" else sys.maxsize
     cur, goal = encode(problem, start), encode(problem, goal)
-    h = heuristic_for(problem, goal)
+    expand = expander(problem, goal)
+    t = heuristic_for(problem, goal)(cur)
     states = [cur]
     seen = {cur}
     actions = []
     while cur != goal and len(actions) < step_cap:
         best = None
-        for action, nxt in valid_actions(problem, cur):
+        for action, nxt, score in expand(cur, t):
             if nxt in seen:
                 continue
-            score = h(nxt)
             if best is None or score < best[0]:
                 best = (score, action, nxt)
         if best is None:
             break
-        _, action, cur = best
+        t, action, cur = best
         seen.add(cur)
         actions.append(action)
         states.append(cur)

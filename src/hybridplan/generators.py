@@ -9,18 +9,20 @@ The oracles used here (plain BFS for mazes, a lean A* and an exhaustive
 BFS for blocks) run their own searches, apart from the engines in
 search.py, so generated optimal lengths check those engines' search. The
 maze BFS and the exhaustive blocks BFS expand the engines' successors
-(domains._maze_moves and domains.valid_actions); tests/reference.py holds
-the maze BFS equal to one over maze_step.
+(domains._maze_moves and the goal-free domains.expander); tests/reference.py
+holds the maze BFS equal to one over maze_step.
 The lean A* shares only the engines' search states and block universe
 table (domains.encode's packing and its move and field tables): its loop,
 domains._blocks_astar, builds each successor in place and corrects its
-parent's mismatch heuristic for the one moved block. That timed faster
-than expanding through valid_actions and scoring each successor with
-heuristic_for: 0.375 s against 0.476 s (best of 15; medians 0.476 s and
-0.651 s) over the 2787 pairs that gen-blocks sends to the oracle at
+parent's mismatch heuristic for the one moved block, the kernel's rule
+inlined. That timed faster than the same A* expanding through the
+kernel, expander(problem, goal), with each successor's t from its
+triple: 0.289 s against 0.335 s (best of 15; medians 0.307 s and
+0.365 s) over the 2787 pairs that gen-blocks sends to the oracle at
 2400/200/160 problems of at most 6 blocks and seed 7 (CPython 3.11.7 on a
-shared 2-core Xeon host). tests/reference.blocks_optimal_plan is the
-loop that expands through valid_actions; the tests hold the oracle's
+shared 2-core Xeon host; the kernel's problems built before timing).
+tests/reference.blocks_optimal_plan is an A* that expands through step
+and scores each successor with heuristic_for; the tests hold the oracle's
 plans equal to its.
 """
 
@@ -39,7 +41,7 @@ from .domains import (
     _reconstruct,
     canonical_blocks,
     encode,
-    valid_actions,
+    expander,
 )
 
 
@@ -216,11 +218,12 @@ def blocks_bfs_length(problem):
     if problem.start == problem.goal:
         return 0
     start, goal = encode(problem, problem.start), encode(problem, problem.goal)
+    expand = expander(problem)
     dist = {start: 0}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for _, nxt in valid_actions(problem, cur):
+        for _, nxt, _ in expand(cur, None):
             if nxt in dist:
                 continue
             dist[nxt] = dist[cur] + 1

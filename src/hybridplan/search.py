@@ -1,7 +1,11 @@
 """Deliberate search planners (A*, BFS, DFS) with full exploration traces.
 
 One search loop serves all three engines; they differ only in their
-frontier (a heap on (f, t, insertion order), a FIFO queue, a LIFO stack).
+frontier. A* pops the lowest (f, t, insertion order) from a heap and
+pushes each fresh or re-opened child as the loop meets it, in probe order;
+BFS appends an expansion's fresh children to a FIFO queue in one go, and
+DFS to a LIFO stack in reverse, so that the first canonical action is
+explored first.
 Every probe made while expanding a state counts as explored, including
 invalid ones (out-of-bounds, obstacle, precondition failure,
 already-visited), so that a run's states-explored count covers both valid
@@ -11,8 +15,11 @@ order for BFS and DFS, which have no t), the invalid cap a seeded random
 sample of the invalid ones.
 
 The loop runs on domains' search states (a maze cell, a blocks state
-packed into one int), which it only hashes and compares: it builds only
-the valid successors of each expansion (valid_actions) and hands them to
+packed into one int), which it only hashes and compares. The domain's
+expansion kernel (domains.expander) gives each expansion's valid
+successors with their heuristic t, worked out from the parent's t under
+A* and None for BFS and DFS, so the loop scores no state from scratch but
+the start. It hands each expansion's (action, successor, t) triples to
 one of two accounts:
 
 - the event recorder (astar, bfs, dfs, run_engine) chooses the kept probes
@@ -34,7 +41,6 @@ budget, it keeps its plan only when its count is within the budget.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -45,9 +51,9 @@ from .domains import (
     candidate_actions,
     decode,
     encode,
+    expander,
     heuristic_for,
     step,
-    valid_actions,
 )
 
 
@@ -87,28 +93,6 @@ class SearchRun:
     plan: tuple | None
 
 
-def _frontier(algorithm, start, t):
-    """(items, pop, push) for an engine's frontier. push takes one
-    expansion's children as (state, g, t) tuples in probe order.
-
-    A* pops the lowest (f, t, insertion order); BFS is a FIFO queue; DFS is
-    a LIFO stack that gets each expansion's children in reverse, so the
-    first canonical action is explored first."""
-    if algorithm == "astar":
-        items = [(t, t, 0, start)]
-        tie = itertools.count(1)
-
-        def push(children):
-            for state, g, t in children:
-                heapq.heappush(items, (g + t, t, next(tie), state))
-
-        return items, lambda: heapq.heappop(items)[3], push
-    items = deque([start])
-    if algorithm == "bfs":
-        return items, items.popleft, lambda children: items.extend(c[0] for c in children)
-    return items, items.pop, lambda children: items.extend(c[0] for c in reversed(children))
-
-
 class _Decoded(dict):
     """Each search state's problem state, decoded on first use."""
 
@@ -140,11 +124,11 @@ def _recorder(problem, config, events):
     decoded = _Decoded(problem) if problem.domain == "blocks" else None
 
     def record(parent, g, successors, fresh):
-        nexts = dict(successors)
+        nexts = {a: nxt for a, nxt, _ in successors}
         kept = probes
         if capped:
             # successors come in probe order, so equal t keep probe order below
-            valid = {position[a]: fresh[nxt] or 0 for a, nxt in successors if nxt in fresh}
+            valid = {position[a]: t or 0 for a, nxt, t in successors if nxt in fresh}
             invalid = [i for i in range(len(probes)) if i not in valid]
             if invalid_cap is not None and len(invalid) > invalid_cap:
                 keep = set(rng.sample(invalid, invalid_cap))
@@ -191,46 +175,59 @@ def _search(problem, start, goal, algorithm, account):
     """The search loop shared by every engine; only the frontier differs.
 
     A state counts as visited once generated. A* alone re-opens a generated,
-    unclosed state that is reached more cheaply. Each expansion is passed to
-    account(parent, g, successors, fresh), successors from valid_actions and
-    fresh mapping each newly generated state to its t, which returns how
-    many states it counts as explored.
-    The search stops after the expansion that generates the goal.
+    unclosed state that is reached more cheaply. Each expansion's
+    successors, the expander's (action, successor, t) triples, are passed
+    to account(parent, g, successors, fresh), fresh mapping each newly
+    generated state to its t, which returns how many states it counts as
+    explored. The fresh states are BFS's and DFS's children; A* has pushed
+    its own by then. The search stops after the expansion that generates
+    the goal.
 
     Returns (plan, states explored); the plan is None when the goal is
     never found."""
     if start == goal:
         return (), 0
     start, goal = encode(problem, start), encode(problem, goal)
-    h = heuristic_for(problem, goal) if algorithm == "astar" else None
-    frontier, pop, push = _frontier(algorithm, start, h(start) if h else None)
+    astar = algorithm == "astar"
+    expand = expander(problem, goal if astar else None)
+    if astar:
+        t = heuristic_for(problem, goal)(start)
+        frontier, pop, push, tie = [(t, t, 0, start)], heapq.heappop, heapq.heappush, 0
+    else:
+        t, frontier, lifo = None, deque([start]), algorithm == "dfs"
+        pop = frontier.pop if lifo else frontier.popleft
     explored = 0
     g_score = {start: 0}
+    seen = g_score.get
     came_from = {}
     closed = set()
     while frontier:
-        current = pop()
+        if astar:
+            _, t, _, current = pop(frontier)
+        else:
+            current = pop()
         if current in closed:
             continue
         closed.add(current)
         g = g_score[current] + 1
-        successors = valid_actions(problem, current)
-        fresh, children = {}, []
-        for action, nxt in successors:
-            if nxt in g_score:
-                if h and g < g_score[nxt] and nxt not in closed:
-                    g_score[nxt] = g
-                    came_from[nxt] = (current, action)
-                    children.append((nxt, g, h(nxt)))
+        successors = expand(current, t)
+        fresh = {}
+        for action, nxt, t_nxt in successors:
+            old = seen(nxt)
+            if old is None:
+                fresh[nxt] = t_nxt
+            elif not astar or g >= old or nxt in closed:
                 continue
             g_score[nxt] = g
             came_from[nxt] = (current, action)
-            t = fresh[nxt] = h(nxt) if h else None
-            children.append((nxt, g, t))
+            if astar:
+                tie += 1
+                push(frontier, (g + t_nxt, t_nxt, tie, nxt))
         explored += account(current, g, successors, fresh)
         if goal in fresh:
             return _reconstruct(came_from, goal, start), explored
-        push(children)
+        if not astar:
+            frontier.extend(reversed(fresh) if lifo else fresh)
     return None, explored
 
 

@@ -17,7 +17,6 @@ from hybridplan.domains import (
     heuristic_for,
     plan_states,
     step,
-    valid_actions,
 )
 from hybridplan.hardness import hardness_fn, rank_problems
 from hybridplan.search import run_engine
@@ -97,7 +96,7 @@ def blocks_optimal_plan(problem):
         if current in closed:
             continue
         closed.add(current)
-        for action, nxt in valid_actions(problem, current):
+        for action, nxt in valid_successors(problem, current):
             tentative = g_score[current] + 1
             if nxt in g_score and tentative >= g_score[nxt]:
                 continue

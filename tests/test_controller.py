@@ -24,12 +24,11 @@ from hybridplan.domains import (
     greedy_walk,
     plan_states,
     skeleton,
-    valid_actions,
 )
 from hybridplan.evaluate import BIAS_STEP
 from hybridplan.hardness import SELECTORS, hardness_fn
 from hybridplan.textio import metaplan_record
-from reference import controller_dataset
+from reference import controller_dataset, valid_successors
 from strategies import blocks_problems, maze_problems, states_of
 
 
@@ -173,7 +172,7 @@ def walked_problems(draw, problems):
     problem = draw(problems)
     state, plan = encode(problem, problem.start), []
     for _ in range(draw(st.integers(0, 8))):
-        moves = list(valid_actions(problem, state))
+        moves = valid_successors(problem, state)
         if not moves:
             break
         action, state = draw(st.sampled_from(moves))

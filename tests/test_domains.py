@@ -17,6 +17,7 @@ from hybridplan.domains import (
     canonical_blocks,
     decode,
     encode,
+    expander,
     greedy_walk,
     heuristic_for,
     maze_step,
@@ -25,7 +26,6 @@ from hybridplan.domains import (
     skeleton,
     step,
     validate_plan,
-    valid_actions,
 )
 from hybridplan.hardness import _neighbor_maps
 import reference
@@ -39,6 +39,12 @@ def maze_problem(rows=5, cols=5, obstacles=(), start=(0, 0), goal=(4, 4)):
 
 def blocks_problem(start, goal, blocks):
     return PlanningProblem(domain="blocks", start=start, goal=goal, blocks=blocks)
+
+
+def successors(problem, state):
+    """(action, successor) for every valid action from a search state: the
+    moves of the expansion kernel without a goal."""
+    return [(a, nxt) for a, nxt, _ in expander(problem)(state, None)]
 
 
 GRID5 = MazeGrid(5, 5)
@@ -110,7 +116,7 @@ class TestBlocksStep:
         state = canonical_blocks([["A", "B"], ["C", "D"], ["E"]])
         problem = blocks_problem(state, state, ("A", "B", "C", "D", "E"))
         for _ in range(100):
-            action, _ = rng.choice(valid_actions(problem, encode(problem, state)))
+            action, _ = rng.choice(successors(problem, encode(problem, state)))
             nxt, reason = blocks_step(state, action)
             assert reason is None
             assert sorted(b for s in nxt for b in s) == ["A", "B", "C", "D", "E"]
@@ -123,22 +129,22 @@ class TestBlocksStep:
 class TestValidActions:
     def test_interior_cell(self):
         p = maze_problem()
-        assert [a for a, _ in valid_actions(p, (2, 2))] == ["up", "down", "left", "right"]
+        assert [a for a, _ in successors(p, (2, 2))] == ["up", "down", "left", "right"]
 
     def test_corner(self):
         p = maze_problem()
-        assert [a for a, _ in valid_actions(p, (0, 0))] == ["down", "right"]
+        assert [a for a, _ in successors(p, (0, 0))] == ["down", "right"]
 
     def test_blocks_canonical_order(self):
         # both on table: table moves are no-ops and excluded
         state = canonical_blocks([["A"], ["B"]])
         p = blocks_problem(state, state, ("A", "B"))
-        assert [a for a, _ in valid_actions(p, encode(p, state))] == [("A", "B"), ("B", "A")]
+        assert [a for a, _ in successors(p, encode(p, state))] == [("A", "B"), ("B", "A")]
 
     def test_blocks_with_stack(self):
         state = canonical_blocks([["A", "B"], ["C"]])
         p = blocks_problem(state, state, ("A", "B", "C"))
-        assert [a for a, _ in valid_actions(p, encode(p, state))] == [
+        assert [a for a, _ in successors(p, encode(p, state))] == [
             ("B", "C"), ("B", "table"), ("C", "B")]
 
 
@@ -270,8 +276,8 @@ def test_slotted_problems_keep_their_contracts(problem, data):
 def test_valid_actions_are_the_legal_steps(problem, data):
     state = data.draw(states_of(problem))
     legal = [(a, step(problem, state, a)[0]) for a in candidate_actions(problem)]
-    successors = [(a, decode(problem, nxt)) for a, nxt in valid_actions(problem, encode(problem, state))]
-    assert successors == [(a, nxt) for a, nxt in legal if nxt is not None]
+    moves = [(a, decode(problem, nxt)) for a, nxt in successors(problem, encode(problem, state))]
+    assert moves == [(a, nxt) for a, nxt in legal if nxt is not None]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -279,7 +285,7 @@ def test_valid_actions_are_the_legal_steps(problem, data):
 def test_maze_moves_are_the_reference_steps(grid):
     """From every free cell of a 1x1 to 9x9 grid, maze_step gives the
     reference step for every action, out-of-bounds and obstacle probes
-    included, and valid_actions gives the reference filter of maze_step
+    included, and the kernel's moves are the reference filter of maze_step
     over MAZE_ACTIONS."""
     free = grid.free_cells()
     if not free:
@@ -288,7 +294,35 @@ def test_maze_moves_are_the_reference_steps(grid):
     for cell in free:
         for action in MAZE_ACTIONS:
             assert maze_step(grid, cell, action) == reference.maze_step(grid, cell, action)
-        assert valid_actions(problem, cell) == reference.maze_moves(grid, cell)
+        assert successors(problem, cell) == reference.maze_moves(grid, cell)
+
+
+def kernel_states(problem):
+    """Strategy for a state of the problem's maze or block universe that
+    favours the ends of the move rules: a free cell on the grid's edge or
+    corner, every block on the table, one tower."""
+    if problem.domain == "maze":
+        grid = problem.grid
+        rim = [(r, c) for r, c in grid.free_cells()
+               if r in (0, grid.rows - 1) or c in (0, grid.cols - 1)]
+        return st.one_of(st.sampled_from(rim), states_of(problem)) if rim else states_of(problem)
+    blocks = problem.blocks
+    return st.one_of(states_of(problem),
+                     st.just(canonical_blocks([b] for b in blocks)),
+                     st.permutations(blocks).map(lambda order: (tuple(order),)))
+
+
+@PROPERTY
+@given(st.one_of(maze_problems(), blocks_problems(max_blocks=9)), st.data())
+def test_the_kernel_scores_successors_as_heuristic_for(problem, data):
+    """Toward a drawn goal, expand(s, h(s)) gives every valid successor n of
+    s in canonical order with t' = h(n), h being heuristic_for's; without a
+    goal every t' is None."""
+    state, goal = (encode(problem, data.draw(kernel_states(problem))) for _ in range(2))
+    h = heuristic_for(problem, goal)
+    moves = reference.valid_successors(problem, state)
+    assert expander(problem, goal)(state, h(state)) == [(a, n, h(n)) for a, n in moves]
+    assert expander(problem)(state, None) == [(a, n, None) for a, n in moves]
 
 
 # coordinates that are cells of small grids, out of range or negative, and
@@ -333,7 +367,7 @@ def test_goal_bound_heuristic_is_the_pairwise_distance(problem):
 @given(problems)
 def test_skeleton_is_none_or_a_legal_chain(problem):
     """On both domains the skeleton is None, or a chain of states from start
-    to goal in which each state is a valid_actions successor of the one
+    to goal in which each state is a successor of the one
     before it."""
     states = skeleton(problem)
     if states is None:
@@ -341,7 +375,7 @@ def test_skeleton_is_none_or_a_legal_chain(problem):
     assert states[0] == problem.start and states[-1] == problem.goal
     assert all(legal_state(problem, s) for s in states)
     for a, b in zip(states, states[1:]):
-        assert encode(problem, b) in [nxt for _, nxt in valid_actions(problem, encode(problem, a))]
+        assert encode(problem, b) in [nxt for _, nxt in successors(problem, encode(problem, a))]
 
 
 @PROPERTY
@@ -380,6 +414,6 @@ def test_blocks_search_states_round_trip(problem):
     for state in (problem.start, problem.goal):
         on = encode(problem, state)
         assert decode(problem, on) == state
-        for action, nxt in valid_actions(problem, on):
+        for action, nxt in successors(problem, on):
             assert decode(problem, nxt) == blocks_step(state, action)[0]
             assert encode(problem, decode(problem, nxt)) == nxt
