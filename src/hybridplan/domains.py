@@ -21,9 +21,9 @@ successor's Manhattan distance on maze), so no caller scores a successor
 from scratch. The skeleton follows one rule on both domains: the greedy
 walk's states when the walk reaches the goal, else None. The blocks
 optimal-plan oracle's A* (_blocks_astar) lives here too, one loop that
-inlines the kernel's blocks moves and heuristic correction (its plans are
-gen-blocks' pinned output, and through the kernel it ran 1.28x slower),
-as does the path reconstruction that every search shares (_reconstruct).
+inlines the kernel's blocks moves and heuristic correction, since the
+same A* through the kernel timed slower (see generators), as does the
+path reconstruction that every search shares (_reconstruct).
 
 MazeGrid and PlanningProblem are frozen, slotted dataclasses. A problem's
 geometry (its domain, grid fields or block universe, start and goal, the
@@ -389,7 +389,7 @@ def _blocks_astar(blocks, start, goal):
     Each expansion reads the state's fields once and builds its successors
     in canonical order, clear block b onto each other clear block d and then
     onto the table (d = -1) unless it is on it, as base + place[b][d]:
-    the expansion kernel's moves. Its mismatch heuristic, heuristic_for's count of
+    expander's moves. Its mismatch heuristic, heuristic_for's count of
     fields that differ from the goal's, is its parent's corrected for block
     b alone, since no other field changed. The frontier holds (g + h,
     insertion counter, state) and the search stops when it generates the
