@@ -192,13 +192,15 @@ def _search(problem, start, goal, algorithm, account):
     expand = expander(problem, goal if astar else None)
     if astar:
         t = heuristic_for(problem, goal)(start)
-        frontier, pop, push, tie = [(t, t, 0, start)], heapq.heappop, heapq.heappush, 0
+        frontier, tie = [(t, t, 0, start)], 0
+        pop, push = heapq.heappop, heapq.heappush
     else:
-        t, frontier, lifo = None, deque([start]), algorithm == "dfs"
+        t, lifo = None, algorithm == "dfs"
+        frontier = deque([start])
         pop = frontier.pop if lifo else frontier.popleft
     explored = 0
     g_score = {start: 0}
-    seen = g_score.get
+    g_of = g_score.get
     came_from = {}
     closed = set()
     while frontier:
@@ -213,7 +215,7 @@ def _search(problem, start, goal, algorithm, account):
         successors = expand(current, t)
         fresh = {}
         for action, nxt, t_nxt in successors:
-            old = seen(nxt)
+            old = g_of(nxt)
             if old is None:
                 fresh[nxt] = t_nxt
             elif not astar or g >= old or nxt in closed:
