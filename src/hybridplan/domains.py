@@ -14,16 +14,13 @@ Every per-domain decision of the planners lives here: the step semantics,
 the search heuristic, the expansion kernel, the greedy walk behind the
 fast planner, and the skeleton over which the controller places its
 search window. The kernel (expander) is the one source of successors for
-the search engines, the greedy walk and the exhaustive BFS oracle: it
-builds the valid moves only, each with its successor's heuristic value,
-worked out from its parent's (one field's correction on blocks, the
-successor's Manhattan distance on maze), so no caller scores a successor
-from scratch. The skeleton follows one rule on both domains: the greedy
-walk's states when the walk reaches the goal, else None. The blocks
-optimal-plan oracle's A* (_blocks_astar) lives here too, one loop that
-inlines the kernel's blocks moves and heuristic correction, since the
-same A* through the kernel timed slower (see generators), as does the
-path reconstruction that every search shares (_reconstruct).
+the search engines (whose A* also gives the blocks optimal plans), the
+greedy walk and the exhaustive BFS oracle: it builds the valid moves
+only, each with its successor's heuristic value, worked out from its
+parent's (one field's correction on blocks, the successor's Manhattan
+distance on maze), so no caller scores a successor from scratch. The skeleton follows one rule on both domains: the greedy
+walk's states when the walk reaches the goal, else None. The path
+reconstruction that every search shares (_reconstruct) lives here too.
 
 MazeGrid and PlanningProblem are frozen, slotted dataclasses. A problem's
 geometry (its domain, grid fields or block universe, start and goal, the
@@ -42,7 +39,6 @@ fails, for step, plan checks and the trace's invalid probes.
 
 from __future__ import annotations
 
-import heapq
 import re
 import sys
 from dataclasses import dataclass, field
@@ -271,12 +267,7 @@ def encode(problem, state):
     state as its packed supports."""
     if problem.domain == "maze":
         return state
-    return _pack(problem.blocks, state)
-
-
-def _pack(blocks, state):
-    """The search state of a state of the block universe `blocks`."""
-    universe = _universe(blocks)
+    universe = _universe(problem.blocks)
     index, place = universe.index, universe.place
     return sum(place[index[top]][index[below]]
                for stack in state for below, top in zip(stack, stack[1:]))
@@ -380,58 +371,6 @@ def expander(problem, goal=None):
         return out
 
     return expand
-
-
-def _blocks_astar(blocks, start, goal):
-    """Lean A* between two states of the block universe `blocks`, over
-    search states: an optimal plan, or None when the goal is unreachable.
-
-    Each expansion reads the state's fields once and builds its successors
-    in canonical order, clear block b onto each other clear block d and then
-    onto the table (d = -1) unless it is on it, as base + place[b][d]:
-    expander's moves. Its mismatch heuristic, heuristic_for's count of
-    fields that differ from the goal's, is its parent's corrected for block
-    b alone, since no other field changed. The frontier holds (g + h,
-    insertion counter, state) and the search stops when it generates the
-    goal."""
-    start, goal = _pack(blocks, start), _pack(blocks, goal)
-    if start == goal:
-        return ()
-    _, _, moves, shifts, place, mask, _ = _universe(blocks)
-    want = [goal >> s & mask for s in shifts]
-    g_score = {start: 0}
-    came_from = {}
-    counter = 0
-    frontier = [(sum(start >> s & mask != w for s, w in zip(shifts, want)), counter, start)]
-    closed = set()
-    pop, push = heapq.heappop, heapq.heappush
-    while frontier:
-        f, _, state = pop(frontier)
-        if state in closed:
-            continue
-        closed.add(state)
-        tentative = g_score[state] + 1
-        on = [state >> s & mask for s in shifts]
-        clear = [b for b in range(len(on)) if b + 1 not in on]
-        dests = [*clear, -1]
-        for b in clear:
-            below, goal_b, onto, put = on[b], want[b], moves[b], place[b]
-            base = state - (below << shifts[b])
-            # a successor's g + h: one more move, b's mismatch corrected
-            f_b = f + 1 - (below != goal_b)
-            for d in dests if below else clear:
-                if d == b:
-                    continue
-                nxt = base + put[d]
-                if nxt in g_score and tentative >= g_score[nxt]:
-                    continue
-                g_score[nxt] = tentative
-                came_from[nxt] = (state, onto[d])
-                if nxt == goal:
-                    return _reconstruct(came_from, goal, start)
-                counter += 1
-                push(frontier, (f_b + (d + 1 != goal_b), counter, nxt))
-    return None
 
 
 def greedy_walk(problem, start, goal, step_cap=None):

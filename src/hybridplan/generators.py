@@ -5,25 +5,17 @@ plan length bucket holds an equal share per split. Blocks: random stack
 configurations of 4-7 blocks, split by optimal plan length so the test
 split is strictly longer-horizon than train/val.
 
-The oracles used here (plain BFS for mazes, a lean A* and an exhaustive
-BFS for blocks) run their own searches, apart from the engines in
-search.py, so generated optimal lengths check those engines' search. The
-maze BFS and the exhaustive blocks BFS expand the engines' successors
-(domains._maze_moves and the goal-free domains.expander); tests/reference.py
-holds the maze BFS equal to one over maze_step.
-The lean A* shares only the engines' search states and block universe
-table (domains.encode's packing and its move and field tables): its loop,
-domains._blocks_astar, builds each successor in place and corrects its
-parent's mismatch heuristic for the one moved block, the kernel's rule
-inlined. That timed faster than the same A* expanding through the
-kernel, expander(problem, goal), with each successor's t from its
-triple: 0.289 s against 0.335 s (best of 15; medians 0.307 s and
-0.365 s) over the 2787 pairs that gen-blocks sends to the oracle at
-2400/200/160 problems of at most 6 blocks and seed 7 (CPython 3.11.7 on a
-shared 2-core Xeon host; the kernel's problems built before timing).
-tests/reference.blocks_optimal_plan is an A* that expands through step
-and scores each successor with heuristic_for; the tests hold the oracle's
-plans equal to its.
+The maze oracle is a plain BFS over the moves that search expands
+(domains._maze_moves); tests/reference.py holds it equal to one over
+maze_step. The blocks gold plans are the engines' own A* plans:
+blocks_optimal_plan runs search's loop under an account that counts
+nothing, on one problem per block universe, which generate_blocks_dataset
+builds once per call. Two checks stand apart from that loop: the
+exhaustive BFS of blocks_bfs_length, over the goal-free kernel
+(domains.expander), whose lengths the tests hold equal to the oracle's;
+and tests/reference.blocks_optimal_plan, an A* that expands through step
+and scores each successor with heuristic_for, whose plans the tests hold
+equal to the oracle's.
 """
 
 from __future__ import annotations
@@ -36,13 +28,13 @@ from dataclasses import dataclass
 from .domains import (
     MazeGrid,
     PlanningProblem,
-    _blocks_astar,
     _maze_moves,
     _reconstruct,
     canonical_blocks,
     encode,
     expander,
 )
+from .search import _search
 
 
 class GenerationExhausted(Exception):
@@ -161,11 +153,16 @@ def random_blocks_state(rng, blocks):
     return canonical_blocks(stacks)
 
 
-def blocks_optimal_plan(blocks, start, goal):
-    """Lean A* (mismatch heuristic, admissible and consistent) returning an
-    optimal plan from start to goal in the block universe `blocks`, or None
-    when unreachable."""
-    return _blocks_astar(blocks, start, goal)
+def _uncounted(parent, g, successors, fresh):
+    """The account of a search whose explored states nobody reads."""
+    return 0
+
+
+def blocks_optimal_plan(problem, start, goal):
+    """An optimal plan from start to goal in the problem's block universe,
+    or None when unreachable: the plan of the engines' A* (mismatch
+    heuristic, admissible and consistent), which counts nothing here."""
+    return _search(problem, start, goal, "astar", _uncounted)[0]
 
 
 def generate_blocks_dataset(seed, config=BlocksDatasetConfig()):
@@ -176,6 +173,12 @@ def generate_blocks_dataset(seed, config=BlocksDatasetConfig()):
     remaining = dict(zip(SPLITS, config.split_sizes))
     out = {split: [] for split in SPLITS}
     seen = set()
+    # one problem per block universe, through which the oracle searches it
+    universes = {}
+    for n in range(config.min_blocks, config.max_blocks + 1):
+        blocks = tuple(string.ascii_uppercase[:n])
+        universes[n] = PlanningProblem(domain="blocks", start=(blocks,), goal=(blocks,),
+                                       blocks=blocks)
     attempts = 0
     while any(remaining.values()):
         attempts += 1
@@ -187,7 +190,8 @@ def generate_blocks_dataset(seed, config=BlocksDatasetConfig()):
         else:
             # long-horizon pairs come almost exclusively from big universes
             n = rng.randint(max(config.min_blocks, config.max_blocks - 1), config.max_blocks)
-        blocks = tuple(string.ascii_uppercase[:n])
+        universe = universes[n]
+        blocks = universe.blocks
         start = random_blocks_state(rng, blocks)
         goal = random_blocks_state(rng, blocks)
         if start == goal:
@@ -195,7 +199,7 @@ def generate_blocks_dataset(seed, config=BlocksDatasetConfig()):
         key = (start, goal)
         if key in seen:
             continue
-        plan = blocks_optimal_plan(blocks, start, goal)
+        plan = blocks_optimal_plan(universe, start, goal)
         length = len(plan)
         lo, hi = config.train_lengths
         tlo, thi = config.test_lengths

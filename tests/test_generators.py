@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridplan.domains import PlanningProblem, validate_plan
@@ -15,6 +15,7 @@ from hybridplan.generators import (
     generate_maze_dataset,
     maze_distances,
 )
+from hybridplan.search import astar
 from hybridplan.textio import problem_to_json
 import reference
 from strategies import blocks_problems, maze_grids
@@ -116,7 +117,8 @@ def test_blocks_optimal_plan_identity():
     from hybridplan.domains import canonical_blocks
 
     s = canonical_blocks([["A", "B"], ["C"]])
-    assert blocks_optimal_plan(("A", "B", "C"), s, s) == ()
+    universe = PlanningProblem(domain="blocks", start=s, goal=s, blocks=("A", "B", "C"))
+    assert blocks_optimal_plan(universe, s, s) == ()
 
 
 NINE = ("10", "9", "A", "_1", "b", "c", "C", "a", "0")
@@ -137,10 +139,28 @@ def blocks_problem(blocks, start, goal):
 @example(blocks_problem(NINE, (("10", "9", "A"), ("_1", "b", "c"), ("C", "a", "0")),
                         (("10", "9", "A"), ("_1", "b"), ("C", "a", "0", "c"))))
 def test_blocks_oracle_gives_the_reference_plan(problem):
-    """The per-move heuristic update leaves the oracle's search unchanged:
-    the same plan as the reference, which scores every state afresh."""
-    assert blocks_optimal_plan(problem.blocks, problem.start, problem.goal) == \
+    """The oracle runs the engine loop, whose successors come from the
+    kernel with their heuristic corrected per move: it gives the plan of
+    the reference A*, which expands through step and scores every state
+    afresh."""
+    assert blocks_optimal_plan(problem, problem.start, problem.goal) == \
         reference.blocks_optimal_plan(problem)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(blocks_problems(max_blocks=6))
+def test_gold_plans_are_the_engine_plans(problem):
+    """Searched through a problem of the same block universe whose own start
+    and goal are neither of the pair's, the oracle gives the plan it gives
+    through the pair's own problem, which is the Sys2 engine's A* plan: the
+    universe's states never enter the search."""
+    blocks = problem.blocks
+    assume(len(blocks) > 1)  # one block has one state
+    others = [s for s in (tuple((b,) for b in blocks), (blocks,), (blocks[::-1],))
+              if s not in (problem.start, problem.goal)]
+    universe = PlanningProblem(domain="blocks", start=others[0], goal=others[-1], blocks=blocks)
+    plan = blocks_optimal_plan(problem, problem.start, problem.goal)
+    assert blocks_optimal_plan(universe, problem.start, problem.goal) == plan == astar(problem).plan
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -336,13 +336,14 @@ def test_truncation_gives_a_prefix(engine, caps, problem, cap):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.one_of(maze_problems(max_side=5), blocks_problems(max_blocks=4)))
 def test_astar_and_bfs_lengths_agree_with_the_oracles(problem):
-    """The generators' oracles run their own searches, apart from the
-    engines', so agreeing lengths check both."""
+    """The maze oracle runs its own BFS, apart from the engines'. The blocks
+    oracle runs the engine loop's A*, so its independent check is the
+    exhaustive BFS of blocks_bfs_length. Agreeing lengths check both."""
     a, b = astar(problem), bfs(problem)
     if problem.domain == "maze":
         oracle = maze_distances(problem.grid, problem.start)[0].get(problem.goal)
     else:
-        oracle = len(blocks_optimal_plan(problem.blocks, problem.start, problem.goal))
+        oracle = len(blocks_optimal_plan(problem, problem.start, problem.goal))
         assert blocks_bfs_length(problem) == oracle
     if oracle is None:
         assert a.plan is None and b.plan is None
