@@ -18,9 +18,10 @@ the search engines (whose A* also gives the blocks optimal plans), the
 greedy walk and the exhaustive BFS oracle: it builds the valid moves
 only, each with its successor's heuristic value, worked out from its
 parent's (one field's correction on blocks, the successor's Manhattan
-distance on maze), so no caller scores a successor from scratch. The skeleton follows one rule on both domains: the greedy
-walk's states when the walk reaches the goal, else None. The path
-reconstruction that every search shares (_reconstruct) lives here too.
+distance on maze), so no caller scores a successor from scratch. The
+skeleton follows one rule on both domains: the greedy walk's states when
+the walk reaches the goal, else None. The path reconstruction that every
+search shares (_reconstruct) lives here too.
 
 MazeGrid and PlanningProblem are frozen, slotted dataclasses. A problem's
 geometry (its domain, grid fields or block universe, start and goal, the
