@@ -12,8 +12,8 @@ hardness. An instance is gated hard when its hardness reaches that of the
 first problem the training side would label hard at the effective x';
 hard instances get a search-free skeleton state sequence over which the
 same window optimizer runs. Both sides turn a shape into a meta-plan
-with HybridController.decompose, the one caller of meta_plan; the runtime
-reads a problem's gate input and skeleton through a ProblemRecord.
+with HybridController.decompose, the one caller of meta_plan; at run time
+a ProblemRecord's cached properties give a problem's gate input and skeleton.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ SYS1 = "sys1"
 SYS2 = "sys2"
 
 VARIANTS = ("sliding-window", "edge-window", "no-subgoal", "random")
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -128,27 +126,22 @@ def build_controller_dataset(problems, config):
 
 
 class ProblemRecord:
-    """The lazy holder of a problem's two inputs to the gate rule: its gate
-    input and its skeleton, each computed on first read and at most once.
-    In a SweepMemo, runs also keeps per meta-plan shape the unbudgeted Run."""
-
-    __slots__ = ("problem", "runs", "_gate_input", "_gate", "_skeleton")
+    """The lazy holder of a problem's two inputs to the gate rule, each a
+    cached property: its gate input and its skeleton. In a sweep memo, runs
+    also keeps per meta-plan shape the unbudgeted Run."""
 
     def __init__(self, problem, gate_input):
         self.problem = problem
         self.runs = {}
         self._gate_input = gate_input  # problem -> gate input
-        self._gate = self._skeleton = _MISSING
 
+    @cached_property
     def gate(self):
-        if self._gate is _MISSING:
-            self._gate = self._gate_input(self.problem)
-        return self._gate
+        return self._gate_input(self.problem)
 
+    @cached_property
     def skeleton(self):
-        if self._skeleton is _MISSING:
-            self._skeleton = skeleton(self.problem)
-        return self._skeleton
+        return skeleton(self.problem)
 
 
 @dataclass(frozen=True)
@@ -192,23 +185,23 @@ class HybridController:
             return random.Random(f"{self.config.seed}:{problem.problem_id}").random()
         return hardness_fn(self.config.selector, problem)(problem.start, problem.goal)
 
-    def shape(self, gate, states):
+    def shape(self, record):
         """The gate rule: the shape of a problem's meta-plan, SYS1
         (fast-only), SYS2 (one Sys2 sub-goal) or the length of the Sys2
-        window over its skeleton, from the problem's two inputs. gate()
-        gives its gate input and states() its skeleton; the rule calls each
-        only when it reads it, so x at 0 or 1 reads no gate input and only a
-        problem gated hard under a window variant reads its skeleton."""
+        window over its skeleton, from the two inputs its ProblemRecord
+        holds. The rule reads each only when it needs it, so x at 0 or 1
+        reads no gate input and only a problem gated hard under a window
+        variant reads its skeleton."""
         config, x = self.config, self.config.effective_x
         if x <= 0.0:
             return SYS1
         if x < 1.0:
-            g = gate()
+            g = record.gate
             if not (g < x if config.variant == "random" else g >= self.threshold):
                 return SYS1
         if config.variant in ("no-subgoal", "random"):
             return SYS2
-        states = states()
+        states = record.skeleton
         if states is None or len(states) < 2:
             return SYS2
         return window_length(x, len(states) - 1)
@@ -223,7 +216,7 @@ class HybridController:
         alike."""
         if shape is None:
             record = ProblemRecord(problem, self.gate_input)
-            shape, states = self.shape(record.gate, record.skeleton), record.skeleton
+            shape, states = self.shape(record), lambda: record.skeleton
         if shape in (SYS1, SYS2):  # one sub-goal, for which no hardness is read
             return meta_plan((problem.start, problem.goal), shape, None, None)
         return meta_plan(states(), shape, self.config.variant,

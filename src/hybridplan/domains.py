@@ -18,10 +18,10 @@ the search engines (whose A* also gives the blocks optimal plans), the
 greedy walk and the exhaustive BFS oracle: it builds the valid moves
 only, each with its successor's heuristic value, worked out from its
 parent's (one field's correction on blocks, the successor's Manhattan
-distance on maze), so no caller scores a successor from scratch. The
-skeleton follows one rule on both domains: the greedy walk's states when
-the walk reaches the goal, else None. The path reconstruction that every
-search shares (_reconstruct) lives here too.
+distance on maze), so no caller scores a successor from scratch. A
+skeleton is a replayed plan, on both domains: plan_states of the greedy
+walk's moves when the walk reaches the goal, else None. The path
+reconstruction that every search shares (_reconstruct) lives here too.
 
 MazeGrid and PlanningProblem are frozen, slotted dataclasses. A problem's
 geometry (its domain, grid fields or block universe, start and goal, the
@@ -223,10 +223,11 @@ def step(problem, state, action):
 
 def candidate_actions(problem):
     """All actions probed during search, in canonical order (including
-    ones that will turn out invalid)."""
+    ones that will turn out invalid): a tuple built once per domain or
+    block universe."""
     if problem.domain == "maze":
-        return list(MAZE_ACTIONS)
-    return [a for onto in _universe(problem.blocks).moves for a in onto if a[0] != a[1]]
+        return MAZE_ACTIONS
+    return _universe(problem.blocks).probes
 
 
 class _Universe(NamedTuple):
@@ -238,6 +239,7 @@ class _Universe(NamedTuple):
     labels: tuple  # sorted block labels
     index: dict  # label -> its index in labels
     moves: tuple  # moves[b][d]: block b onto block d, [b][-1] onto the table
+    probes: tuple  # every move but b onto b, in canonical order
     shifts: tuple  # bit offset of each block's field
     place: tuple  # place[b][d] = (d + 1) << shifts[b]: b's field holding "on d"; [b][-1] = 0
     mask: int  # one field's bits, unshifted
@@ -248,14 +250,16 @@ class _Universe(NamedTuple):
 def _universe(blocks):
     """The _Universe of a block universe. Every search shares its move
     tuples, in canonical order (by sorted label, the table last), so that
-    the parent maps of long searches hold no copies."""
+    the parent maps of long searches and the probes hold no copies."""
     labels = tuple(sorted(blocks))
     width = len(labels).bit_length()
     shifts = tuple(range(0, width * len(labels), width))
+    moves = tuple(tuple((b, d) for d in (*labels, TABLE)) for b in labels)
     return _Universe(
         labels,
         {b: i for i, b in enumerate(labels)},
-        tuple(tuple((b, d) for d in (*labels, TABLE)) for b in labels),
+        moves,
+        tuple(a for onto in moves for a in onto if a[0] != a[1]),
         shifts,
         tuple((*((d + 1) << s for d in range(len(labels))), 0) for s in shifts),
         (1 << width) - 1,
@@ -347,7 +351,8 @@ def expander(problem, goal=None):
         gr, gc = goal
         return lambda cell, t: [(a, nxt, abs(nxt[0] - gr) + abs(nxt[1] - gc))
                                 for a, nxt in _maze_moves(grid, cell)]
-    _, _, moves, shifts, place, mask, _ = _universe(problem.blocks)
+    universe = _universe(problem.blocks)
+    moves, shifts, place, mask = universe.moves, universe.shifts, universe.place, universe.mask
     want = None if goal is None else [goal >> s & mask for s in shifts]
 
     def expand(state, t):
@@ -381,14 +386,13 @@ def greedy_walk(problem, start, goal, step_cap=None):
     or after step_cap moves (default: 8 per block on blocks, none on maze,
     where a walk that never revisits a cell stops within its free cells).
 
-    Returns (actions, states), the problem states running from start to
-    where the walk stopped."""
+    Returns (actions, reached), reached telling whether the walk stopped at
+    the goal; it keeps no states (plan_states replays the moves)."""
     if step_cap is None:
         step_cap = 8 * len(problem.blocks) if problem.domain == "blocks" else sys.maxsize
     cur, goal = encode(problem, start), encode(problem, goal)
     expand = expander(problem, goal)
     t = heuristic_for(problem, goal)(cur)
-    states = [cur]
     seen = {cur}
     actions = []
     while cur != goal and len(actions) < step_cap:
@@ -403,21 +407,20 @@ def greedy_walk(problem, start, goal, step_cap=None):
         t, action, cur = best
         seen.add(cur)
         actions.append(action)
-        states.append(cur)
-    return tuple(actions), [decode(problem, s) for s in states]
+    return tuple(actions), cur == goal
 
 
 def skeleton(problem):
     """Search-free state sequence from start to goal over which the
     controller places its search window, or None when there is none.
 
-    One rule for both domains: the greedy walk's states when the walk
-    reaches the goal, else None. Only the walk's cap differs: 2 moves per
-    block on blocks, none on maze. The walk's moves are not
-    charged as states explored."""
+    One rule for both domains: the replay (plan_states) of the greedy
+    walk's moves when the walk reaches the goal, else None. Only the
+    walk's cap differs: 2 moves per block on blocks, none on maze. The
+    walk's moves are not charged as states explored."""
     cap = 2 * len(problem.blocks) if problem.domain == "blocks" else None
-    _, states = greedy_walk(problem, problem.start, problem.goal, cap)
-    return states if states[-1] == problem.goal else None
+    actions, reached = greedy_walk(problem, problem.start, problem.goal, cap)
+    return plan_states(problem, actions) if reached else None
 
 
 def validate_plan(problem, plan):

@@ -1,12 +1,12 @@
 """Metrics, budget matching, and budget sweeps, whose passes share a
-SweepMemo.
+sweep memo (a plain dict: PlannerConfig.memo).
 
 Every planner is a HybridController, whose meta-plan solve_hybrid solves
 into a hybrid.Run that judges its own plan; System 1 and System 2 are its
 ends, x=0 and x=1 under no-subgoal (PURE_CONTROLLERS). run_planner gives
 a pass one of two routes: without a memo, or over worker processes, one
-map of the controller's decompose and solve_hybrid; with a SweepMemo, a
-loop over the controller.ProblemRecord the memo keeps of each problem.
+map of the controller's decompose and solve_hybrid; with a memo, a loop
+over the controller.ProblemRecord the memo keeps of each problem.
 
 Rates are exact fractions internally; rendering rounds to one decimal
 place (percent) / three places (rates). Budget matching picks the largest
@@ -26,22 +26,6 @@ from functools import partial
 from .controller import ControllerConfig, HybridController, ProblemRecord
 from .hybrid import cut_run, solve_hybrid
 from .search import ENGINES, TraceConfig
-
-
-class SweepMemo(dict):
-    """What the passes of one budget sweep share: one table per
-    sweep-invariant part of the planner config (its kind, the engine, the
-    trace config and its controller's variant, selector and seed), which
-    maps each problem's (problem_id, geometry) to its ProblemRecord. A pass
-    looks its table up once, then each problem's record once.
-
-    No meta-plan, search run or event is kept. Problems are keyed on their
-    geometry as well as their id, so a record is never handed to another
-    maze or block universe under the same id."""
-
-    def table(self, key):
-        """The table kept under key, empty on first use."""
-        return self.setdefault(key, {})
 
 
 @dataclass(frozen=True)
@@ -73,8 +57,13 @@ class PlannerConfig:
     engine: str = "astar"
     trace: TraceConfig = TraceConfig()
     controller: HybridController | None = None  # fitted; hybrid only
-    # shared by the passes of one budget_sweep; no part of the config's value
-    memo: SweepMemo | None = field(default=None, compare=False, hash=False, repr=False)
+    # The sweep memo, which the passes of one budget_sweep share (no part of
+    # the config's value): one table per sweep-invariant config part (kind,
+    # engine, trace config, controller variant, selector and seed), mapping
+    # each problem's (problem_id, geometry) to its ProblemRecord, so no record
+    # reaches another maze or block universe under the same id. No meta-plan,
+    # search run or event is kept.
+    memo: dict | None = field(default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -130,7 +119,7 @@ def run_planner(problems, config, budget=None, workers=1):
 
     Without a memo, or in worker processes, which share none, the pass is
     one map: decompose gives each problem's meta-plan in this process, and
-    solve_hybrid solves it here or in the pool. With a SweepMemo, the pass
+    solve_hybrid solves it here or in the pool. With a memo, the pass
     looks up its table once and each problem's ProblemRecord once. The
     gate rule reads the record's gate input and skeleton for the problem's
     meta-plan shape; the unbudgeted run of each shape is solved once, and
@@ -148,19 +137,19 @@ def run_planner(problems, config, budget=None, workers=1):
             return list(pool.map(solve, problems, meta_plans,
                                  chunksize=max(1, len(problems) // (4 * workers))))
     c = controller.config  # the key holds what every pass of a sweep shares
-    table = config.memo.table((config.kind, config.engine, config.trace,
-                               c.variant, c.selector, c.seed))
+    table = config.memo.setdefault((config.kind, config.engine, config.trace,
+                                    c.variant, c.selector, c.seed), {})
     runs = []
     for problem in problems:
         key = problem.problem_id, problem.geometry
         record = table.get(key)
         if record is None:
             record = table[key] = ProblemRecord(problem, controller.gate_input)
-        shape = controller.shape(record.gate, record.skeleton)
+        shape = controller.shape(record)
         run = record.runs.get(shape)
         if run is None:
             run = record.runs[shape] = solve_hybrid(
-                problem, controller.decompose(problem, shape, record.skeleton),
+                problem, controller.decompose(problem, shape, lambda: record.skeleton),
                 config.engine, config.trace)
         if budget is not None:
             run = cut_run(problem, run.outcomes, budget)
@@ -193,12 +182,12 @@ def budget_sweep(problems, config, budgets, workers=1):
     reached by sweeping the controller bias upward in steps of 0.05 and
     keeping the largest bias whose average stays within the target.
 
-    Every pass solves its problems from one SweepMemo, so each problem is
+    Every pass solves its problems from one memo, so each problem is
     solved once per meta-plan shape, a later unbudgeted pass hands back
     the kept Runs and a truncation pass only cuts the kept runs; the
     memo is emptied when the sweep returns.
     """
-    memo = SweepMemo()
+    memo = {}
     try:
         return _sweep(problems, replace(config, memo=memo), sorted(set(budgets)), workers)
     finally:

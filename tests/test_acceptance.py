@@ -21,7 +21,6 @@ from hybridplan.controller import (
 from hybridplan.domains import greedy_walk, plan_states, validate_plan
 from hybridplan.evaluate import (
     PlannerConfig,
-    SweepMemo,
     budget_sweep,
     match_budget_cap,
     run_planner,
@@ -277,9 +276,9 @@ def matched_rows(maze_dataset):
     fitted = HybridController().fit(maze_dataset["train"])
     rows = {}
     for engine in ENGINES:
-        plain = PlannerConfig(kind="sys2", engine=engine, memo=SweepMemo())
+        plain = PlannerConfig(kind="sys2", engine=engine, memo={})
         sizes = [r.states_explored for r in run_planner(test, plain)]
-        memo = SweepMemo()
+        memo = {}
         for x in X_GRID:
             controller = replace(fitted, config=ControllerConfig(x=x))
             hybrid = score_runs(run_planner(test, PlannerConfig(

@@ -368,8 +368,10 @@ class TestMazeSkeleton:
         40 problems, so neither half of the rule goes unchecked."""
         reached = []
         for p in small_maze_dataset["test"][:40]:
-            _, walk = greedy_walk(p, p.start, p.goal)
+            actions, hit = greedy_walk(p, p.start, p.goal)
+            walk = plan_states(p, actions)
             reached.append(walk[-1] == p.goal)
+            assert hit == reached[-1]
             assert skeleton(p) == (walk if reached[-1] else None)
         assert any(reached) and not all(reached)
 

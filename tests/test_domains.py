@@ -381,7 +381,9 @@ def test_skeleton_is_none_or_a_legal_chain(problem):
 @PROPERTY
 @given(problems, st.one_of(st.none(), st.integers(0, 12)))
 def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
-    actions, states = greedy_walk(problem, problem.start, problem.goal, step_cap)
+    actions, reached = greedy_walk(problem, problem.start, problem.goal, step_cap)
+    states = plan_states(problem, actions)
+    assert reached == (states[-1] == problem.goal)
     assert len(states) == len(actions) + 1 and states[0] == problem.start
     assert len(set(states)) == len(states)
     if step_cap is not None:
@@ -392,16 +394,35 @@ def test_greedy_walk_never_revisits_and_respects_cap(problem, step_cap):
         # no maze cap: the distinct states are free cells, fewer than 4 per cell
         cells = problem.grid.rows * problem.grid.cols
         assert len(actions) < cells - len(problem.grid.obstacles) < 4 * cells
-    assert plan_states(problem, actions) == states
 
 
 @PROPERTY
 @given(st.one_of(maze_problems(), blocks_problems()), st.sampled_from((0, 1, None)))
 def test_greedy_walk_is_the_reference_walk(problem, step_cap):
     """The walk takes the reference walk's moves, heuristic_for scoring
-    each successor, with caps of 0 and 1 moves and the default."""
+    each successor, with caps of 0 and 1 moves and the default, and reports
+    whether the reference walk's last state is the goal; the replay of its
+    moves is the reference walk's states."""
+    actions, states = reference.greedy_walk(problem, problem.start, problem.goal, step_cap)
     assert greedy_walk(problem, problem.start, problem.goal, step_cap) == \
-        reference.greedy_walk(problem, problem.start, problem.goal, step_cap)
+        (actions, states[-1] == problem.goal)
+    assert plan_states(problem, actions) == states
+
+
+@PROPERTY
+@given(st.one_of(maze_problems(), blocks_problems(max_blocks=5)))
+# the uncapped walk reaches this goal in 9 moves, one past the skeleton's cap
+@example(blocks_problem((("0",), ("2",), ("8",), ("A",)), (("0",), ("8", "A", "2")),
+                        ("0", "2", "8", "A")))
+def test_skeleton_is_the_reference_walk_or_none(problem):
+    """The skeleton is the reference walk's states at the skeleton's cap (2
+    moves per block on blocks, none on maze) when they end at the goal, and
+    None otherwise. (test_greedy_walk_is_the_reference_walk holds the
+    walk's reached flag to the reference walk at caps 0, 1 and the
+    default.)"""
+    cap = 2 * len(problem.blocks) if problem.domain == "blocks" else None
+    _, states = reference.greedy_walk(problem, problem.start, problem.goal, cap)
+    assert skeleton(problem) == (states if states[-1] == problem.goal else None)
 
 
 @PROPERTY

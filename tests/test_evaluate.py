@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridplan import controller, domains, evaluate
-from hybridplan.controller import VARIANTS, ControllerConfig, HybridController
-from hybridplan.domains import MazeGrid, PlanningProblem, skeleton
+from hybridplan.controller import VARIANTS, ControllerConfig, HybridController, ProblemRecord
+from hybridplan.domains import MazeGrid, PlanningProblem
 from hybridplan.evaluate import (
     PlannerConfig,
-    SweepMemo,
     average_se,
     budget_sweep,
     match_budget_cap,
@@ -204,11 +203,11 @@ def _hybrid_config(dataset):
 def test_workers_match_serial(small_maze_dataset):
     """For sys1, sys2 and the hybrid, with no budget or a cut, a pass over
     two worker processes gives the Runs of the serial memo-less pass and of
-    a pass from a SweepMemo."""
+    a pass from a sweep memo."""
     problems = small_maze_dataset["test"][:20]
     for config in (PlannerConfig(kind="sys1"), PlannerConfig(kind="sys2"),
                    _hybrid_config(small_maze_dataset)):
-        memo = SweepMemo()
+        memo = {}
         for budget in (None, 5):
             serial = run_planner(problems, config, budget)
             assert run_planner(problems, replace(config, memo=memo), budget) == serial
@@ -236,7 +235,8 @@ def _kept(memo):
     record's problem, without that problem."""
     for table in memo.values():
         for record in table.values():
-            yield from (v for v in (record._gate, record._skeleton) if v is not controller._MISSING)
+            kept = vars(record)
+            yield from (kept[name] for name in ("gate", "skeleton") if name in kept)
             for run in record.runs.values():
                 assert type(run) is Run and run.problem is record.problem
                 yield run[1:]
@@ -310,7 +310,7 @@ def test_sweep_computes_each_shape_once(small_maze_dataset, monkeypatch):
     assert len(passes) > 10 and sum(budget is not None for _, budget in passes) == 1
     assert sorted(gates) == sorted(set(p.problem_id for p in problems))
     assert windows and len(windows) == len(set(windows))
-    shapes = {(p.geometry, ctl.shape(partial(original_gate, ctl, p), partial(skeleton, p)))
+    shapes = {(p.geometry, ctl.shape(ProblemRecord(p, partial(original_gate, ctl))))
               for ctl, budget in passes if budget is None for p in problems}
     assert len(unbudgeted) <= len(shapes) < len(passes) * len(problems) // 4
     assert budgeted_work == []
@@ -348,7 +348,7 @@ def test_a_pass_over_seen_shapes_does_no_work(small_maze_dataset, monkeypatch):
     work = counted_calls(monkeypatch, GATE_AND_SKELETON + (
         (controller, "window_start"), (evaluate, "solve_hybrid")))
     problems = small_maze_dataset["test"]
-    config = replace(_hybrid_config(small_maze_dataset), memo=SweepMemo())
+    config = replace(_hybrid_config(small_maze_dataset), memo={})
     saturated = replace(config, controller=config.controller.with_bias(0.5))
     first = [run_planner(problems, c) for c in (config, saturated)]
     assert {"gate_input", "skeleton", "window_start", "solve_hybrid"} <= set(work)
@@ -381,7 +381,7 @@ def planner_configs(draw, train):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_memo_passes_give_the_fresh_runs(data):
-    """A sequence of run_planner passes that share one SweepMemo gives
+    """A sequence of run_planner passes that share one sweep memo gives
     exactly the Runs of the same passes without it. A pass either
     rebiases the last planner, as a sweep's bias scan does, or switches to
     another planner; it has a random budget or none. The problems have
@@ -391,7 +391,7 @@ def test_memo_passes_give_the_fresh_runs(data):
     test = data.draw(st.lists(problems, min_size=1, max_size=4))
     test = [replace(p, problem_id=f"p{i}", optimal_length=0) for i, p in enumerate(test + test[:1])]
     config = data.draw(planner_configs(train))
-    memo = SweepMemo()
+    memo = {}
     for _ in range(data.draw(st.integers(1, 6))):
         if data.draw(st.booleans()):
             config = replace(config, controller=config.controller.with_bias(data.draw(biases)))
@@ -406,7 +406,7 @@ def test_memo_shared_by_window_planners_gives_the_fresh_runs(small_maze_dataset)
     """One memo shared by hybrid planners whose windows differ in placement
     rule or length gives each planner its fresh runs."""
     train, test = small_maze_dataset["train"], small_maze_dataset["test"]
-    memo = SweepMemo()
+    memo = {}
     for variant in ("sliding-window", "edge-window"):
         for x in (0.25, 0.75):
             ctl = HybridController(ControllerConfig(x=x, variant=variant)).fit(train)
@@ -421,7 +421,7 @@ def test_pure_planners_are_the_controllers_ends(domain, small_maze_dataset, smal
     gives exactly the Runs, outcomes included, of a hybrid fitted at x=0,
     and a sys2 planner those of a hybrid fitted at x=1 under no-subgoal,
     for every engine with caps on and off, budgeted or not, with and
-    without a SweepMemo. A pure planner computes no gate input and no
+    without a sweep memo. A pure planner computes no gate input and no
     skeleton."""
     if domain == "maze":
         train, problems = small_maze_dataset["train"], small_maze_dataset["test"]
@@ -442,7 +442,7 @@ def test_pure_planners_are_the_controllers_ends(domain, small_maze_dataset, smal
     work = counted_calls(monkeypatch, GATE_AND_SKELETON)
     for kind, engine, trace in cases:
         pure = PlannerConfig(kind=kind, engine=engine, trace=trace)
-        memo = SweepMemo()
+        memo = {}
         for budget in (None, 5, None):
             runs = expected[kind, engine, trace, budget]
             assert any(run.outcomes for run in runs)

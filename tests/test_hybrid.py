@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridplan.controller import SYS1, SYS2, ControllerConfig, HybridController, SubGoal
 from hybridplan.domains import MazeGrid, PlanningProblem, greedy_walk, validate_plan
-from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner
+from hybridplan.evaluate import PlannerConfig, run_planner
 from hybridplan.hybrid import Run, cut_run, solve_hybrid
 from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import verbalize_plan
@@ -171,7 +171,7 @@ class TestSweepMemo:
             walk = greedy(p)
             for kind, expected in (("sys2", (run.plan, len(run.events), SYS2)),
                                    ("sys1", (walk, len(walk), SYS1))):
-                memo = SweepMemo()
+                memo = {}
                 run_planner([p], PlannerConfig(kind=kind, engine="bfs", memo=memo))
                 plan, se, mode = expected
                 [record] = records(memo)
@@ -186,7 +186,7 @@ class TestSweepMemo:
         walled = maze_problem(3, 3, {(0, 1), (1, 1)}, (0, 0), (0, 2))
         assert open_maze.problem_id == walled.problem_id
         config = PlannerConfig(kind="sys2")
-        memo = SweepMemo()
+        memo = {}
         for budget in (None, 3, 100):
             for p in (open_maze, walled):
                 assert run_planner([p], replace(config, memo=memo), budget) == \
@@ -202,14 +202,14 @@ class TestSweepMemo:
         so a solve, but each gets a Run of its own oracle length."""
         p = small_maze_dataset["test"][0]
         copy = replace(p, optimal_length=p.optimal_length + 1)
-        config = PlannerConfig(kind="sys2", memo=SweepMemo())
+        config = PlannerConfig(kind="sys2", memo={})
         [first], [second] = (run_planner([q], config) for q in (p, copy))
         assert first.problem is p and second.problem is copy
         assert first.judge() == (True, True) and second.judge() == (True, False)
         assert len(records(config.memo)) == 1
 
     def test_clear_empties(self, small_maze_dataset):
-        memo = SweepMemo()
+        memo = {}
         p = small_maze_dataset["test"][0]
         for kind in ("sys1", "sys2"):
             run_planner([p], PlannerConfig(kind=kind, memo=memo))

@@ -22,7 +22,7 @@ from hybridplan.domains import (
     validate_plan,
 )
 from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_distances
-from hybridplan.evaluate import PlannerConfig, SweepMemo, run_planner
+from hybridplan.evaluate import PlannerConfig, run_planner
 from hybridplan.hybrid import cut_run, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
 from hybridplan.textio import trace_record
@@ -482,7 +482,7 @@ def test_scoring_builds_no_events(monkeypatch, small_maze_dataset, small_blocks_
     with pytest.raises(AssertionError):
         astar(problems[0])
     config = PlannerConfig(kind="sys2")
-    memo = SweepMemo()
+    memo = {}
     for p in problems:
         meta = (SubGoal(p.start, p.goal, SYS2),)
         for budget in (None, 5):
