@@ -301,6 +301,18 @@ def decode(problem, state):
     return tuple(stacks)
 
 
+class Decoded(dict):
+    """Each search state's problem state, decoded on first use, for every
+    problem of the block universe."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __missing__(self, state):
+        value = self[state] = decode(self.problem, state)
+        return value
+
+
 def _reconstruct(came_from, state, start):
     """The actions from start to state, following came_from's (parent,
     action) links back from state."""
@@ -459,19 +471,12 @@ def plan_states(problem, plan):
 
 
 def render_maze(problem):
-    """Text rendering: '.' free, '#' obstacle, 'S' start, 'G' goal."""
+    """Text rendering: '.' free, '#' obstacle, 'G' goal, 'S' start, even
+    when it is the goal."""
     grid = problem.grid
-    rows = []
-    for r in range(grid.rows):
-        row = []
-        for c in range(grid.cols):
-            if (r, c) == problem.start:
-                row.append("S")
-            elif (r, c) == problem.goal:
-                row.append("G")
-            elif (r, c) in grid.obstacles:
-                row.append("#")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows)
+    rows = [["."] * grid.cols for _ in range(grid.rows)]
+    for r, c in grid.obstacles:
+        rows[r][c] = "#"
+    for (r, c), mark in ((problem.goal, "G"), (problem.start, "S")):
+        rows[r][c] = mark
+    return "\n".join(map("".join, rows))

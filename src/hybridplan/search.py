@@ -8,30 +8,24 @@ DFS to a LIFO stack in reverse, so that the first canonical action is
 explored first.
 Every probe made while expanding a state counts as explored, including
 invalid ones (out-of-bounds, obstacle, precondition failure,
-already-visited), so that a run's states-explored count covers both valid
-and invalid explorations. The recording caps of TraceConfig apply to every
-engine: per expansion, the valid cap keeps the lowest-t valid probes (probe
-order for BFS and DFS, which have no t), the invalid cap a seeded random
-sample of the invalid ones.
+already-visited). Per expansion, TraceConfig's valid cap keeps the lowest-t
+valid probes (probe order for BFS and DFS, which have no t), its invalid
+cap a seeded random sample of the invalid ones.
 
 The loop runs on domains' search states (a maze cell, a blocks state
-packed into one int), which it only hashes and compares. The domain's
-expansion kernel (domains.expander) gives each expansion's valid
-successors with their heuristic t, worked out from the parent's t under
-A* and None for BFS and DFS, so the loop scores no state from scratch but
-the start. It hands each expansion's (action, successor, t) triples to
-one of two accounts:
+packed into one int), which it only hashes and compares. The kernel
+(domains.expander) gives each expansion's valid successors with their
+heuristic t (None for BFS and DFS), worked out from the parent's, so the
+loop scores no state from scratch but the start. It hands each
+expansion's (action, successor, t) triples to one of two accounts:
 
-- the event recorder (astar, bfs, dfs, run_engine) chooses the kept probes
-  of candidate_actions and labels only those, an invalid one with step's
-  reason, as ExplorationEvents, the corpora's trace. An event holds only
-  what the recorder knows; its step index, validity word and f = g + t
-  are worked out when textio renders it. Its states are problem states,
-  each decoded from its search state once per run;
-- the counter (explore, the scoring entry) takes the fixed probe count less
-  the fresh successors as invalid, adds min(valid, valid cap) + min(invalid,
-  invalid cap) and builds no probe, event or random sample. The caps choose
-  which probes are recorded, never how many: the count is len(events).
+- the recorder (record, and astar, bfs, dfs, run_engine) labels only the
+  kept probes, an invalid one with step's reason, and hands each to a
+  sink: textio's CorpusWriter, or the one building ExplorationEvents;
+- the counter (explore, the scoring entry) counts min(valid, valid cap) +
+  min(invalid, invalid cap), invalid being the fixed probe count less the
+  fresh successors, and builds no probe, event or sample: the count is
+  len(events).
 
 A search stops at the expansion that generates its goal, so a run that
 finds a plan has counted all its states explored by then: cut to a state
@@ -47,9 +41,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .domains import (
+    Decoded,
     _reconstruct,
     candidate_actions,
-    decode,
     encode,
     expander,
     heuristic_for,
@@ -93,37 +87,20 @@ class SearchRun:
     plan: tuple | None
 
 
-class _Decoded(dict):
-    """Each search state's problem state, decoded on first use."""
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def __missing__(self, state):
-        value = self[state] = decode(self.problem, state)
-        return value
-
-
-def _recorder(problem, config, events):
-    """The event account: appends each expansion's probes, those of
-    candidate_actions, to events as ExplorationEvents under the recording
-    caps; returns how many.
-
-    The valid cap keeps the lowest-t fresh probes (a stable sort, so probe
-    order for engines without t); the invalid cap keeps a seeded random
-    sample of the positions of the others. Only the kept probes
-    are labelled, in probe order: a probe whose successor is not fresh is
-    already-visited, one without a successor gets step's reason. The
-    seeded sample, and so config.seed, exists only under an invalid cap."""
+def _recorder(problem, config, sink, decoded):
+    """The recording account: hands each expansion's kept probes, in probe
+    order, to sink(state, parent, action, reason, g, t); returns how many.
+    A fresh successor is valid, one not fresh already-visited, and a probe
+    without one (state None) gets step's reason, from decoded[parent] on
+    blocks. The seeded sample, so config.seed, exists only under an
+    invalid cap."""
     valid_cap, invalid_cap = config.valid_cap, config.invalid_cap
     capped = valid_cap is not None or invalid_cap is not None
     rng = random.Random(config.seed) if invalid_cap is not None else None
     probes = candidate_actions(problem)
     position = {action: i for i, action in enumerate(probes)} if capped else None
-    # a maze cell is its own problem state; no event pays to decode it
-    decoded = _Decoded(problem) if problem.domain == "blocks" else None
 
-    def record(parent, g, successors, fresh):
+    def account(parent, g, successors, fresh):
         nexts = {a: nxt for a, nxt, _ in successors}
         kept = probes
         if capped:
@@ -136,21 +113,18 @@ def _recorder(problem, config, events):
                 keep = set(invalid)
             keep.update(sorted(valid, key=valid.get)[:valid_cap])
             kept = [probes[i] for i in sorted(keep)]
-        if decoded is not None:
-            parent = decoded[parent]
+        here = parent if decoded is None else decoded[parent]
         for action in kept:
             nxt = nexts.get(action)
-            state = nxt if decoded is None or nxt is None else decoded[nxt]
             if nxt in fresh:
-                event = ExplorationEvent(state, parent, action, None, g, fresh[nxt])
+                sink(nxt, parent, action, None, g, fresh[nxt])
             elif nxt is not None:
-                event = ExplorationEvent(state, parent, action, "already-visited")
+                sink(nxt, parent, action, "already-visited", None, None)
             else:
-                event = ExplorationEvent(None, parent, action, step(problem, parent, action)[1])
-            events.append(event)
+                sink(None, parent, action, step(problem, here, action)[1], None, None)
         return len(kept)
 
-    return record
+    return account
 
 
 def _counter(problem, config):
@@ -233,10 +207,28 @@ def _search(problem, start, goal, algorithm, account):
     return None, explored
 
 
+def record(name, problem, config, sink, decoded):
+    """Engine `name`'s plan, each kept probe handed to sink over search
+    states (see _recorder); decoded is a domains.Decoded."""
+    plan, _ = _search(problem, problem.start, problem.goal, _engine(name),
+                      _recorder(problem, config, sink, decoded))
+    return plan
+
+
 def _traced(problem, algorithm, config):
+    """A SearchRun; its blocks events are decoded after the search."""
     events = []
+
+    def sink(*probe):
+        events.append(ExplorationEvent(*probe))
+
+    decoded = Decoded(problem) if problem.domain == "blocks" else None
     plan, _ = _search(problem, problem.start, problem.goal, algorithm,
-                      _recorder(problem, config, events))
+                      _recorder(problem, config, sink, decoded))
+    if decoded is not None:
+        events = [ExplorationEvent(None if e.state is None else decoded[e.state],
+                                   decoded[e.parent_state], e.action, e.reason, e.g, e.t)
+                  for e in events]
     return SearchRun(tuple(events), plan)
 
 
@@ -260,18 +252,18 @@ def dfs(problem, config=TraceConfig()):
 ENGINES = {"astar": astar, "bfs": bfs, "dfs": dfs}
 
 
+def _engine(name):
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}")
+    return name
+
+
 def run_engine(name, problem, config=TraceConfig()):
-    try:
-        engine = ENGINES[name]
-    except KeyError:
-        raise ValueError(f"unknown engine {name!r}") from None
-    return engine(problem, config)
+    return ENGINES[_engine(name)](problem, config)
 
 
 def explore(name, problem, start, goal, config=TraceConfig()):
     """Score engine `name` from `start` to `goal` in the problem's maze or
     block universe without building a trace: (plan, states explored),
     equal to the plan and len(events) of the engine's run."""
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}")
-    return _search(problem, start, goal, name, _counter(problem, config))
+    return _search(problem, start, goal, _engine(name), _counter(problem, config))

@@ -6,14 +6,9 @@ The verbalization grammar is versioned; every emitted record embeds the
 version string and a structured mirror of its target text, and the
 parsers reproduce that mirror exactly (round-trip identity). The emitter
 writes each record's JSON line itself, byte for byte what
-json.dumps(record, sort_keys=True) writes: a trace's mirror is JSON text
-made in the pass that verbalizes the trace, and no mirror dict is built.
-
-The problem loader decodes each line with one JSONDecoder.raw_decode on
-the line stripped of JSON whitespace, rejecting trailing data, so that it
-accepts exactly the lines that json.loads accepts. Within one call it
-parses each distinct state text and gold-plan action text once, and
-problem_from_json builds each problem with one direct constructor call.
+json.dumps(record, sort_keys=True) writes; its CorpusWriter writes each
+trace's text and JSON mirror probe by probe from the search's recorder.
+The problem loader accepts exactly the lines that json.loads accepts.
 """
 
 from __future__ import annotations
@@ -24,8 +19,8 @@ import os
 import re
 from json.encoder import encode_basestring_ascii as _quote
 
-from .domains import DOMAINS, MAZE_ACTIONS, MazeGrid, PlanningProblem, render_maze
-from .search import run_engine
+from .domains import DOMAINS, MAZE_ACTIONS, Decoded, MazeGrid, PlanningProblem, render_maze
+from .search import record
 
 TEMPLATE_VERSION = "grammar-v1"
 
@@ -116,56 +111,75 @@ def parse_plan_text(text):
 
 # ---------------------------------------------------------------- traces
 
-def trace_record(run):
-    """(text, structured): the verbalized trace, and its structured mirror
-    {"events": [...], "plan": [...] | None} as the JSON text that
-    json.dumps(mirror, sort_keys=True) writes, from one pass over
-    run.events. Each distinct state and action is rendered and quoted once
-    per run, and each event is written with its keys in sorted order.
-    Every mirror field is read off, or worked out from, the event its line
-    is written from: the index is the event's position, an event without a
-    reason is valid, and f = g + t. So parse_trace_text(text) ==
-    json.loads(structured) without parsing."""
-    names, actions = {}, {}
-    lines = []
-    events = []
-    for index, e in enumerate(run.events):
-        src = names.get(e.parent_state)
-        if src is None:
-            src = names[e.parent_state] = _named(render_state(e.parent_state))
-        action = actions.get(e.action)
-        if action is None:
-            action = actions[e.action] = _named(render_action(e.action))
-        if e.reason is None:
-            to = names.get(e.state)
-            if to is None:
-                to = names[e.state] = _named(render_state(e.state))
-            g, t = e.g, e.t
-            if t is None:
-                scores, f, t = f"g={g}", "null", "null"
+class _Names(dict):
+    """Each key's text and JSON string, made on first use."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self.render(key)
+        value = self[key] = text, _quote(text)
+        return value
+
+
+class CorpusWriter:
+    """Traces and plan mirrors, naming each distinct action, and each state
+    of a block universe (where a packed int has one meaning), once per
+    emit call."""
+
+    def __init__(self):
+        self.actions = _Names(render_action)
+        self.universes = {}  # problem.blocks -> (Decoded, state names)
+
+    def plan_json(self, plan):
+        """A plan's JSON text, as json.dumps writes its action texts."""
+        actions = self.actions
+        return f'[{", ".join([actions[a][1] for a in plan])}]'
+
+    def trace(self, engine, problem, config):
+        """(text, structured): the engine's trace under the TraceConfig,
+        and its mirror {"events": [...], "plan": [...] | None} as the JSON
+        text of json.dumps(mirror, sort_keys=True), both written probe by
+        probe from search.record, so parse_trace_text(text) ==
+        json.loads(structured)."""
+        tables = self.universes.get(problem.blocks)
+        if tables is None:
+            decoded = Decoded(problem)
+            tables = self.universes[problem.blocks] = (
+                decoded, _Names(lambda state: render_state(decoded[state])))
+        decoded, names = tables
+        actions = self.actions
+        lines, events = [], []
+
+        def sink(state, parent, action, reason, g, t):
+            index = len(lines)
+            src, action = names[parent], actions[action]
+            if reason is None:
+                to = names[state]
+                if t is None:
+                    scores, f, t = f"g={g}", "null", "null"
+                else:
+                    f = g + t
+                    scores = f"g={g} t={t} f={f}"
+                lines.append(f"step {index} | from {src[0]} | action {action[0]} "
+                             f"| valid -> {to[0]} | {scores}")
+                events.append(f'{{"action": {action[1]}, "f": {f}, "from": {src[1]}, "g": {g}, '
+                              f'"index": {index}, "t": {t}, "to": {to[1]}, "validity": "valid"}}')
             else:
-                f = g + t
-                scores = f"g={g} t={t} f={f}"
-            lines.append(f"step {index} | from {src[0]} | action {action[0]} | valid -> {to[0]} "
-                         f"| {scores}")
-            events.append(f'{{"action": {action[1]}, "f": {f}, "from": {src[1]}, "g": {g}, '
-                          f'"index": {index}, "t": {t}, "to": {to[1]}, "validity": "valid"}}')
+                validity = f"invalid:{reason}"
+                lines.append(f"step {index} | from {src[0]} | action {action[0]} | {validity}")
+                events.append(f'{{"action": {action[1]}, "from": {src[1]}, "index": {index}, '
+                              f'"validity": {_quote(validity)}}}')
+
+        plan = record(engine, problem, config, sink, decoded)
+        if plan is None:
+            lines.append("NO PLAN")
+            plan = "null"
         else:
-            validity = f"invalid:{e.reason}"
-            lines.append(f"step {index} | from {src[0]} | action {action[0]} | {validity}")
-            events.append(f'{{"action": {action[1]}, "from": {src[1]}, "index": {index}, '
-                          f'"validity": {_quote(validity)}}}')
-    if run.plan is None:
-        lines.append("NO PLAN")
-        plan = "null"
-    else:
-        lines.append(verbalize_plan(run.plan))
-        plan = json.dumps([render_action(a) for a in run.plan])
-    return "\n".join(lines), f'{{"events": [{", ".join(events)}], "plan": {plan}}}'
-
-
-def _named(text):
-    return text, _quote(text)
+            lines.append(verbalize_plan(plan))
+            plan = self.plan_json(plan)
+        return "\n".join(lines), f'{{"events": [{", ".join(events)}], "plan": {plan}}}'
 
 
 _VALID_EVENT_RE = re.compile(
@@ -448,16 +462,17 @@ def emit_datasets(problems, controller_records, engine, trace, out_dir, seed=0):
     """
     os.makedirs(out_dir, exist_ok=True)
 
-    heads = {}  # problem -> its line's quoted id and input text, shared by its three records
+    writer = CorpusWriter()
+    heads = {}  # id(problem) -> its lines' head; every problem lives through the call
     tail = f', "template_version": {_quote(TEMPLATE_VERSION)}}}\n'
 
     def line(problem, kind, target_text, structured):
         """The record's JSON line, byte for byte what json.dumps(record,
         sort_keys=True) writes; structured is JSON text."""
-        head = heads.get(problem)
+        head = heads.get(id(problem))
         if head is None:
-            head = heads[problem] = (f'{{"id": {_quote(problem.problem_id)}, '
-                                     f'"input_text": {_quote(problem_input_text(problem))}')
+            head = heads[id(problem)] = (f'{{"id": {_quote(problem.problem_id)}, '
+                                         f'"input_text": {_quote(problem_input_text(problem))}')
         return (f'{head}, "kind": "{kind}", "structured": {structured}, '
                 f'"target_text": {_quote(target_text)}{tail}')
 
@@ -465,7 +480,7 @@ def emit_datasets(problems, controller_records, engine, trace, out_dir, seed=0):
     for p in problems:
         if p.gold_plan is None:
             raise ValueError(f"problem {p.problem_id!r} has no gold plan")
-        actions = json.dumps({"actions": [render_action(a) for a in p.gold_plan]})
+        actions = f'{{"actions": {writer.plan_json(p.gold_plan)}}}'
         sys1_lines.append(line(p, "sys1", verbalize_plan(p.gold_plan), actions))
 
     controller_lines = []
@@ -484,7 +499,7 @@ def emit_datasets(problems, controller_records, engine, trace, out_dir, seed=0):
     write_atomic(paths["controller"], controller_lines)
     # the traces are the bulk of the corpus: each is written as it is made,
     # so that only one is held at a time
-    write_atomic(paths["sys2"], (line(p, "sys2", *trace_record(run_engine(engine, p, trace)))
+    write_atomic(paths["sys2"], (line(p, "sys2", *writer.trace(engine, p, trace))
                                  for p in problems))
 
     config_text = json.dumps({

@@ -27,7 +27,6 @@ from hybridplan.textio import (
     problem_input_text,
     render_action,
     render_state,
-    trace_record,
     verbalize_plan,
 )
 
@@ -109,6 +108,25 @@ def blocks_optimal_plan(problem):
     return None
 
 
+def trace_record(run):
+    """The reference verbalizer: (text, structured) of a run's events, the
+    text one line per event and then the plan block, and structured the
+    JSON text of trace_mirror(run) with sorted keys."""
+    lines = []
+    for index, e in enumerate(run.events):
+        line = (f"step {index} | from {render_state(e.parent_state)} "
+                f"| action {render_action(e.action)}")
+        if e.reason is not None:
+            line += f" | invalid:{e.reason}"
+        else:
+            line += f" | valid -> {render_state(e.state)} | g={e.g}"
+            if e.t is not None:
+                line += f" t={e.t} f={e.g + e.t}"
+        lines.append(line)
+    lines.append("NO PLAN" if run.plan is None else verbalize_plan(run.plan))
+    return "\n".join(lines), json.dumps(trace_mirror(run), sort_keys=True)
+
+
 def trace_mirror(run):
     """A run's structured trace mirror as a dict, {"events": [...],
     "plan": [...] | None}, one dict per event."""
@@ -146,6 +164,26 @@ def corpus_lines(problems, controller_records, engine, trace):
         "controller": [line(p, "controller", *metaplan_record(meta))
                        for p, meta in controller_records],
     }
+
+
+def render_maze(problem):
+    """A maze's text, cell by cell: 'S' at the start, else 'G' at the goal,
+    '#' on an obstacle and '.' on a free cell."""
+    grid = problem.grid
+    rows = []
+    for r in range(grid.rows):
+        row = []
+        for c in range(grid.cols):
+            if (r, c) == problem.start:
+                row.append("S")
+            elif (r, c) == problem.goal:
+                row.append("G")
+            elif (r, c) in grid.obstacles:
+                row.append("#")
+            else:
+                row.append(".")
+        rows.append("".join(row))
+    return "\n".join(rows)
 
 
 # up decreases the row index

@@ -17,8 +17,8 @@ def maze_grids(draw, max_side=9):
 
 
 @st.composite
-def maze_problems(draw, max_side=6):
-    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+def maze_problems(draw, max_side=6, min_side=1):
+    rows, cols = draw(st.integers(min_side, max_side)), draw(st.integers(min_side, max_side))
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     start, goal = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
     obstacles = draw(st.frozensets(st.sampled_from(cells))) - {start, goal}
@@ -48,8 +48,8 @@ WORD_LABELS = st.text("Abé_ßΩ名٣", min_size=1, max_size=2)
 
 
 @st.composite
-def blocks_problems(draw, max_blocks=6, labels=BLOCK_LABELS):
-    blocks = tuple(sorted(draw(st.lists(labels, min_size=1, max_size=max_blocks,
+def blocks_problems(draw, max_blocks=6, labels=BLOCK_LABELS, min_blocks=1):
+    blocks = tuple(sorted(draw(st.lists(labels, min_size=min_blocks, max_size=max_blocks,
                                         unique=True))))
     return PlanningProblem(domain="blocks", start=draw(blocks_states(blocks)),
                            goal=draw(blocks_states(blocks)), blocks=blocks)

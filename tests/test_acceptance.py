@@ -31,11 +31,11 @@ from hybridplan.hybrid import solve_hybrid
 from hybridplan.hardness import hardness_fn
 from hybridplan.search import ENGINES, TraceConfig, astar, bfs, dfs
 from hybridplan.textio import (
+    CorpusWriter,
     metaplan_record,
     parse_metaplan_text,
     parse_plan_text,
     parse_trace_text,
-    trace_record,
     verbalize_plan,
 )
 
@@ -185,9 +185,9 @@ def test_criterion_7_dataset_round_trip(maze_dataset, blocks_dataset, tmp_path):
         parse_plan_text(verbalize_plan(p.gold_plan)) == p.gold_plan
         for p in rng.sample(maze_dataset["train"], 1000))
     trace_sample = rng.sample(maze_dataset["train"], 1000)
-    traces_ok = all(
-        parse_trace_text(trace_record(astar(p))[0]) == json.loads(trace_record(astar(p))[1])
-        for p in trace_sample)
+    writer = CorpusWriter()
+    traces_ok = all(parse_trace_text(text) == json.loads(structured) for text, structured in
+                    (writer.trace("astar", p, TraceConfig()) for p in trace_sample))
     records = build_controller_dataset(maze_dataset["train"], ControllerConfig(x=0.5))
     meta_sample = rng.sample(records, 1000)
     metas_ok = all(

@@ -184,6 +184,17 @@ def test_render_maze():
     assert render_maze(p) == "S..\n.#.\n..G"
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(problem=maze_problems(max_side=9))
+@example(problem=PlanningProblem(domain="maze", start=(1, 2), goal=(1, 2),
+                                 grid=MazeGrid(3, 4, frozenset({(0, 0), (2, 3)}))))
+@example(problem=PlanningProblem(domain="maze", start=(0, 3), goal=(2, 0), grid=MazeGrid(3, 4)))
+def test_render_maze_fills_the_rows_cell_by_cell(problem):
+    """The row-filling render equals the cell-by-cell one, a start that is
+    the goal and a grid with no obstacles included."""
+    assert render_maze(problem) == reference.render_maze(problem)
+
+
 def test_problem_validation_rejects_bad_states():
     with pytest.raises(ValueError):
         maze_problem(start=(9, 9))

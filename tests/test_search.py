@@ -25,7 +25,7 @@ from hybridplan.generators import blocks_bfs_length, blocks_optimal_plan, maze_d
 from hybridplan.evaluate import PlannerConfig, run_planner
 from hybridplan.hybrid import cut_run, solve_hybrid
 from hybridplan.search import TraceConfig, astar, bfs, dfs, explore, run_engine
-from hybridplan.textio import trace_record
+from hybridplan.textio import CorpusWriter
 import reference
 from reference import truncate_run
 from strategies import blocks_problems, maze_problems, reachable_states
@@ -118,7 +118,7 @@ class TestAstar:
         for problem in (maze, blocks):
             for engine in ("astar", "bfs", "dfs"):
                 run = run_engine(engine, problem)
-                text, structured = trace_record(run)
+                text, structured = CorpusWriter().trace(engine, problem, TraceConfig())
                 mirror = json.loads(structured)
                 steps = [ln.split(" | ")[0] for ln in text.splitlines() if ln.startswith("step ")]
                 assert steps == [f"step {i}" for i in range(len(run.events))]
@@ -312,8 +312,9 @@ def test_golden_trace_digests(engine, domain, caps, small_maze_dataset, small_bl
         problems = [p for p in small_blocks_dataset["train"] if len(p.blocks) <= 5]
     config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
     digest = hashlib.sha256()
+    writer = CorpusWriter()
     for p in problems:
-        digest.update(trace_record(run_engine(engine, p, config))[0].encode())
+        digest.update(writer.trace(engine, p, config)[0].encode())
         digest.update(b"\n\n")
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[(engine, domain, caps)]
 

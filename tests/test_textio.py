@@ -23,8 +23,9 @@ from hybridplan.controller import (
 from hybridplan.domains import MAZE_ACTIONS, MazeGrid, PlanningProblem, canonical_blocks
 from hybridplan.generators import BlocksDatasetConfig, generate_blocks_dataset
 from hybridplan.hardness import SELECTORS, hardness_fn
-from hybridplan.search import ENGINES, TraceConfig, astar, bfs, run_engine
+from hybridplan.search import ENGINES, TraceConfig, astar, run_engine
 from hybridplan.textio import (
+    CorpusWriter,
     ParseError,
     emit_datasets,
     metaplan_record,
@@ -40,10 +41,9 @@ from hybridplan.textio import (
     render_state,
     save_problems,
     load_problems,
-    trace_record,
     verbalize_plan,
 )
-from reference import corpus_lines, load_problem_lines, trace_mirror
+from reference import corpus_lines, load_problem_lines, trace_mirror, trace_record
 from strategies import WORD_LABELS, blocks_problems, blocks_states, maze_problems, states_of
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -121,19 +121,20 @@ class TestTraceRoundTrip:
     def test_event_line_count(self, small_maze_dataset):
         p = small_maze_dataset["test"][0]
         run = astar(p)
-        text = trace_record(run)[0]
+        text = CorpusWriter().trace("astar", p, TraceConfig())[0]
         lines = text.splitlines()
         assert sum(1 for ln in lines if ln.startswith("step ")) == len(run.events)
         assert "PLAN:" in lines
 
     def test_round_trip(self, small_maze_dataset):
+        writer = CorpusWriter()
         for p in small_maze_dataset["test"][:50]:
-            text, structured = trace_record(astar(p))
+            text, structured = writer.trace("astar", p, TraceConfig())
             assert parse_trace_text(text) == json.loads(structured)
 
     def test_bfs_trace_has_no_heuristic_scores(self, small_maze_dataset):
-        run = bfs(small_maze_dataset["test"][0])
-        mirror = parse_trace_text(trace_record(run)[0])
+        text = CorpusWriter().trace("bfs", small_maze_dataset["test"][0], TraceConfig())[0]
+        mirror = parse_trace_text(text)
         valid = [e for e in mirror["events"] if e["validity"] == "valid"]
         assert valid and all(e["t"] is None and e["f"] is None for e in valid)
 
@@ -141,8 +142,7 @@ class TestTraceRoundTrip:
         wall = frozenset((r, 2) for r in range(5))
         p = PlanningProblem(domain="maze", start=(2, 0), goal=(2, 4),
                             grid=MazeGrid(5, 5, wall))
-        run = astar(p)
-        text = trace_record(run)[0]
+        text = CorpusWriter().trace("astar", p, TraceConfig())[0]
         assert text.endswith("NO PLAN")
         assert parse_trace_text(text)["plan"] is None
 
@@ -154,15 +154,20 @@ class TestTraceRoundTrip:
 @pytest.mark.parametrize("engine", ["astar", "bfs", "dfs"])
 @pytest.mark.parametrize("caps", ["nocaps", "caps"])
 @PROPERTY
-@given(problem=st.one_of(maze_problems(), blocks_problems(max_blocks=4)))
+@given(problem=st.one_of(maze_problems(), blocks_problems(max_blocks=5)),
+       seed=st.integers(0, 2**32 - 1))
 @example(problem=PlanningProblem(domain="maze", start=(1, 0), goal=(1, 2),  # walled off
-                                 grid=MazeGrid(3, 3, frozenset({(0, 1), (1, 1), (2, 1)}))))
-def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
-    """The mirror is built from the events, so parsing the text checks it:
-    scores only where A* has them, and no plan for a failed run."""
-    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2, seed=0)
+                                 grid=MazeGrid(3, 3, frozenset({(0, 1), (1, 1), (2, 1)}))),
+         seed=0)
+def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem, seed):
+    """The writer's trace is the reference verbalization of the engine's
+    recorded events, and its mirror is built from the probes, so parsing
+    the text checks it: scores only where A* has them, and no plan for a
+    failed run."""
+    config = TraceConfig() if caps == "nocaps" else TraceConfig(valid_cap=3, invalid_cap=2,
+                                                                seed=seed)
     run = run_engine(engine, problem, config)
-    text, structured = trace_record(run)
+    text, structured = CorpusWriter().trace(engine, problem, config)
     mirror = json.loads(structured)
     assert parse_trace_text(text) == mirror
     assert trace_record(run) == (text, structured)
@@ -176,6 +181,38 @@ def test_parsed_trace_equals_the_one_pass_mirror(engine, caps, problem):
         assert text.splitlines()[-1] == "NO PLAN" and mirror["plan"] is None
     else:
         assert mirror["plan"] == [render_action(a) for a in run.plan]
+
+
+FOUR_ON_TABLE = PlanningProblem(domain="blocks", start=(("A",), ("B",), ("C",), ("D",)),
+                                goal=(("A", "B", "C", "D"),), blocks=("A", "B", "C", "D"))
+FIVE_ON_TABLE = PlanningProblem(domain="blocks", start=(("a",), ("b",), ("c",), ("d",), ("e",)),
+                                goal=(("e", "d"), ("c", "b", "a")),
+                                blocks=("a", "b", "c", "d", "e"))
+
+
+@PROPERTY
+@given(engine=st.sampled_from(sorted(ENGINES)),
+       problems=st.tuples(blocks_problems(min_blocks=4, max_blocks=4),
+                          maze_problems(max_side=3),
+                          blocks_problems(min_blocks=5, max_blocks=5),
+                          maze_problems(min_side=4)),
+       seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@example(problems=(FOUR_ON_TABLE, PlanningProblem(domain="maze", start=(0, 0), goal=(1, 1),
+                                                  grid=MazeGrid(2, 2)),
+                   FIVE_ON_TABLE, PlanningProblem(domain="maze", start=(0, 0), goal=(4, 3),
+                                                  grid=MazeGrid(5, 4))),
+         engine="bfs", seed=None)
+def test_one_writer_names_each_universe_apart(engine, problems, seed):
+    """One writer, as one emit call uses it, traces problems of a 4- and a
+    5-block universe and of two maze sizes in turn, each equal to the
+    reference verbalization of the engine's events: a packed state is named
+    within its own universe (both blocks examples start at packed state 0,
+    every block on the table)."""
+    config = TraceConfig() if seed is None else TraceConfig(valid_cap=3, invalid_cap=2, seed=seed)
+    writer = CorpusWriter()
+    for problem in problems:
+        assert writer.trace(engine, problem, config) == \
+            trace_record(run_engine(engine, problem, config))
 
 
 # ids that JSON text escapes: a quote, a backslash, a newline, non-ASCII
@@ -204,7 +241,8 @@ def test_emitted_lines_are_the_sorted_key_dumps(tmp_path_factory, problem, probl
     for engine in ENGINES:
         for config in (TraceConfig(), TraceConfig(valid_cap=3, invalid_cap=2, seed=0)):
             run = run_engine(engine, problem, config)
-            assert trace_record(run)[1] == json.dumps(trace_mirror(run), sort_keys=True)
+            assert CorpusWriter().trace(engine, problem, config)[1] == \
+                json.dumps(trace_mirror(run), sort_keys=True)
             if plan is None:
                 continue
             emit_datasets([problem], records, engine, config, str(out))
@@ -226,7 +264,7 @@ def test_block_labels_are_rejected_or_round_trip(labels):
                                   goal=(tuple(reversed(labels)),), blocks=tuple(labels))
     except ValueError:
         return
-    text, structured = trace_record(run_engine("astar", problem, TraceConfig()))
+    text, structured = CorpusWriter().trace("astar", problem, TraceConfig())
     assert parse_trace_text(text) == json.loads(structured)
 
 
